@@ -5,17 +5,19 @@ irreducible (A1) and every other state to reach that set in one step
 (A2).  The lower-tail twins A3/A4 are the same conditions for -f, i.e.
 for the argmin set.  ``validate`` checks all four and names witnesses
 for whatever fails, so the CLI can explain exactly why a bound is not
-available for a given chain.
+available for a given chain; ``require`` gates one tail on its pair.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AssumptionError
+from .errors import AssumptionError, DomainError
 from .model import MarkovModel, is_irreducible, level_sets
 
-__all__ = ["Violation", "AssumptionReport", "validate"]
+__all__ = ["Violation", "AssumptionReport", "validate", "require"]
+
+SIDE_ASSUMPTIONS = {"upper": ("A1", "A2"), "lower": ("A3", "A4")}
 
 
 @dataclass(frozen=True)
@@ -55,7 +57,7 @@ class AssumptionReport:
 def _check_pair(P: np.ndarray, core: tuple[int, ...], labels, which: str,
                 extreme_name: str):
     """Check the (irreducible submatrix, one-step reach) pair for one side."""
-    ids = ("A1", "A2") if which == "upper" else ("A3", "A4")
+    ids = SIDE_ASSUMPTIONS[which]
     violations = []
     sub = P[np.ix_(core, core)]
     ok_block = is_irreducible(sub)
@@ -102,3 +104,18 @@ def validate(model: MarkovModel) -> AssumptionReport:
         S_a=tuple(labels[i] for i in ls.S_a),
         violations=tuple(v_up + v_lo),
     )
+
+
+def require(model: MarkovModel, side: str) -> None:
+    """Raise AssumptionError with the side's violations unless A1-A2
+    (upper) or A3-A4 (lower) hold."""
+    ids = SIDE_ASSUMPTIONS.get(side)
+    if ids is None:
+        raise DomainError(
+            f"assumptions: side must be 'upper' or 'lower', got {side!r}")
+    report = validate(model)
+    bad = [v for v in report.violations if v.assumption in ids]
+    if bad:
+        raise AssumptionError(
+            f"assumptions: the {side} tail requires {'-'.join(ids)}; "
+            + "; ".join(v.witness for v in bad), violations=bad)

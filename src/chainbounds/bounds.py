@@ -6,6 +6,10 @@ theta-derivative, and sigma2 the supremum of Lambda'' there; all three
 are finite under the side's positivity assumptions because the spectral
 objects converge to those of the column-restricted limit matrix.
 
+A grid point costs three Perron solves: theta, and theta +/- 5e-4
+(1 + |theta|) for the cross-check of Lambda''; derivatives come from
+``TiltedFamily.derivatives``.
+
 The suprema are located with an adaptive grid, not a certified global
 optimizer: start from theta in {0, 0.25, ..., 8}, then each round halves
 the spacing around the current argmaxes and doubles the grid extent,
@@ -24,10 +28,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import assumptions as _assumptions
 from . import family as _family
 from . import perron as _perron
-from .errors import AssumptionError, DomainError
+from .errors import DomainError
 from .model import MarkovModel, level_sets
 
 GRID_SPACING = 0.25
@@ -130,24 +133,11 @@ _CONSTANTS_CACHE: "weakref.WeakKeyDictionary[MarkovModel, dict]" = \
 _CONSTANTS_LOCK = threading.Lock()
 
 
-def _require_side(model: MarkovModel, side: str) -> None:
-    report = _assumptions.validate(model)
-    ok = report.upper_ok if side == "upper" else report.lower_ok
-    if not ok:
-        ids = ("A1", "A2") if side == "upper" else ("A3", "A4")
-        bad = [v for v in report.violations if v.assumption in ids]
-        raise AssumptionError(
-            f"bounds: {side}-tail constants require {'-'.join(ids)}; "
-            + "; ".join(v.witness for v in bad), violations=bad)
-
-
 def constants(model: MarkovModel, side: str = "upper") -> BoundConstants:
     """Compute (K, L, sigma2, rho_inf) for one tail, with diagnostics.
 
     Results are memoized per model instance and side.
     """
-    if side not in ("upper", "lower"):
-        raise DomainError(f"bounds: side must be 'upper' or 'lower', got {side!r}")
     with _CONSTANTS_LOCK:
         per_model = _CONSTANTS_CACHE.setdefault(model, {})
         cached = per_model.get(side)
@@ -160,10 +150,10 @@ def constants(model: MarkovModel, side: str = "upper") -> BoundConstants:
 
 
 def _compute_constants(model: MarkovModel, side: str) -> BoundConstants:
-    _require_side(model, side)
+    # the limit matrix requires the side's assumptions, so it gates first
+    _, _, limit_triple = _perron.limit_matrix(model, side)
     sign = 1.0 if side == "upper" else -1.0
     fam = _family.family_of(model)
-    _, _, limit_triple = _perron.limit_matrix(model, side)
     v_inf = limit_triple.v
     K_limit = float(v_inf.max() / v_inf.min())
     rho_inf = limit_triple.rho
@@ -177,14 +167,12 @@ def _compute_constants(model: MarkovModel, side: str) -> BoundConstants:
         if hit is not None:
             return hit
         theta = sign * t
-        h = _family.RATIO_STEP * (1.0 + t)
-        v0 = fam.at(theta).triple.v
-        vp = fam.at(theta + h).triple.v
-        vm = fam.at(theta - h).triple.v
-        k_t = float(v0.max() / v0.min())
-        dratio = (vp[None, :] / vp[:, None] - vm[None, :] / vm[:, None]) / (2.0 * h)
-        l_t = float(np.abs(dratio).max())
-        s2_t = fam.lambda_second(theta, h)
+        v = fam.at(theta).triple.v
+        w = fam.derivatives(theta)[0]
+        ratio = v[None, :] / v[:, None]            # [x, y] = v(y)/v(x)
+        k_t = float(ratio.max())
+        l_t = float(np.abs(ratio * (w[None, :] - w[:, None])).max())
+        s2_t = fam.lambda_second(theta)
         out = (k_t, l_t, s2_t)
         evals[t] = out
         return out
@@ -266,8 +254,13 @@ def _quadratic_exponent(dev: float, scale: float) -> float:
     return dev * dev / scale
 
 
-def _assemble_report(model: MarkovModel, n: int, mu: float,
-                     side: str) -> BoundReport:
+def chernoff_bound(model: MarkovModel, n: int, mu: float,
+                   side: str = "upper") -> BoundReport:
+    """Finite-sample tail bound K*exp(-n*Lambda*(mu)) for the given side.
+
+    The report also carries both Hoeffding relaxations so the ordering
+    invariant is visible at every call site.
+    """
     if n < 1:
         raise DomainError(f"bounds: n must be at least 1, got {n!r}")
     consts = constants(model, side)
@@ -289,20 +282,8 @@ def _assemble_report(model: MarkovModel, n: int, mu: float,
     )
 
 
-def chernoff_bound(model: MarkovModel, n: int, mu: float,
-                   side: str = "upper") -> BoundReport:
-    """Finite-sample tail bound K*exp(-n*Lambda*(mu)) for the given side.
-
-    The report also carries both Hoeffding relaxations so the ordering
-    invariant is visible at every call site.
-    """
-    return _assemble_report(model, n, mu, side)
-
-
-def hoeffding_bound(model: MarkovModel, n: int, mu: float,
-                    side: str = "upper") -> BoundReport:
-    """Sub-Gaussian relaxations of the Chernoff bound (same report type)."""
-    return _assemble_report(model, n, mu, side)
+# the same report carries the sub-Gaussian relaxations
+hoeffding_bound = chernoff_bound
 
 
 def two_sided_bound(model: MarkovModel, n: int, interval) -> float:

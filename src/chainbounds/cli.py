@@ -345,12 +345,8 @@ def _cmd_simulate(model, params):
 def _cmd_ergodic(model, params):
     thetas = _parse_real_grid(params["theta"])
     ns = _parse_int_grid(params["n"])
-    rows = []
-    for theta in thetas:
-        for n in ns:
-            check = _sim.ergodic_check(model, theta, n)
-            rows.append((check.theta, check.n, check.Lambda_n, check.Lambda,
-                         check.gap, check.bound, check.passed))
+    rows = [(c.theta, c.n, c.Lambda_n, c.Lambda, c.gap, c.bound, c.passed)
+            for theta in thetas for c in _sim.ergodic_checks(model, theta, ns)]
     columns = ("theta", "n", "Lambda_n", "Lambda", "gap", "bound", "pass")
     return 0, [("ergodic", (columns, rows))]
 

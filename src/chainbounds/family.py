@@ -6,16 +6,19 @@ Perron-Frobenius triple of the reweighted matrix produces another
 stochastic matrix P_theta with stationary law pi_theta = u_theta*v_theta.
 The log spectral radius Lambda(theta) plays the role of a cumulant
 generating function: Lambda'(theta) is the tilted stationary mean and
-Lambda''(theta) a stationary pair variance, so theta and mu = Lambda'
-(theta) are dual coordinates.  The convex conjugate Lambda* is the large
-deviations rate used by the tail bounds.
+Lambda''(theta) the asymptotic variance of f under P_theta, so theta and
+mu = Lambda'(theta) are dual coordinates.  The convex conjugate Lambda*
+is the large deviations rate used by the tail bounds.  Lambda'' and
+d log v / d theta take one fundamental-matrix solve at a cached point
+(Kemeny and Snell 1960; Meyer 1975), and mean inversion is Newton's
+method with that Lambda'' as slope.
 
 To avoid overflow the reweighted matrix is never formed directly: all
 spectral work happens on exp(-m) * P_tilde with m = max_y theta*f(y),
 whose entries never exceed max(P), and m is added back in log space.
 
 A ``TiltedFamily`` memoizes tilted points by theta behind a lock, so grid
-sweeps, bisections and finite differences share eigensolves.  All
+sweeps, Newton steps and cross-checks share eigensolves.  All
 returned values are immutable.
 """
 
@@ -28,14 +31,13 @@ import numpy as np
 
 from . import assumptions as _assumptions
 from . import perron as _perron
-from .errors import (AssumptionError, ConvergenceError, CrossCheckError,
-                     DomainError)
+from .errors import ConvergenceError, CrossCheckError, DomainError
 from .model import MarkovModel, level_sets
 
-RATIO_STEP = 1e-5          # h for eigenvector-ratio derivatives
-CROSS_CHECK_STEP = 5e-4    # coarser step for the mandatory quadratic check
+CROSS_CHECK_STEP = 5e-4    # step of the mandatory quadratic-difference check
 DEGENERACY_TOL = 1e-10
 MEAN_MATCH_TOL = 1e-10
+NEWTON_TOL = 1e-12         # on |Lambda' - mu| / (1 + |mu|) or step / max(1, |theta|)
 
 __all__ = [
     "TiltedPoint",
@@ -146,27 +148,31 @@ class TiltedFamily:
     """Handle for the family generated by one model, memoized by theta.
 
     The cache is guarded by a lock so concurrent lookups are safe; all
-    published values are immutable.
+    published values are immutable.  Only P and f are kept, so the weak
+    registry in ``family_of`` can free the model.
     """
 
     def __init__(self, model: MarkovModel):
-        self.model = model
+        self.P, self.f = model.P, model.f
         self._points: dict[float, TiltedPoint] = {}
+        self._derivatives: dict[float, tuple[np.ndarray, float]] = {}
         self._lock = threading.Lock()
         self._degenerate: bool | None = None
 
-    def at(self, theta: float) -> TiltedPoint:
-        theta = float(theta)
+    def _memo(self, cache: dict, theta: float, compute):
         with self._lock:
-            point = self._points.get(theta)
-        if point is None:
-            point = self._compute(theta)
+            hit = cache.get(theta)
+        if hit is None:
+            hit = compute(theta)
             with self._lock:
-                point = self._points.setdefault(theta, point)
-        return point
+                hit = cache.setdefault(theta, hit)
+        return hit
+
+    def at(self, theta: float) -> TiltedPoint:
+        return self._memo(self._points, float(theta), self._compute)
 
     def _compute(self, theta: float) -> TiltedPoint:
-        P, f = self.model.P, self.model.f
+        P, f = self.P, self.f
         expo = theta * f
         m = float(expo.max())
         shifted = P * np.exp(expo - m)[None, :]
@@ -196,7 +202,7 @@ class TiltedFamily:
         return self._degenerate
 
     def _detect_degenerate(self) -> bool:
-        d_matrix = float(np.abs(self.at(1.0).P_theta - self.model.P).max())
+        d_matrix = float(np.abs(self.at(1.0).P_theta - self.P).max())
         d_curv = max(self.lambda_second(t) for t in (-1.0, 0.0, 1.0))
         near_const = d_matrix <= DEGENERACY_TOL
         flat = d_curv <= DEGENERACY_TOL
@@ -207,40 +213,46 @@ class TiltedFamily:
                 f"(threshold {DEGENERACY_TOL})")
         return near_const
 
-    def lambda_second(self, theta: float, h: float | None = None) -> float:
-        """Lambda''(theta) via the stationary pair-variance formula.
+    def derivatives(self, theta: float) -> tuple[np.ndarray, float]:
+        """(w, Lambda'') from one solve with Z = (I - P_theta + 1 pi')^-1.
 
-        The eigenvector-ratio derivative is a central difference at step
-        ``h`` (default 1e-5*(1+|theta|)).  The result is always cross
-        checked against a second central difference of Lambda; that check
-        uses a coarser step, because second differences of an O(1)
-        function below ~1e-3 drown in roundoff at double precision.
+        w = Z P_theta fc, fc = f - Lambda', is d log v / d theta up to a
+        constant that cancels from every eigenvector ratio, and Lambda'' =
+        2 pi(fc Z fc) - pi(fc^2).  Memoized; ``lambda_second`` checks it.
+        """
+        return self._memo(self._derivatives, float(theta), self._derive)
+
+    def _derive(self, theta: float) -> tuple[np.ndarray, float]:
+        point = self.at(theta)
+        pi, P_theta = point.pi_theta, point.P_theta
+        fc = self.f - point.mean
+        A = np.eye(pi.size) - P_theta + pi[None, :]
+        sol = np.linalg.solve(A, np.column_stack((P_theta @ fc, fc)))
+        sol.setflags(write=False)
+        return sol[:, 0], 2.0 * float(pi @ (fc * sol[:, 1])) - float(pi @ (fc * fc))
+
+    def lambda_second(self, theta: float, h: float | None = None) -> float:
+        """Lambda''(theta) by the fundamental matrix (``derivatives``).
+
+        Every value is cross-checked against the quadratic difference
+        (Lambda(theta+h) - 2 Lambda(theta) + Lambda(theta-h)) / h^2 at step
+        ``h`` (default 5e-4*(1+|theta|); second differences of an O(1)
+        function below ~1e-3 drown in roundoff at double precision).
         Disagreement raises instead of returning silently.
         """
         theta = float(theta)
         if h is None:
-            h = RATIO_STEP * (1.0 + abs(theta))
+            h = CROSS_CHECK_STEP * (1.0 + abs(theta))
         if h <= 0.0:
             raise DomainError("family: finite-difference step must be positive")
-        p0 = self.at(theta)
-        vp = self.at(theta + h).triple.v
-        vm = self.at(theta - h).triple.v
-        v0 = p0.triple.v
-        ratio0 = v0[None, :] / v0[:, None]          # [x, y] = v(y)/v(x)
-        dratio = (vp[None, :] / vp[:, None] - vm[None, :] / vm[:, None]) / (2.0 * h)
-        g = self.model.f[None, :] + dratio / ratio0
-        w = p0.pi_theta[:, None] * p0.P_theta
-        mean_g = float((w * g).sum())
-        value = float((w * (g - mean_g) ** 2).sum())
-
-        hc = max(h, CROSS_CHECK_STEP * (1.0 + abs(theta)))
-        fd2 = (self.at(theta + hc).Lambda - 2.0 * p0.Lambda
-               + self.at(theta - hc).Lambda) / (hc * hc)
+        value = self.derivatives(theta)[1]
+        fd2 = (self.at(theta + h).Lambda - 2.0 * self.at(theta).Lambda
+               + self.at(theta - h).Lambda) / (h * h)
         tol = max(1e-6, 1e-3 * abs(value))
         if abs(value - fd2) > tol:
             raise CrossCheckError(
                 f"family: Lambda'' routes disagree at theta={theta!r}: "
-                f"variance formula {value!r} vs quadratic difference {fd2!r} "
+                f"fundamental matrix {value!r} vs quadratic difference {fd2!r} "
                 f"(tolerance {tol:.1e})")
         return value
 
@@ -286,10 +298,11 @@ def theta_of_mean(model: MarkovModel, mu: float) -> float:
     """Invert the strictly increasing mean map: find theta with
     Lambda'(theta) = mu.
 
-    Starts from the bracket [-1, 1], doubles endpoints until the mean map
-    brackets mu, then bisects to 1e-12 in theta and polishes with one
-    secant step.  Requires a nondegenerate family and mu strictly inside
-    the attainable mean range.
+    Doubles the bracket [-1, 1] until the mean map brackets mu, then runs
+    Newton's method from the nearer endpoint with slope Lambda'', taking
+    the bracket midpoint whenever a step would leave the bracket.  Requires
+    a nondegenerate family and mu strictly inside the attainable mean
+    range.
     """
     fam = family_of(model)
     if fam.is_degenerate:
@@ -329,18 +342,19 @@ def theta_of_mean(model: MarkovModel, mu: float) -> float:
     lo, g_lo = expand(lo, g(lo), "below")
     hi, g_hi = expand(hi, g(hi), "above")
 
-    while hi - lo > 1e-12 * max(1.0, abs(lo), abs(hi)):
-        mid = 0.5 * (lo + hi)
-        g_mid = g(mid)
-        if g_mid < 0.0:
-            lo, g_lo = mid, g_mid
-        else:
-            hi, g_hi = mid, g_mid
-    theta = 0.5 * (lo + hi)
-    if g_hi != g_lo:
-        secant = hi - g_hi * (hi - lo) / (g_hi - g_lo)
-        if lo <= secant <= hi and abs(g(secant)) <= abs(g(theta)):
-            theta = secant
+    theta, g_t = (lo, g_lo) if -g_lo <= g_hi else (hi, g_hi)
+    for _ in range(100):
+        if abs(g_t) <= NEWTON_TOL * (1.0 + abs(mu)):
+            break
+        lo, hi = (theta, hi) if g_t < 0.0 else (lo, theta)
+        slope = fam.derivatives(theta)[1]
+        step = -g_t / slope if slope > 0.0 else math.inf
+        if abs(step) <= NEWTON_TOL * max(1.0, abs(theta)):
+            break
+        theta += step
+        if not lo < theta < hi:
+            theta = 0.5 * (lo + hi)
+        g_t = g(theta)
     err = abs(fam.at(theta).mean - mu)
     if err > 1e-10 * (1.0 + abs(mu)):
         raise ConvergenceError(
@@ -400,15 +414,7 @@ def rate_function(model: MarkovModel, mu: float, side: str = "upper") -> RatePoi
             return RatePoint(mu=mu, theta_mu=0.0, value=0.0)
         return RatePoint(mu=mu, theta_mu=sign * math.inf, value=math.inf)
 
-    report = _assumptions.validate(model)
-    ok = report.upper_ok if side == "upper" else report.lower_ok
-    if not ok:
-        ids = ("A1", "A2") if side == "upper" else ("A3", "A4")
-        bad = [v for v in report.violations if v.assumption in ids]
-        raise AssumptionError(
-            f"family: {side} tail rate requires {'-'.join(ids)}; "
-            + "; ".join(v.witness for v in bad), violations=bad)
-
+    _assumptions.require(model, side)
     if sign * (mu - pif) < -tol:
         raise DomainError(
             f"family: mu={mu!r} is on the wrong side of the stationary "

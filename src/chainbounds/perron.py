@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import assumptions as _assumptions
-from .errors import AssumptionError, ConvergenceError, DomainError
+from .errors import ConvergenceError, DomainError
 from .model import MarkovModel, is_irreducible, level_sets
 
 RESIDUAL_TOL = 1e-11      # times the max entry of the matrix
@@ -132,6 +132,19 @@ def _power_vectors(M_it: np.ndarray, budget: int):
     return None
 
 
+def _gated_residual(M: np.ndarray, rho: float, u: np.ndarray, v: np.ndarray,
+                    what: str) -> float:
+    """Max-norm eigen-residual of (rho, u, v) on M; raises above tolerance."""
+    residual = max(float(np.abs(M.T @ u - rho * u).max()),
+                   float(np.abs(M @ v - rho * v).max()))
+    tol = RESIDUAL_TOL * float(M.max())
+    if residual > tol:
+        raise ConvergenceError(
+            f"perron: {what} {residual:.3e} exceeds tolerance {tol:.3e}",
+            residual=residual)
+    return residual
+
+
 def _finish(M: np.ndarray, u: np.ndarray, v: np.ndarray) -> PerronTriple:
     """Apply the normalization convention and measure the residual on M."""
     denom = float(u @ v)
@@ -141,15 +154,7 @@ def _finish(M: np.ndarray, u: np.ndarray, v: np.ndarray) -> PerronTriple:
             f"perron: iteration produced a non-positive eigenvalue ({rho!r})")
     u = u / u.sum()
     v = v / float(u @ v)
-    residual = max(
-        float(np.abs(M.T @ u - rho * u).max()),
-        float(np.abs(M @ v - rho * v).max()),
-    )
-    tol = RESIDUAL_TOL * float(M.max())
-    if residual > tol:
-        raise ConvergenceError(
-            f"perron: eigen-residual {residual:.3e} exceeds tolerance "
-            f"{tol:.3e}", residual=residual)
+    residual = _gated_residual(M, rho, u, v, "eigen-residual")
     if v.min() <= 0.0:
         raise ConvergenceError(
             "perron: right eigenvector lost strict positivity")
@@ -223,17 +228,8 @@ def pf_extended(M: np.ndarray, structure: BlockStructure) -> PerronTriple:
     v[core] = tri.v
     if fringe:
         v[fringe] = B @ tri.v / tri.rho
-    rho = tri.rho
-    residual = max(
-        float(np.abs(M.T @ u - rho * u).max()),
-        float(np.abs(M @ v - rho * v).max()),
-    )
-    tol = RESIDUAL_TOL * float(M.max())
-    if residual > tol:
-        raise ConvergenceError(
-            f"perron: assembled eigen-residual {residual:.3e} exceeds "
-            f"tolerance {tol:.3e}", residual=residual)
-    return PerronTriple(rho=rho, u=u, v=v, residual=residual)
+    residual = _gated_residual(M, tri.rho, u, v, "assembled eigen-residual")
+    return PerronTriple(rho=tri.rho, u=u, v=v, residual=residual)
 
 
 def limit_matrix(model: MarkovModel, side: str = "upper"):
@@ -244,25 +240,9 @@ def limit_matrix(model: MarkovModel, side: str = "upper"):
     set (equivalently, the construction for -f).  Requires the side's
     positivity assumptions; returns ``(matrix, BlockStructure, PerronTriple)``.
     """
-    report = _assumptions.validate(model)
+    _assumptions.require(model, side)
     ls = level_sets(model)
-    if side == "upper":
-        ok = report.a1 and report.a2
-        ids = ("A1", "A2")
-        core = ls.S_b
-    elif side == "lower":
-        ok = report.a3 and report.a4
-        ids = ("A3", "A4")
-        core = ls.S_a
-    else:
-        raise DomainError(f"perron: side must be 'upper' or 'lower', got {side!r}")
-    if not ok:
-        bad = [v for v in report.violations if v.assumption in ids]
-        raise AssumptionError(
-            "perron: limit matrix requires "
-            + "-".join(ids) + "; " + "; ".join(v.witness for v in bad),
-            violations=bad)
-
+    core = ls.S_b if side == "upper" else ls.S_a
     n = model.n_states
     fringe = tuple(i for i in range(n) if i not in core)
     P = model.P

@@ -17,7 +17,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import beta as _beta_dist
 
 from . import bounds as _bounds
 from . import family as _family
@@ -34,6 +33,7 @@ __all__ = [
     "empirical_tail",
     "lambda_n_exact",
     "ergodic_check",
+    "ergodic_checks",
 ]
 
 
@@ -107,11 +107,14 @@ def sample_trajectory(model: MarkovModel, n: int, rng) -> np.ndarray:
 
 
 def _clopper_pearson(hits: int, trials: int, confidence: float):
+    # imported here: scipy.special costs the CLI nothing unless it simulates
+    from scipy.special import betaincinv
+
     alpha = 1.0 - confidence
     low = 0.0 if hits == 0 else float(
-        _beta_dist.ppf(alpha / 2, hits, trials - hits + 1))
+        betaincinv(hits, trials - hits + 1, alpha / 2))
     high = 1.0 if hits == trials else float(
-        _beta_dist.ppf(1 - alpha / 2, hits + 1, trials - hits))
+        betaincinv(hits + 1, trials - hits, 1 - alpha / 2))
     return low, high
 
 
@@ -162,6 +165,25 @@ def empirical_tail(model: MarkovModel, n: int, mu: float, side: str,
                         ci_high=high, seed=seed)
 
 
+def _lambda_n_sweep(model: MarkovModel, theta: float, ns) -> list[float]:
+    """Lambda_n for every n in ns from one prefix sweep of q' M^k 1."""
+    theta = float(theta)
+    expo = theta * model.f
+    m = float(expo.max())
+    T = model.P * np.exp(expo - m)[None, :]
+    w = model.q.copy()
+    log_scale = 0.0
+    want, found = set(ns), {}
+    for k in range(1, max(want, default=0) + 1):
+        w = w @ T
+        s = float(w.max())
+        log_scale += math.log(s)
+        w /= s
+        if k in want:
+            found[k] = (log_scale + math.log(float(w.sum())) + k * m) / k
+    return [found[n] for n in ns]
+
+
 def lambda_n_exact(model: MarkovModel, theta: float, n: int) -> float:
     """(1/n) log E_q exp(theta * sum_{k=1}^n f(X_k)), computed exactly.
 
@@ -170,28 +192,24 @@ def lambda_n_exact(model: MarkovModel, theta: float, n: int) -> float:
     """
     if n < 1:
         raise DomainError(f"sim: n must be >= 1, got {n!r}")
-    theta = float(theta)
-    expo = theta * model.f
-    m = float(expo.max())
-    T = model.P * np.exp(expo - m)[None, :]
-    w = model.q.copy()
-    log_scale = 0.0
-    for _ in range(n):
-        w = w @ T
-        s = float(w.max())
-        log_scale += math.log(s)
-        w /= s
-    return (log_scale + math.log(float(w.sum())) + n * m) / n
+    return _lambda_n_sweep(model, theta, (n,))[0]
 
 
-def ergodic_check(model: MarkovModel, theta: float, n: int) -> ErgodicCheck:
-    """Compare the exact finite-n rate with its limit at one (theta, n).
+def ergodic_checks(model: MarkovModel, theta: float, ns) -> list[ErgodicCheck]:
+    """Compare the exact finite-n rate with its limit at every n in ns,
+    from one sweep of products (bit-identical to ``lambda_n_exact``).
 
     The bound field is log(K)/n from the bound constants, which requires
     all four positivity assumptions.
     """
-    bound = _bounds.ergodic_gap(model, n)
+    bounds = [_bounds.ergodic_gap(model, n) for n in ns]
     lam = _family.family_of(model).at(theta).Lambda
-    lam_n = lambda_n_exact(model, theta, n)
-    return ErgodicCheck(theta=float(theta), n=int(n), Lambda_n=lam_n,
-                        Lambda=lam, gap=abs(lam_n - lam), bound=bound)
+    return [ErgodicCheck(theta=float(theta), n=int(n), Lambda_n=lam_n,
+                         Lambda=lam, gap=abs(lam_n - lam), bound=bound)
+            for n, bound, lam_n in zip(ns, bounds,
+                                       _lambda_n_sweep(model, theta, ns))]
+
+
+def ergodic_check(model: MarkovModel, theta: float, n: int) -> ErgodicCheck:
+    """``ergodic_checks`` at a single horizon n."""
+    return ergodic_checks(model, theta, (n,))[0]

@@ -92,3 +92,41 @@ def exact_scaled_log_mgf(model, theta: float, n: int) -> float:
     for prob, ssum in enumerate_paths(model, n):
         total += prob * math.exp(theta * ssum)
     return math.log(total) / n
+
+
+def _tilted_perron(P, f, theta):
+    """(rho, u, v) of the shifted tilted matrix by dense eigendecomposition,
+    with sum(u) = 1 and u.v = 1."""
+    expo = theta * np.asarray(f, dtype=np.float64)
+    M = np.asarray(P, dtype=np.float64) * np.exp(expo - expo.max())[None, :]
+    w, V = np.linalg.eig(M)
+    k = int(np.argmax(w.real))
+    v = np.abs(V[:, k].real)
+    wl, U = np.linalg.eig(M.T)
+    u = np.abs(U[:, int(np.argmax(wl.real))].real)
+    u /= u.sum()
+    return float(w[k].real), u, v / float(u @ v)
+
+
+def ratio_derivative_fd(P, f, theta: float, h: float) -> np.ndarray:
+    """Central difference at step h of the right Perron vector ratios
+    v(y)/v(x), entry [x, y], of P diag(exp(theta f))."""
+    def ratios(t):
+        v = _tilted_perron(P, f, t)[2]
+        return v[None, :] / v[:, None]
+    return (ratios(theta + h) - ratios(theta - h)) / (2.0 * h)
+
+
+def lambda_second_pair_variance(P, f, theta: float, h: float) -> float:
+    """Lambda''(theta) as the variance of f(y) + d/dtheta log(v(y)/v(x))
+    under the stationary pair law pi_theta(x) P_theta(x, y), with the ratio
+    derivative by central differences at step h."""
+    rho, u, v = _tilted_perron(P, f, theta)
+    expo = theta * np.asarray(f, dtype=np.float64)
+    M = np.asarray(P, dtype=np.float64) * np.exp(expo - expo.max())[None, :]
+    P_theta = M * v[None, :] / (rho * v[:, None])
+    g = np.asarray(f)[None, :] + ratio_derivative_fd(P, f, theta, h) \
+        * v[:, None] / v[None, :]
+    weights = (u * v)[:, None] * P_theta
+    mean = float((weights * g).sum())
+    return float((weights * (g - mean) ** 2).sum())

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from chainbounds import AssumptionError, MarkovModel, validate
+from chainbounds import AssumptionError, DomainError, MarkovModel, validate
+from chainbounds.assumptions import require
 from conftest import (birth_death, no_selfloop_top, random_positive_model,
                       two_cycle)
 
@@ -84,3 +85,15 @@ def test_two_cycle_fails_both_block_assumptions():
     report = validate(two_cycle())
     assert not report.a1 and not report.a3
     assert report.a2 and report.a4
+
+
+def test_require_raises_the_side_violations():
+    model = no_selfloop_top()
+    report = validate(model)
+    with pytest.raises(AssumptionError) as exc:
+        require(model, "upper")
+    assert exc.value.violations == tuple(
+        v for v in report.violations if v.assumption in ("A1", "A2"))
+    require(model, "lower")
+    with pytest.raises(DomainError):
+        require(model, "sideways")

@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -232,3 +234,18 @@ class TestTwoSidedAndErgodicGap:
         cap = max(P[x, z] / P[y, z]
                   for x in range(3) for y in range(3) for z in range(3))
         assert ergodic_gap(model, 5) <= math.log(cap) / 5 + 1e-9
+
+
+def test_models_are_freed_after_a_bound():
+    # the family registry holds its models weakly, so nothing cached on the
+    # family may refer back to the model
+    model = random_positive_model(np.random.default_rng(34), 4)
+    chernoff_bound(model, 20, float(model.f.max()), "upper")
+    ref = weakref.ref(model)
+    del model
+    gc.collect()
+    assert ref() is None
+
+
+def test_hoeffding_bound_is_the_chernoff_report():
+    assert hoeffding_bound is chernoff_bound

@@ -1,5 +1,6 @@
 import json
 
+from chainbounds import lambda_n_exact, load_model
 from chainbounds.cli import main
 
 TWO_STATE_DOC = """
@@ -148,6 +149,22 @@ class TestReports:
         assert all(row.rsplit(",", 1)[1] == "true" for row in rows)
         # IID rows force the finite-n rate to equal its limit
         assert all(float(row.split(",")[4]) < 1e-10 for row in rows)
+
+    def test_ergodic_rows_equal_single_horizon_values(self, write_model,
+                                                      capsys):
+        # the CLI sweeps all horizons at once; each row must still be the
+        # exact single-horizon value
+        path = write_model(TWO_STATE_DOC)
+        code, out, _ = run_cli(capsys, "ergodic", "--model", path,
+                               "--theta=-0.5,1.5", "--n", "1:40",
+                               "--format", "machine")
+        assert code == 0
+        rows = json.loads(out)["ergodic"]
+        assert len(rows) == 80
+        model = load_model(path)
+        for row in rows:
+            assert row["Lambda_n"] == lambda_n_exact(model, row["theta"],
+                                                     row["n"])
 
     def test_rate_with_mu_list(self, write_model, capsys):
         path = write_model(TWO_STATE_DOC)

@@ -3,13 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from chainbounds import (DomainError, MarkovModel, detect_degenerate, kl_rate,
-                         kl_rate_direct, lambda_prime, lambda_second,
-                         level_sets, mean_set, rate_function, spectral_curve,
-                         theta_of_mean, tilt)
+from chainbounds import (CrossCheckError, DomainError, MarkovModel,
+                         detect_degenerate, family_of, kl_rate, kl_rate_direct,
+                         lambda_prime, lambda_second, level_sets, mean_set,
+                         rate_function, spectral_curve, theta_of_mean, tilt)
 from conftest import (iid_model, random_irreducible_model,
                       random_positive_model, two_cycle, two_state)
-from oracles import bernoulli_rate, two_state_tilted_rho
+from oracles import (bernoulli_rate, lambda_second_pair_variance,
+                     ratio_derivative_fd, two_state_tilted_rho)
 
 THETA_PAIRS = ((0.5, 0.7), (-1.0, 2.0), (1.0, 1.0))
 
@@ -142,6 +143,35 @@ class TestDerivatives:
         with pytest.raises(DomainError):
             lambda_second(two_state(), 0.0, h=0.0)
 
+    @pytest.mark.parametrize("make", [random_positive_model,
+                                      random_irreducible_model])
+    def test_fundamental_matrix_matches_finite_difference_oracle(self, make):
+        # the eigenvector-ratio derivative behind L and Lambda'' against
+        # central differences of dense-eig Perron vectors
+        rng = np.random.default_rng(22)
+        for _ in range(4):
+            model = make(rng, int(rng.integers(3, 8)))
+            fam = family_of(model)
+            for theta in (-3.0, -0.8, 0.0, 0.8, 3.0):
+                h = 1e-5 * (1 + abs(theta))
+                v = tilt(model, theta).triple.v
+                w = fam.derivatives(theta)[0]
+                dratio = (v[None, :] / v[:, None]) * (w[None, :] - w[:, None])
+                want = ratio_derivative_fd(model.P, model.f, theta, h)
+                assert np.abs(dratio - want).max() \
+                    <= 1e-7 * np.abs(want).max()
+                want2 = lambda_second_pair_variance(model.P, model.f, theta, h)
+                assert abs(lambda_second(model, theta) - want2) \
+                    <= 1e-7 * abs(want2)
+
+    def test_cross_check_catches_a_wrong_value(self, monkeypatch):
+        model = two_state(0.2, 0.45)
+        fam = family_of(model)
+        w, value = fam.derivatives(0.7)
+        monkeypatch.setitem(fam._derivatives, 0.7, (w, 1.01 * value))
+        with pytest.raises(CrossCheckError):
+            lambda_second(model, 0.7)
+
 
 class TestMeanInversion:
     def test_stationary_mean_maps_to_zero(self):
@@ -151,6 +181,15 @@ class TestMeanInversion:
     def test_round_trip(self):
         model = two_state(0.3, 0.3)
         for mu in (0.55, 0.7, 0.9, 0.35, 0.12):
+            theta = theta_of_mean(model, mu)
+            assert abs(lambda_prime(tilt(model, theta)) - mu) \
+                <= 1e-10 * (1 + abs(mu))
+
+    def test_round_trip_at_the_bracket_edges(self):
+        # Newton where Lambda'' is nearly flat: means within 1e-6 of a and b
+        model = random_positive_model(np.random.default_rng(23), 10)
+        ls = level_sets(model)
+        for mu in (ls.a + 1e-6 * (ls.b - ls.a), ls.b - 1e-6 * (ls.b - ls.a)):
             theta = theta_of_mean(model, mu)
             assert abs(lambda_prime(tilt(model, theta)) - mu) \
                 <= 1e-10 * (1 + abs(mu))
