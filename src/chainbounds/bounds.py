@@ -8,7 +8,9 @@ objects converge to those of the column-restricted limit matrix.
 
 A grid point costs three Perron solves: theta, and theta +/- 5e-4
 (1 + |theta|) for the cross-check of Lambda''; derivatives come from
-``TiltedFamily.derivatives``.
+``TiltedFamily.derivatives``.  Constants are memoized on the model per
+side (``model.memo``), and the limit-matrix triple is shared with the
+boundary rate (``family.limit_triple``).
 
 The suprema are located with an adaptive grid, not a certified global
 optimizer: start from theta in {0, 0.25, ..., 8}, then each round halves
@@ -22,16 +24,13 @@ be audited.
 """
 
 import math
-import threading
-import weakref
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import family as _family
-from . import perron as _perron
 from .errors import DomainError
-from .model import MarkovModel, level_sets
+from .model import MarkovModel, level_sets, memo
 
 GRID_SPACING = 0.25
 GRID_EXTENT = 8.0
@@ -128,30 +127,18 @@ class BoundReport:
         }
 
 
-_CONSTANTS_CACHE: "weakref.WeakKeyDictionary[MarkovModel, dict]" = \
-    weakref.WeakKeyDictionary()
-_CONSTANTS_LOCK = threading.Lock()
-
-
 def constants(model: MarkovModel, side: str = "upper") -> BoundConstants:
     """Compute (K, L, sigma2, rho_inf) for one tail, with diagnostics.
 
     Results are memoized per model instance and side.
     """
-    with _CONSTANTS_LOCK:
-        per_model = _CONSTANTS_CACHE.setdefault(model, {})
-        cached = per_model.get(side)
-    if cached is not None:
-        return cached
-    result = _compute_constants(model, side)
-    with _CONSTANTS_LOCK:
-        result = _CONSTANTS_CACHE.setdefault(model, {}).setdefault(side, result)
-    return result
+    return memo(model._derived, ("constants", side),
+                lambda _: _compute_constants(model, side))
 
 
 def _compute_constants(model: MarkovModel, side: str) -> BoundConstants:
     # the limit matrix requires the side's assumptions, so it gates first
-    _, _, limit_triple = _perron.limit_matrix(model, side)
+    limit_triple = _family.limit_triple(model, side)
     sign = 1.0 if side == "upper" else -1.0
     fam = _family.family_of(model)
     v_inf = limit_triple.v

@@ -17,14 +17,13 @@ To avoid overflow the reweighted matrix is never formed directly: all
 spectral work happens on exp(-m) * P_tilde with m = max_y theta*f(y),
 whose entries never exceed max(P), and m is added back in log space.
 
-A ``TiltedFamily`` memoizes tilted points by theta behind a lock, so grid
-sweeps, Newton steps and cross-checks share eigensolves.  All
-returned values are immutable.
+A ``TiltedFamily`` memoizes tilted points and their derivatives by theta,
+so grid sweeps, Newton steps and cross-checks share eigensolves; the
+family itself and the limit-matrix triple of each side are memoized on
+the model (``model.memo``).  All returned values are immutable.
 """
 
 import math
-import threading
-import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,7 +31,7 @@ import numpy as np
 from . import assumptions as _assumptions
 from . import perron as _perron
 from .errors import ConvergenceError, CrossCheckError, DomainError
-from .model import MarkovModel, level_sets
+from .model import MarkovModel, level_sets, memo
 
 CROSS_CHECK_STEP = 5e-4    # step of the mandatory quadratic-difference check
 DEGENERACY_TOL = 1e-10
@@ -46,6 +45,7 @@ __all__ = [
     "RatePoint",
     "TiltedFamily",
     "family_of",
+    "limit_triple",
     "tilt",
     "lambda_prime",
     "lambda_second",
@@ -147,29 +147,19 @@ class RatePoint:
 class TiltedFamily:
     """Handle for the family generated by one model, memoized by theta.
 
-    The cache is guarded by a lock so concurrent lookups are safe; all
-    published values are immutable.  Only P and f are kept, so the weak
-    registry in ``family_of`` can free the model.
+    Lookups go through ``model.memo``, so they are safe from concurrent
+    threads; all published values are immutable.  Only P and f are kept:
+    the family is stored on its model and must not point back to it.
     """
 
     def __init__(self, model: MarkovModel):
         self.P, self.f = model.P, model.f
         self._points: dict[float, TiltedPoint] = {}
         self._derivatives: dict[float, tuple[np.ndarray, float]] = {}
-        self._lock = threading.Lock()
         self._degenerate: bool | None = None
 
-    def _memo(self, cache: dict, theta: float, compute):
-        with self._lock:
-            hit = cache.get(theta)
-        if hit is None:
-            hit = compute(theta)
-            with self._lock:
-                hit = cache.setdefault(theta, hit)
-        return hit
-
     def at(self, theta: float) -> TiltedPoint:
-        return self._memo(self._points, float(theta), self._compute)
+        return memo(self._points, float(theta), self._compute)
 
     def _compute(self, theta: float) -> TiltedPoint:
         P, f = self.P, self.f
@@ -220,7 +210,7 @@ class TiltedFamily:
         constant that cancels from every eigenvector ratio, and Lambda'' =
         2 pi(fc Z fc) - pi(fc^2).  Memoized; ``lambda_second`` checks it.
         """
-        return self._memo(self._derivatives, float(theta), self._derive)
+        return memo(self._derivatives, float(theta), self._derive)
 
     def _derive(self, theta: float) -> tuple[np.ndarray, float]:
         point = self.at(theta)
@@ -257,19 +247,16 @@ class TiltedFamily:
         return value
 
 
-_FAMILIES: "weakref.WeakKeyDictionary[MarkovModel, TiltedFamily]" = \
-    weakref.WeakKeyDictionary()
-_FAMILIES_LOCK = threading.Lock()
-
-
 def family_of(model: MarkovModel) -> TiltedFamily:
     """Memoized family handle for a model instance."""
-    with _FAMILIES_LOCK:
-        fam = _FAMILIES.get(model)
-        if fam is None:
-            fam = TiltedFamily(model)
-            _FAMILIES[model] = fam
-        return fam
+    return memo(model._derived, "family", lambda _: TiltedFamily(model))
+
+
+def limit_triple(model: MarkovModel, side: str) -> _perron.PerronTriple:
+    """Perron triple of the side's limit matrix (``perron.limit_matrix``),
+    memoized per model instance and side."""
+    return memo(model._derived, ("limit", side),
+                lambda _: _perron.limit_matrix(model, side)[2])
 
 
 def tilt(model: MarkovModel, theta: float) -> TiltedPoint:
@@ -386,11 +373,6 @@ def kl_rate_direct(model: MarkovModel, theta1: float, theta2: float) -> float:
                        - np.log(p2.P_theta[mask]))).sum())
 
 
-def _boundary_rate(model: MarkovModel, side: str) -> float:
-    _, _, triple = _perron.limit_matrix(model, side)
-    return -math.log(triple.rho)
-
-
 def rate_function(model: MarkovModel, mu: float, side: str = "upper") -> RatePoint:
     """Large deviations rate Lambda*(mu) for the requested tail.
 
@@ -428,7 +410,7 @@ def rate_function(model: MarkovModel, mu: float, side: str = "upper") -> RatePoi
         return RatePoint(mu=mu, theta_mu=sign * math.inf, value=math.inf)
     if mu == extreme:
         return RatePoint(mu=mu, theta_mu=sign * math.inf,
-                         value=_boundary_rate(model, side))
+                         value=-math.log(limit_triple(model, side).rho))
 
     theta = theta_of_mean(model, mu)
     value = theta * mu - fam.at(theta).Lambda

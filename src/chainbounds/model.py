@@ -14,9 +14,14 @@ Model files are YAML documents (JSON is accepted too) with keys
 
 Values are read as 64-bit floats; bit-exact round-trips of decimal
 literals are not promised.
+
+Results derived from a model (its tilted family, limit-matrix triples and
+bound constants) are memoized on the model itself through ``memo``, so
+they are freed together with it.
 """
 
-from dataclasses import dataclass
+import threading
+from dataclasses import dataclass, field
 
 import numpy as np
 import yaml
@@ -35,6 +40,24 @@ __all__ = [
     "level_sets",
 ]
 
+_MEMO_LOCK = threading.Lock()
+
+
+def memo(cache: dict, key, compute):
+    """``cache[key]``, filled by ``compute(key)`` on a miss.
+
+    The lock guards only the lookup and the publication, so ``compute``
+    may itself memoize; concurrent misses may compute twice, but every
+    caller gets the first value published.
+    """
+    with _MEMO_LOCK:
+        hit = cache.get(key)
+    if hit is None:
+        hit = compute(key)
+        with _MEMO_LOCK:
+            hit = cache.setdefault(key, hit)
+    return hit
+
 
 @dataclass(frozen=True, eq=False)
 class MarkovModel:
@@ -43,12 +66,14 @@ class MarkovModel:
     Arrays are coerced to read-only float64 on construction.  Every row of
     P must sum to 1 within ``ROW_SUM_TOL`` (no silent renormalization: the
     bounds computed downstream are only as valid as the input chain).
+    ``_derived`` holds the results memoized on this instance.
     """
 
     states: tuple[str, ...]
     P: np.ndarray
     f: np.ndarray
     q: np.ndarray
+    _derived: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         states = tuple(str(s) for s in self.states)

@@ -161,7 +161,7 @@ def _finish(M: np.ndarray, u: np.ndarray, v: np.ndarray) -> PerronTriple:
     return PerronTriple(rho=rho, u=u, v=v, residual=residual)
 
 
-def pf_irreducible(M: np.ndarray, budget: int = ITERATION_BUDGET) -> PerronTriple:
+def pf_irreducible(M: np.ndarray) -> PerronTriple:
     """Perron-Frobenius triple of a nonnegative irreducible square matrix.
 
     Irreducibility is the caller's responsibility (`is_irreducible`); the
@@ -182,11 +182,11 @@ def pf_irreducible(M: np.ndarray, budget: int = ITERATION_BUDGET) -> PerronTripl
         return PerronTriple(rho=rho, u=np.ones(1), v=np.ones(1), residual=0.0)
 
     eps = SHIFT_FRACTION * float(M.max())
-    res = _power_vectors(M + eps * np.eye(n), budget)
+    res = _power_vectors(M + eps * np.eye(n), ITERATION_BUDGET)
     if res is None:
         raise ConvergenceError(
-            f"perron: power iteration did not converge within {budget} "
-            "iterations (ill-conditioned spectrum)")
+            "perron: power iteration did not converge within "
+            f"{ITERATION_BUDGET} iterations (ill-conditioned spectrum)")
     u, v, _ = res
     return _finish(M, u, v)
 

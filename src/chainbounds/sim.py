@@ -24,7 +24,7 @@ from .errors import DomainError
 from .model import MarkovModel
 
 CONFIDENCE = 0.95
-CHUNK_TRIALS = 100_000
+CHUNK_VALUES = 2**24       # float64 values held per chunk of trials
 
 __all__ = [
     "TailEstimate",
@@ -141,9 +141,12 @@ def empirical_tail(model: MarkovModel, n: int, mu: float, side: str,
     f = model.f
     cum_q = np.cumsum(model.q)
     cum_P = np.cumsum(model.P, axis=1)
+    # a trial holds n + 1 draws plus the (block, S) gather and compare of
+    # each step
+    chunk = max(1, CHUNK_VALUES // (n + 1 + 2 * model.n_states))
     hits = 0
-    for start in range(0, trials, CHUNK_TRIALS):
-        block = min(CHUNK_TRIALS, trials - start)
+    for start in range(0, trials, chunk):
+        block = min(chunk, trials - start)
         draws = np.empty((block, n + 1))
         for i in range(block):
             key = seed + start + i

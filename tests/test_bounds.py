@@ -1,12 +1,14 @@
 import gc
 import math
+import sys
+import threading
 import weakref
 
 import numpy as np
 import pytest
 
 from chainbounds import (AssumptionError, DomainError, MarkovModel,
-                         chernoff_bound, constants, ergodic_gap,
+                         chernoff_bound, constants, ergodic_gap, family_of,
                          hoeffding_bound, level_sets, rate_function, tilt,
                          two_sided_bound)
 from conftest import (iid_model, random_positive_model, two_cycle, two_state)
@@ -237,14 +239,59 @@ class TestTwoSidedAndErgodicGap:
 
 
 def test_models_are_freed_after_a_bound():
-    # the family registry holds its models weakly, so nothing cached on the
-    # family may refer back to the model
+    # derived results are memoized on the model itself, so nothing cached
+    # there may refer back to the model
     model = random_positive_model(np.random.default_rng(34), 4)
     chernoff_bound(model, 20, float(model.f.max()), "upper")
     ref = weakref.ref(model)
     del model
     gc.collect()
     assert ref() is None
+
+
+def test_derived_results_are_memoized_per_model(monkeypatch):
+    import chainbounds.perron as perron_module
+    model = random_positive_model(np.random.default_rng(35), 4)
+    consts = constants(model, "upper")
+    calls = []
+    original = perron_module.limit_matrix
+    monkeypatch.setattr(perron_module, "limit_matrix",
+                        lambda *args: calls.append(args) or original(*args))
+    rate_function(model, float(model.f.max()), "upper")
+    assert calls == []
+    assert constants(model, "upper") is consts
+    assert family_of(model) is family_of(model)
+    twin = MarkovModel(model.states, model.P, model.f, model.q)
+    assert family_of(twin) is not family_of(model)
+    assert constants(twin, "upper") is not consts
+    assert constants(twin, "upper") == consts
+
+
+def test_concurrent_lookups_share_one_memoized_value():
+    model = random_positive_model(np.random.default_rng(36), 3)
+    thetas = (-1.0, 0.0, 0.5, 2.0)
+    seen = []
+
+    def lookup():
+        seen.append((family_of(model),
+                     tuple(family_of(model).at(t) for t in thetas)))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        workers = [threading.Thread(target=lookup) for _ in range(8)]
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(worker.is_alive() for worker in workers)
+    assert len(seen) == 8
+    fam, points = seen[0]
+    for other_fam, other_points in seen:
+        assert other_fam is fam
+        assert all(p is q for p, q in zip(other_points, points))
 
 
 def test_hoeffding_bound_is_the_chernoff_report():

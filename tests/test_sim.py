@@ -108,9 +108,14 @@ class TestEmpiricalTail:
         import chainbounds.sim as sim_module
         model = two_state(0.3, 0.3)
         baseline = empirical_tail(model, 9, 0.6, "upper", 100, seed=6)
-        monkeypatch.setattr(sim_module, "CHUNK_TRIALS", 7)
+        # 7 trials of n + 1 = 10 draws and a (block, 2) gather and compare
+        monkeypatch.setattr(sim_module, "CHUNK_VALUES", 7 * (10 + 2 * 2))
         rechunked = empirical_tail(model, 9, 0.6, "upper", 100, seed=6)
         assert rechunked.hits == baseline.hits
+        # one trial's draws alone exceed the budget: one trial per chunk
+        monkeypatch.setattr(sim_module, "CHUNK_VALUES", 5)
+        single = empirical_tail(model, 9, 0.6, "upper", 100, seed=6)
+        assert single.hits == baseline.hits
 
 
 class TestExactGrowthRate:
