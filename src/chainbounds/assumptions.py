@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AssumptionError, DomainError
-from .model import MarkovModel, is_irreducible, level_sets
+from .model import MarkovModel, is_irreducible, level_sets, memo
 
 __all__ = ["Violation", "AssumptionReport", "validate", "require"]
 
@@ -89,8 +89,13 @@ def validate(model: MarkovModel) -> AssumptionReport:
     """Check A1-A4 for the model; raises if P itself is not irreducible.
 
     Irreducibility of P is the standing hypothesis for everything in this
-    package, so its absence is an error rather than a report entry.
+    package, so its absence is an error rather than a report entry.  The
+    report is memoized on the model; an error is raised on every call.
     """
+    return memo(model._derived, "assumptions", lambda _: _validate(model))
+
+
+def _validate(model: MarkovModel) -> AssumptionReport:
     if not is_irreducible(model.P):
         raise AssumptionError(
             "assumptions: transition matrix is not irreducible")

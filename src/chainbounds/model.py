@@ -15,9 +15,9 @@ Model files are YAML documents (JSON is accepted too) with keys
 Values are read as 64-bit floats; bit-exact round-trips of decimal
 literals are not promised.
 
-Results derived from a model (its tilted family, limit-matrix triples and
-bound constants) are memoized on the model itself through ``memo``, so
-they are freed together with it.
+Results derived from a model (its assumption report, tilted family,
+limit-matrix triples, bound constants and sampling tables) are memoized
+on the model itself through ``memo``, so they are freed together with it.
 """
 
 import threading

@@ -4,8 +4,20 @@ Randomness comes from numpy's counter-based Philox generator, which has a
 stable published algorithm, so seeded runs reproduce across platforms.
 Trial t of a simulation uses its own stream keyed by (seed + t); the hit
 count is an associative reduction over trials, so results are identical
-under any chunking or parallel schedule.  State sampling is inverse-CDF
-over the stored row order.
+under any chunking or parallel schedule.
+
+State sampling is inverse-CDF over the stored row order: the next state
+is the number of cumulative row weights at or below the uniform draw u,
+clipped to the last state.  Draws are handled as the integers
+m = u * 2**53 (numpy's doubles are multiples of 2**-53, so this is
+exact; Philox draws are read as ``random_raw() >> 11`` directly), and
+each cumulative weight c as ceil(c * 2**53), so ``u >= c`` is the exact
+integer test ``m >= ceil(c * 2**53)``.  A guide table per row (Chen and
+Asau, 1974; Devroye, 1986, sec. III.2.4) maps the top bits of m to the
+first boundary above its bucket, and a fixed number of fix-up steps,
+each skipping a run of zero weights at once, finishes the search: O(1)
+work per draw whatever the number of states, with the same states as a
+full comparison against the row.
 
 ``lambda_n_exact`` evaluates the n-step scaled log moment generating
 function by n vector-matrix products against the shifted tilted matrix
@@ -21,10 +33,12 @@ import numpy as np
 from . import bounds as _bounds
 from . import family as _family
 from .errors import DomainError
-from .model import MarkovModel
+from .model import MarkovModel, memo
 
 CONFIDENCE = 0.95
-CHUNK_VALUES = 2**24       # float64 values held per chunk of trials
+CHUNK_VALUES = 2**24       # 8-byte values held per chunk of trials
+TILE_VALUES = 2**16        # draws per transposed tile of steps
+GUIDE_ENTRIES = 2**22      # guide-table entries per model, at most
 
 __all__ = [
     "TailEstimate",
@@ -72,38 +86,127 @@ class ErgodicCheck:
         return self.gap <= self.bound + 1e-9
 
 
-def _rng_for(seed) -> np.random.Generator:
-    if isinstance(seed, np.random.Generator):
-        return seed
+_UNIT = 2**53              # doubles from numpy's random() are m / _UNIT
+_NEVER = np.iinfo(np.int64).max
+
+
+@dataclass(frozen=True)
+class _Sampler:
+    """Inverse-CDF tables for integer draws m in [0, 2**53).
+
+    Rows 0..S-1 are the rows of P and row S is the initial law q.  A
+    position is the flat index row * S + j of column j.
+    """
+
+    shift: int             # the guide bucket of draw m is m >> shift
+    lo: np.ndarray         # [row * B + bucket]: first position above the bucket start
+    bound: np.ndarray      # [pos]: ceil(cum * 2**53); _NEVER in the last column
+    skip: np.ndarray       # [pos]: offset to the next position with a larger bound
+    base: np.ndarray       # [pos]: column * B, where the column's guide row starts
+    state: np.ndarray      # [pos]: column
+    first: int             # row S * B, where q's guide row starts
+    extra: int             # fix-up steps: most distinct bounds inside one bucket
+
+
+def _build_sampler(model: MarkovModel) -> _Sampler:
+    S = model.n_states
+    # B = 2**bits buckets per row: 8S to 16S, at most GUIDE_ENTRIES in all
+    bits = max(0, min(math.ceil(math.log2(8 * S)),
+                      (GUIDE_ENTRIES // (S + 1)).bit_length() - 1))
+    shift = 53 - bits
+    starts = np.arange(1 << bits, dtype=np.int64) << shift
+    ends = starts + (1 << shift)
+    cum = np.cumsum(np.vstack([model.P, model.q]), axis=1)
+    # u >= c  <=>  m >= ceil(c * 2**53); the sentinel stops the walk at S-1
+    bound = np.ceil(cum * float(_UNIT)).astype(np.int64)
+    bound[:, -1] = _NEVER
+    lo = np.empty((S + 1, 1 << bits), dtype=np.int64)
+    skip = np.empty((S + 1, S), dtype=np.int64)
+    columns = np.arange(S, dtype=np.int64)
+    extra = 0
+    for r, row in enumerate(bound):
+        lo[r] = np.searchsorted(row, starts, side="right") + r * S
+        skip[r] = np.searchsorted(row, row, side="right") - columns
+        distinct = np.unique(row)
+        inside = (np.searchsorted(distinct, ends, side="left")
+                  - np.searchsorted(distinct, starts, side="right"))
+        extra = max(extra, int(inside.max()))
+    state = np.tile(columns, S + 1)
+    return _Sampler(shift=shift, lo=lo.ravel(), bound=bound.ravel(),
+                    skip=skip.ravel(), base=state << bits, state=state,
+                    first=S << bits, extra=extra)
+
+
+def _sampler(model: MarkovModel) -> _Sampler:
+    return memo(model._derived, "sampler", lambda _: _build_sampler(model))
+
+
+def _walk(sp: _Sampler, m: np.ndarray):
+    """Yield the positions of X_0, ..., X_n of trials with draws m.
+
+    ``m`` is (trials, n + 1) int64, one row per trial.  Steps run over
+    tiles of columns copied out transposed, so each step reads contiguous
+    draws and no second full copy of m is made.
+    """
+    block, steps = m.shape
+    guide = np.full(block, sp.first, dtype=np.int64)
+    width = max(1, TILE_VALUES // block)
+    for k0 in range(0, steps, width):
+        for draw in np.ascontiguousarray(m[:, k0:k0 + width].T):
+            guide += draw >> sp.shift
+            pos = sp.lo.take(guide)
+            for _ in range(sp.extra):
+                np.add(pos, sp.skip.take(pos), out=pos,
+                       where=draw >= sp.bound.take(pos))
+            yield pos
+            guide = sp.base.take(pos)
+
+
+def _exact_integers(u: np.ndarray) -> np.ndarray:
+    """The integers u * 2**53, or DomainError if a draw is not a multiple
+    of 2**-53 in [0, 1)."""
+    scaled = u * float(_UNIT)
+    m = scaled.astype(np.int64)
+    if not (np.array_equal(m, scaled) and np.all((0 <= m) & (m < _UNIT))):
+        raise DomainError("sim: generator draws are not multiples of 2**-53 "
+                          "in [0, 1); cannot sample them exactly")
+    return m
+
+
+def _philox_integers(key: int, count: int) -> np.ndarray:
+    """m with m * 2**-53 the first ``count`` values of
+    ``Generator(Philox(key=key)).random()``."""
+    return (np.random.Philox(key=key).random_raw(count) >> 11).view(np.int64)
+
+
+def _check_seed(seed) -> int:
     seed = int(seed)
     if seed < 0:
         raise DomainError(f"sim: seed must be nonnegative, got {seed!r}")
-    return np.random.Generator(np.random.Philox(key=seed))
+    return seed
 
 
-def _pick(cum: np.ndarray, u):
-    """Inverse-CDF lookup: smallest index whose cumulative weight exceeds u."""
-    idx = np.sum(np.asarray(u)[..., None] >= cum, axis=-1)
-    return np.minimum(idx, cum.shape[-1] - 1)
+def _path(model: MarkovModel, m: np.ndarray) -> np.ndarray:
+    """States X_0, ..., X_n driven by the integer draws m (length n + 1)."""
+    sp = _sampler(model)
+    return sp.state[np.concatenate(list(_walk(sp, m.reshape(1, -1))))]
 
 
 def sample_trajectory(model: MarkovModel, n: int, rng) -> np.ndarray:
     """Sample X_0, ..., X_n as state indices: X_0 ~ q, X_{k+1} ~ P(X_k, .).
 
     ``rng`` is a numpy Generator or an integer seed (Philox-keyed).
-    Identical inputs give identical sequences.
+    Identical inputs give identical sequences.  A Generator's doubles must
+    be multiples of 2**-53, as every numpy bit generator's are; otherwise
+    this raises DomainError rather than sample them inexactly.
     """
     if n < 0:
         raise DomainError(f"sim: trajectory length must be >= 0, got {n!r}")
-    gen = _rng_for(rng)
-    cum_q = np.cumsum(model.q)
-    cum_P = np.cumsum(model.P, axis=1)
-    draws = gen.random(n + 1)
-    path = np.empty(n + 1, dtype=np.int64)
-    path[0] = _pick(cum_q, draws[0])
-    for k in range(1, n + 1):
-        path[k] = _pick(cum_P[path[k - 1]], draws[k])
-    return path
+    if isinstance(rng, np.random.Generator):
+        m = _exact_integers(rng.random(n + 1))
+    else:
+        m = _philox_integers(_check_seed(rng), n + 1)
+    return _path(model, m)
 
 
 def _clopper_pearson(hits: int, trials: int, confidence: float):
@@ -134,29 +237,24 @@ def empirical_tail(model: MarkovModel, n: int, mu: float, side: str,
         raise DomainError(f"sim: trials must be >= 1, got {trials!r}")
     if n < 1:
         raise DomainError(f"sim: n must be >= 1, got {n!r}")
-    seed = int(seed)
-    if seed < 0:
-        raise DomainError(f"sim: seed must be nonnegative, got {seed!r}")
+    seed = _check_seed(seed)
     mu = float(mu)
-    f = model.f
-    cum_q = np.cumsum(model.q)
-    cum_P = np.cumsum(model.P, axis=1)
-    # a trial holds n + 1 draws plus the (block, S) gather and compare of
-    # each step
+    sp = _sampler(model)
+    f_at = model.f[sp.state]
+    # n + 1 draws per trial plus 2 S of slack, the sizing the chunking
+    # tests are written against
     chunk = max(1, CHUNK_VALUES // (n + 1 + 2 * model.n_states))
     hits = 0
     for start in range(0, trials, chunk):
         block = min(chunk, trials - start)
-        draws = np.empty((block, n + 1))
+        draws = np.empty((block, n + 1), dtype=np.int64)
         for i in range(block):
-            key = seed + start + i
-            draws[i] = np.random.Generator(
-                np.random.Philox(key=key)).random(n + 1)
-        state = _pick(cum_q[None, :], draws[:, 0])
+            draws[i] = _philox_integers(seed + start + i, n + 1)
+        walk = _walk(sp, draws)
+        next(walk)                 # X_0 adds nothing to the sum
         sums = np.zeros(block)
-        for k in range(1, n + 1):
-            state = _pick(cum_P[state], draws[:, k])
-            sums += f[state]
+        for pos in walk:
+            sums += f_at.take(pos)
         means = sums / n
         if side == "upper":
             hits += int(np.count_nonzero(means >= mu))

@@ -1,8 +1,9 @@
 """Independent oracles the tests check the library against.
 
 Everything here is deliberately computed by a different route than the
-library uses: closed forms, characteristic polynomials, and brute-force
-path enumeration.  None of it imports chainbounds.
+library uses: closed forms, characteristic polynomials, brute-force path
+enumeration, and inverse-CDF replays by plain comparison against each row.
+None of it imports chainbounds.
 """
 
 import itertools
@@ -130,3 +131,32 @@ def lambda_second_pair_variance(P, f, theta: float, h: float) -> float:
     weights = (u * v)[:, None] * P_theta
     mean = float((weights * g).sum())
     return float((weights * (g - mean) ** 2).sum())
+
+
+def inverse_cdf_path(P, q, u) -> np.ndarray:
+    """States X_0..X_n driven by the uniforms u[0..n]: X_0 from q, X_k from
+    row X_{k-1} of P, each the number of cumulative weights at or below its
+    draw, clipped to the last state (a plain comparison against the row)."""
+    cum_q = np.cumsum(np.asarray(q, dtype=np.float64))
+    cum_P = np.cumsum(np.asarray(P, dtype=np.float64), axis=1)
+    last = len(cum_q) - 1
+    path = [min(int((u[0] >= cum_q).sum()), last)]
+    for x in u[1:]:
+        path.append(min(int((x >= cum_P[path[-1]]).sum()), last))
+    return np.array(path, dtype=np.int64)
+
+
+def replay_tail_hits(model, n: int, mu: float, side: str, trials: int,
+                     seed: int) -> int:
+    """Tail hits of trials 0..trials-1, trial t driven by the uniforms of
+    Generator(Philox(key=seed + t)), with each trial's sum accumulated
+    step by step."""
+    hits = 0
+    for t in range(trials):
+        u = np.random.Generator(np.random.Philox(key=seed + t)).random(n + 1)
+        total = 0.0
+        for x in inverse_cdf_path(model.P, model.q, u)[1:]:
+            total += model.f[x]
+        mean = total / n
+        hits += mean >= mu if side == "upper" else mean <= mu
+    return int(hits)

@@ -97,3 +97,29 @@ def test_require_raises_the_side_violations():
     require(model, "lower")
     with pytest.raises(DomainError):
         require(model, "sideways")
+
+
+def test_report_is_memoized_per_model():
+    model = no_selfloop_top()
+    report = validate(model)
+    assert validate(model) is report
+    negated = model.negated()
+    flipped = validate(negated)
+    assert flipped is not report and validate(negated) is flipped
+    assert (flipped.S_b, flipped.S_a) == (report.S_a, report.S_b)
+    for _ in range(2):
+        with pytest.raises(AssumptionError) as exc:
+            require(model, "upper")
+        assert str(exc.value) == (
+            "assumptions: the upper tail requires A1-A2; A1: submatrix of P "
+            "on S_b={1} has no self-loop")
+
+
+def test_reducible_chain_raises_on_every_call():
+    model = MarkovModel(("a", "b"), [[1.0, 0.0], [0.5, 0.5]],
+                        [0.0, 1.0], [0.5, 0.5])
+    for _ in range(2):
+        with pytest.raises(AssumptionError) as exc:
+            validate(model)
+        assert str(exc.value) == \
+            "assumptions: transition matrix is not irreducible"

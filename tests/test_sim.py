@@ -3,11 +3,12 @@ import math
 import numpy as np
 import pytest
 
+import chainbounds.sim as sim
 from chainbounds import (DomainError, MarkovModel, chernoff_bound,
                          empirical_tail, ergodic_check, ergodic_gap,
                          lambda_n_exact, sample_trajectory, tilt)
 from conftest import (iid_model, random_positive_model, two_cycle, two_state)
-from oracles import exact_scaled_log_mgf
+from oracles import exact_scaled_log_mgf, inverse_cdf_path, replay_tail_hits
 
 
 def delta_start(model, index):
@@ -116,6 +117,136 @@ class TestEmpiricalTail:
         monkeypatch.setattr(sim_module, "CHUNK_VALUES", 5)
         single = empirical_tail(model, 9, 0.6, "upper", 100, seed=6)
         assert single.hits == baseline.hits
+
+
+UNIT = 2**53
+
+# adversarial rows: runs of zero weights, tiny weights that share one guide
+# bucket, a cumulative sum that rounds below 1, and dyadic weights whose
+# boundaries a draw can hit exactly
+ADVERSARIAL_ROWS = (
+    [0.0, 0.3, 0.0, 0.0, 0.0, 0.0, 0.0, 0.7],
+    [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0],
+    [1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+    [1e-10, 1e-10, 1e-10, 1e-12, 0.5, 0.5 - 3.01e-10, 0.0, 0.0],
+    [0.1, 0.1, 0.1, 0.1, 0.1, 0.1, 0.3, 0.1],
+    [0.5, 0.25, 0.125, 0.0625, 0.03125, 0.015625, 0.0078125, 0.0078125],
+    [0.25, 0.0, 0.25, 0.0, 0.25, 0.0, 0.25, 0.0],
+    [0.125] * 8,
+)
+
+
+def chain_of_rows(rows, q=None):
+    s = len(rows[0])
+    f = np.arange(s, dtype=float)
+    q = np.full(s, 1.0 / s) if q is None else q
+    return MarkovModel(tuple(map(str, range(s))), rows, f, q)
+
+
+def boundary_draws(rows):
+    """Integer draws on, just below and just above every boundary
+    m = ceil(c * 2**53) of the rows, with both ends of the range."""
+    cuts = np.ceil(np.cumsum(rows, axis=1) * float(UNIT)).astype(np.int64)
+    near = np.concatenate([cuts - 1, cuts, cuts + 1]).ravel()
+    return np.unique(np.clip(np.append(near, [0, UNIT - 1]), 0, UNIT - 1))
+
+
+class TestGuideTableSampler:
+    """The guide-table walker against a plain inverse-CDF replay."""
+
+    def test_every_boundary_draw_from_every_row(self):
+        draws = boundary_draws(ADVERSARIAL_ROWS)
+        for row in ADVERSARIAL_ROWS:
+            model = chain_of_rows(ADVERSARIAL_ROWS, q=row)
+            for m in draws:
+                want = inverse_cdf_path(model.P, model.q, [m * 2.0**-53])
+                assert np.array_equal(sim._path(model, np.array([m])), want)
+
+    @pytest.mark.parametrize("entries", [None, 9 * 4, 9])
+    def test_long_walk_over_boundary_draws(self, monkeypatch, entries):
+        # a capped table has fewer buckets and more fix-up steps; at 9
+        # entries for 8 states and q, one bucket per row
+        if entries is not None:
+            monkeypatch.setattr(sim, "GUIDE_ENTRIES", entries)
+        model = chain_of_rows(ADVERSARIAL_ROWS)
+        assert len(sim._sampler(model).lo) <= (entries or sim.GUIDE_ENTRIES)
+        draws = np.random.default_rng(4).permutation(
+            np.tile(boundary_draws(ADVERSARIAL_ROWS), 6))
+        want = inverse_cdf_path(model.P, model.q, draws * 2.0**-53)
+        assert np.array_equal(sim._path(model, draws), want)
+        assert set(want) == set(range(model.n_states))
+
+    def test_tables_cover_the_adversarial_cases(self):
+        sp = sim._sampler(chain_of_rows(ADVERSARIAL_ROWS))
+        # the tiny weights put three distinct boundaries in one bucket
+        assert sp.extra >= 3
+        # the row of tenths sums to just below 1: the top draw clips to
+        # the last state
+        assert np.cumsum(ADVERSARIAL_ROWS[4])[-1] < 1.0
+        assert sim._path(chain_of_rows(ADVERSARIAL_ROWS, q=ADVERSARIAL_ROWS[4]),
+                         np.array([UNIT - 1]))[0] == 7
+
+    def test_dyadic_tie_moves_to_the_next_state(self):
+        model = chain_of_rows(ADVERSARIAL_ROWS, q=ADVERSARIAL_ROWS[5])
+        for m, state in ((UNIT // 2 - 1, 0), (UNIT // 2, 1),
+                         (3 * UNIT // 4 - 1, 1), (3 * UNIT // 4, 2)):
+            assert sim._path(model, np.array([m]))[0] == state
+
+    def test_block_walk_matches_each_trial(self, monkeypatch):
+        model = chain_of_rows(ADVERSARIAL_ROWS)
+        rng = np.random.default_rng(8)
+        pool = boundary_draws(ADVERSARIAL_ROWS)
+        m = rng.choice(pool, size=(9, 40))
+        # a few steps per tile: walks cross tile boundaries mid-trial
+        monkeypatch.setattr(sim, "TILE_VALUES", 9 * 3)
+        sp = sim._sampler(model)
+        states = np.array([sp.state[pos] for pos in sim._walk(sp, m)]).T
+        for trial, draws in zip(states, m):
+            want = inverse_cdf_path(model.P, model.q, draws * 2.0**-53)
+            assert np.array_equal(trial, want)
+
+    @pytest.mark.parametrize("bit_generator", [
+        np.random.PCG64, np.random.MT19937, np.random.SFC64,
+        np.random.Philox])
+    def test_any_numpy_generator_matches_the_replay(self, bit_generator):
+        model = random_positive_model(np.random.default_rng(12), 7)
+        path = sample_trajectory(model, 300,
+                                 np.random.Generator(bit_generator(21)))
+        u = np.random.Generator(bit_generator(21)).random(301)
+        assert np.array_equal(path, inverse_cdf_path(model.P, model.q, u))
+
+    def test_inexact_generator_draws_are_refused(self):
+        class Coarse(np.random.Generator):
+            def __init__(self, value):
+                super().__init__(np.random.PCG64(0))
+                self.value = value
+
+            def random(self, size=None):
+                return np.full(size, self.value)
+
+        model = two_state(0.3, 0.3)
+        for value in (0.1, 1.0, -0.5, 2.0**-60):
+            with pytest.raises(DomainError, match="multiples of 2"):
+                sample_trajectory(model, 5, Coarse(value))
+        assert np.array_equal(sample_trajectory(model, 2, Coarse(0.5)),
+                              [1, 1, 1])
+
+    def test_two_hundred_states_match_the_replay(self):
+        model = random_positive_model(np.random.default_rng(13), 200)
+        sp = sim._sampler(model)
+        assert len(sp.lo) <= 16 * 200 * 201
+        n, trials, seed = 30, 25, 400
+        mu = float(model.f @ model.q)
+        for side in ("upper", "lower"):
+            est = empirical_tail(model, n, mu, side, trials, seed)
+            assert est.hits == replay_tail_hits(model, n, mu, side, trials,
+                                                seed)
+
+    def test_adversarial_chain_hits_match_the_replay(self):
+        model = chain_of_rows(ADVERSARIAL_ROWS)
+        for n, mu in ((1, 2.5), (7, 2.5), (25, 3.0)):
+            est = empirical_tail(model, n, mu, "upper", 60, seed=17)
+            assert est.hits == replay_tail_hits(model, n, mu, "upper", 60, 17)
 
 
 class TestExactGrowthRate:
