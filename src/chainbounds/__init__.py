@@ -18,8 +18,7 @@ from .family import (MeanSet, RatePoint, SpectralCurve, TiltedFamily,
                      rate_function, spectral_curve, theta_of_mean, tilt)
 from .model import (LevelSets, MarkovModel, is_irreducible, level_sets,
                     load_model, parse_model)
-from .perron import (BlockStructure, PerronTriple, limit_matrix, pf_extended,
-                     pf_irreducible)
+from .perron import PerronTriple, limit_matrix, pf_irreducible
 from .sim import (ErgodicCheck, TailEstimate, empirical_tail, ergodic_check,
                   lambda_n_exact, sample_trajectory)
 
@@ -28,8 +27,7 @@ __version__ = "0.1.0"
 __all__ = [
     "MarkovModel", "LevelSets", "load_model", "parse_model",
     "is_irreducible", "level_sets",
-    "PerronTriple", "BlockStructure", "pf_irreducible", "pf_extended",
-    "limit_matrix",
+    "PerronTriple", "pf_irreducible", "limit_matrix",
     "AssumptionReport", "Violation", "validate",
     "TiltedPoint", "TiltedFamily", "SpectralCurve", "MeanSet", "RatePoint",
     "family_of", "tilt", "lambda_prime", "lambda_second", "theta_of_mean",

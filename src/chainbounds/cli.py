@@ -27,7 +27,7 @@ import io
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict
 
 import numpy as np
 
@@ -42,16 +42,7 @@ from .model import parse_model
 
 GRID_COMMANDS = ("spectrum", "rate", "ergodic")
 
-__all__ = ["RunConfig", "run", "main"]
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """One CLI invocation: command, model path, command parameters."""
-
-    command: str
-    model_path: str
-    parameters: dict
+__all__ = ["run", "main"]
 
 
 class _Parser(argparse.ArgumentParser):
@@ -215,55 +206,16 @@ def _text_value(value) -> str:
     return _fmt(value)
 
 
-def _constants_dict(consts: _bounds.BoundConstants) -> dict:
-    gs = consts.grid_summary
-    return {
-        "side": consts.side,
-        "K": consts.K,
-        "L": consts.L,
-        "sigma2": consts.sigma2,
-        "rho_inf": consts.rho_inf,
-        "grid_summary": {
-            "theta_max": gs.theta_max,
-            "rounds": gs.rounds,
-            "n_points": gs.n_points,
-            "argmax_K": gs.argmax_K,
-            "argmax_L": gs.argmax_L,
-            "argmax_sigma2": gs.argmax_sigma2,
-            "converged": gs.converged,
-            "tail_guard_passed": gs.tail_guard_passed,
-        },
-    }
-
-
 def _report_dict(report: _bounds.BoundReport) -> dict:
-    return {
-        "n": report.n,
-        "mu": report.mu,
-        "side": report.side,
-        "rate": report.rate,
-        "chernoff": report.chernoff,
-        "hoeffding_sigma": report.hoeffding_sigma,
-        "hoeffding_range": report.hoeffding_range,
-        "clipped": report.clipped,
-    }
+    return dict(asdict(report), clipped=report.clipped)
 
 
 def _cmd_validate(model, params):
     report = _assumptions.validate(model)
-    payload = {
-        "a1": report.a1,
-        "a2": report.a2,
-        "a3": report.a3,
-        "a4": report.a4,
-        "S_b": list(report.S_b),
-        "S_a": list(report.S_a),
-        "violations": [
-            {"assumption": v.assumption, "witness": v.witness,
-             "states": list(v.states)}
-            for v in report.violations
-        ],
-    }
+    payload = asdict(report)
+    # text output renders each violation as a dict, with its states a list
+    payload["violations"] = [dict(v, states=list(v["states"]))
+                             for v in payload["violations"]]
     status = 0 if report.all_ok else 1
     return status, [("assumptions", payload)]
 
@@ -287,7 +239,7 @@ def _cmd_rate(model, params):
 
 def _cmd_constants(model, params):
     consts = _bounds.constants(model, params["side"])
-    return 0, [("constants", _constants_dict(consts))]
+    return 0, [("constants", asdict(consts))]
 
 
 def _cmd_bound(model, params):
@@ -297,7 +249,7 @@ def _cmd_bound(model, params):
     report = _bounds.chernoff_bound(model, n, mu, side)
     consts = _bounds.constants(model, side)
     sections = [
-        ("constants", _constants_dict(consts)),
+        ("constants", asdict(consts)),
         ("bound", _report_dict(report)),
     ]
     if params.get("interval") is not None:
@@ -321,19 +273,8 @@ def _cmd_simulate(model, params):
                                    seed=_scalar_int(params["seed"], "seed"))
     report = _bounds.chernoff_bound(model, n, mu, side)
     consistent = estimate.ci_low <= report.chernoff
-    payload = {
-        "n": estimate.n,
-        "mu": estimate.mu,
-        "side": estimate.side,
-        "trials": estimate.trials,
-        "hits": estimate.hits,
-        "p_hat": estimate.p_hat,
-        "ci_low": estimate.ci_low,
-        "ci_high": estimate.ci_high,
-        "seed": estimate.seed,
-    }
     return 0, [
-        ("estimate", payload),
+        ("estimate", asdict(estimate)),
         ("bound", _report_dict(report)),
         ("consistency", {"ci_low_below_chernoff": consistent}),
     ]
@@ -358,49 +299,35 @@ _COMMANDS = {
     "ergodic": _cmd_ergodic,
 }
 
-_REQUIRED = {
-    "validate": (),
-    "spectrum": ("theta",),
-    "rate": ("mu",),
-    "constants": (),
-    "bound": ("mu", "n"),
-    "simulate": ("mu", "n"),
-    "ergodic": ("theta", "n"),
-}
 
+def run(command: str, model_path: str, params: dict) -> tuple[int, str]:
+    """Execute one invocation; returns (exit status, rendered report).
 
-def run(config: RunConfig) -> tuple[int, str]:
-    """Execute one invocation; returns (exit status, rendered report)."""
-    if config.command not in _COMMANDS:
-        raise DomainError(f"cli: unknown command {config.command!r}")
-    params = dict(config.parameters)
-    for name in _REQUIRED[config.command]:
-        if params.get(name) is None:
-            raise DomainError(
-                f"cli: command {config.command!r} requires --{name}")
-    fmt = params.get("format", "text")
-    if fmt not in ("text", "machine", "csv"):
-        raise DomainError(f"cli: unknown format {fmt!r}")
-    if fmt == "csv" and config.command not in GRID_COMMANDS:
+    ``params`` holds every option of the command as `main`'s parser
+    returns it; the parser alone checks the command, the required options
+    and the format.
+    """
+    fmt = params["format"]
+    if fmt == "csv" and command not in GRID_COMMANDS:
         raise DomainError(
             "cli: csv format is only available for "
             + ", ".join(GRID_COMMANDS))
     try:
-        with open(config.model_path, "rb") as fh:
+        with open(model_path, "rb") as fh:
             raw = fh.read()
     except OSError as exc:
         raise ModelFormatError(
-            f"model: cannot read {config.model_path}: {exc}") from exc
+            f"model: cannot read {model_path}: {exc}") from exc
     model = parse_model(raw.decode("utf-8"))
 
     header = {
         "model_sha256": hashlib.sha256(raw).hexdigest(),
         "version": __version__,
-        "command": config.command,
+        "command": command,
         "parameters": {k: v for k, v in sorted(params.items())
                        if v is not None and k != "out"},
     }
-    status, sections = _COMMANDS[config.command](model, params)
+    status, sections = _COMMANDS[command](model, params)
     return status, _render(header, sections, fmt)
 
 
@@ -440,9 +367,7 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         params = {k: v for k, v in vars(args).items()
                   if k not in ("command", "model")}
-        config = RunConfig(command=args.command, model_path=args.model,
-                           parameters=params)
-        status, report = run(config)
+        status, report = run(args.command, args.model, params)
     except (ModelFormatError, AssumptionError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

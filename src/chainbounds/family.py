@@ -256,7 +256,7 @@ def limit_triple(model: MarkovModel, side: str) -> _perron.PerronTriple:
     """Perron triple of the side's limit matrix (``perron.limit_matrix``),
     memoized per model instance and side."""
     return memo(model._derived, ("limit", side),
-                lambda _: _perron.limit_matrix(model, side)[2])
+                lambda _: _perron.limit_matrix(model, side)[1])
 
 
 def tilt(model: MarkovModel, theta: float) -> TiltedPoint:

@@ -16,10 +16,13 @@ Normalization convention for a triple (rho, u, v):
 
     sum_x u(x) = 1        and        sum_x u(x) v(x) = 1.
 
-The extended solver handles block matrices of the form [[A, 0], [B, 0]]
-(up to a simultaneous renumbering of rows and columns) with A irreducible
-and no zero row in B: rho(M) = rho(A), u is supported on the A block, and
-the remaining part of v is B v_A / rho(A).
+The limit matrix of a side keeps the columns of P on the side's extreme
+set of f (the core) and zeroes the rest: [[A, 0], [B, 0]] up to a
+renumbering, with A = P[core, core].  Its triple is assembled from the
+core: rho = rho(A), u is u_A on the core and 0 elsewhere, and v is v_A on
+the core and B v_A / rho(A) off it.  This needs A irreducible and no zero
+row in B, which are the side's assumptions (A1-A2 or A3-A4), so
+``assumptions.require`` gates it.
 """
 
 from dataclasses import dataclass
@@ -28,20 +31,14 @@ import numpy as np
 
 from . import assumptions as _assumptions
 from .errors import ConvergenceError, DomainError
-from .model import MarkovModel, is_irreducible, level_sets
+from .model import MarkovModel, level_sets
 
 RESIDUAL_TOL = 1e-11      # times the max entry of the matrix
 RHO_REL_TOL = 1e-13       # successive eigenvalue-estimate agreement
 ITERATION_BUDGET = 100_000
 SHIFT_FRACTION = 1e-3     # eps = SHIFT_FRACTION * max entry
 
-__all__ = [
-    "PerronTriple",
-    "BlockStructure",
-    "pf_irreducible",
-    "pf_extended",
-    "limit_matrix",
-]
+__all__ = ["PerronTriple", "pf_irreducible", "limit_matrix"]
 
 
 @dataclass(frozen=True, eq=False)
@@ -69,27 +66,6 @@ class PerronTriple:
     def pi(self) -> np.ndarray:
         """Stationary vector of the normalized chain: pi = u * v."""
         return self.u * self.v
-
-
-@dataclass(frozen=True)
-class BlockStructure:
-    """Index sets describing the [[A, 0], [B, 0]] block pattern.
-
-    ``core`` holds the rows/columns of the irreducible block A, ``fringe``
-    the complement, and ``witness`` maps each fringe state to one core
-    state it transitions into.
-    """
-
-    core: tuple[int, ...]
-    fringe: tuple[int, ...]
-    witness: dict[int, int] = None
-
-    def __post_init__(self):
-        object.__setattr__(self, "core", tuple(int(i) for i in self.core))
-        object.__setattr__(self, "fringe", tuple(int(i) for i in self.fringe))
-        object.__setattr__(self, "witness", dict(self.witness or {}))
-        if not self.core:
-            raise DomainError("perron: block structure needs a nonempty core")
 
 
 def _power_vectors(M_it: np.ndarray, budget: int):
@@ -191,65 +167,27 @@ def pf_irreducible(M: np.ndarray) -> PerronTriple:
     return _finish(M, u, v)
 
 
-def pf_extended(M: np.ndarray, structure: BlockStructure) -> PerronTriple:
-    """Perron triple of a matrix with the [[A, 0], [B, 0]] block pattern.
-
-    The core triple is computed with `pf_irreducible` on A and the fringe
-    part of v is assembled as B v_A / rho(A); this is exact and better
-    conditioned than iterating on M itself.  With an all-states core this
-    reduces to `pf_irreducible`.
-    """
-    M = np.asarray(M, dtype=np.float64)
-    n = M.shape[0]
-    core = list(structure.core)
-    fringe = list(structure.fringe)
-    if sorted(core + fringe) != list(range(n)):
-        raise DomainError(
-            "perron: block structure does not partition the state space")
-    if fringe:
-        off = M[:, fringe]
-        if np.any(off != 0.0):
-            x = np.argwhere(off != 0.0)[0]
-            raise DomainError(
-                f"perron: column {fringe[x[1]]} outside the core is not zero")
-    A = M[np.ix_(core, core)]
-    if not is_irreducible(A):
-        raise DomainError("perron: core block is not irreducible")
-    B = M[np.ix_(fringe, core)]
-    if fringe and np.any((B > 0.0).sum(axis=1) == 0):
-        x = int(np.flatnonzero((B > 0.0).sum(axis=1) == 0)[0])
-        raise DomainError(
-            f"perron: fringe state {fringe[x]} has no transition into the core")
-
-    tri = pf_irreducible(A)
-    u = np.zeros(n)
-    v = np.zeros(n)
-    u[core] = tri.u
-    v[core] = tri.v
-    if fringe:
-        v[fringe] = B @ tri.v / tri.rho
-    residual = _gated_residual(M, tri.rho, u, v, "assembled eigen-residual")
-    return PerronTriple(rho=tri.rho, u=u, v=v, residual=residual)
-
-
 def limit_matrix(model: MarkovModel, side: str = "upper"):
-    """Limit of the rescaled tilted matrices and its spectral objects.
+    """Limit of the rescaled tilted matrices and its Perron triple.
 
     For the upper side this keeps exactly the columns of P indexed by the
     argmax set of f and zeroes the rest; the lower side uses the argmin
     set (equivalently, the construction for -f).  Requires the side's
-    positivity assumptions; returns ``(matrix, BlockStructure, PerronTriple)``.
+    positivity assumptions; returns ``(matrix, PerronTriple)``, the triple
+    assembled from the core block as described in the module docstring.
     """
     _assumptions.require(model, side)
     ls = level_sets(model)
-    core = ls.S_b if side == "upper" else ls.S_a
-    n = model.n_states
-    fringe = tuple(i for i in range(n) if i not in core)
+    core = list(ls.S_b if side == "upper" else ls.S_a)
+    fringe = [i for i in range(model.n_states) if i not in core]
     P = model.P
-    witness = {int(x): int(core[int(np.flatnonzero(P[x, list(core)] > 0.0)[0])])
-               for x in fringe}
     Mbar = np.zeros_like(P)
-    Mbar[:, list(core)] = P[:, list(core)]
-    structure = BlockStructure(core=core, fringe=fringe, witness=witness)
-    triple = pf_extended(Mbar, structure)
-    return Mbar, structure, triple
+    Mbar[:, core] = P[:, core]
+    tri = pf_irreducible(P[np.ix_(core, core)])
+    u = np.zeros(model.n_states)
+    v = np.zeros(model.n_states)
+    u[core] = tri.u
+    v[core] = tri.v
+    v[fringe] = P[np.ix_(fringe, core)] @ tri.v / tri.rho
+    residual = _gated_residual(Mbar, tri.rho, u, v, "assembled eigen-residual")
+    return Mbar, PerronTriple(rho=tri.rho, u=u, v=v, residual=residual)

@@ -38,6 +38,8 @@ from .model import MarkovModel, memo
 CONFIDENCE = 0.95
 CHUNK_VALUES = 2**24       # 8-byte values held per chunk of trials
 TILE_VALUES = 2**16        # draws per transposed tile of steps
+WALK_VALUES = 7            # per-trial vectors of a step: tile row, guide,
+                           # position, two table gathers, f gather and sum
 GUIDE_ENTRIES = 2**22      # guide-table entries per model, at most
 
 __all__ = [
@@ -241,9 +243,8 @@ def empirical_tail(model: MarkovModel, n: int, mu: float, side: str,
     mu = float(mu)
     sp = _sampler(model)
     f_at = model.f[sp.state]
-    # n + 1 draws per trial plus 2 S of slack, the sizing the chunking
-    # tests are written against
-    chunk = max(1, CHUNK_VALUES // (n + 1 + 2 * model.n_states))
+    # n + 1 draws per trial plus the walk's per-trial vectors
+    chunk = max(1, CHUNK_VALUES // (n + 1 + WALK_VALUES))
     hits = 0
     for start in range(0, trials, chunk):
         block = min(chunk, trials - start)

@@ -1,6 +1,6 @@
 import json
 
-from chainbounds import lambda_n_exact, load_model
+from chainbounds import __version__, lambda_n_exact, load_model
 from chainbounds.cli import main
 
 TWO_STATE_DOC = """
@@ -27,6 +27,64 @@ P:
   - [0.5, 0.0, 0.5]
   - [0.0, 0.5, 0.5]
 f: [1, 0, -1]
+"""
+
+# validate on BIRTH_DEATH_DOC, without the model_sha256 header line; the
+# report holds no floats, so these bytes are the same on every platform
+BIRTH_DEATH_VALIDATE_TEXT = f"""\
+command = validate
+parameters = format=text
+version = {__version__}
+
+[assumptions]
+a1 = true
+a2 = false
+a3 = true
+a4 = false
+S_b = [-1]
+S_a = [1]
+violations = [{{'assumption': 'A2', 'witness': 'A2: state(s) 1 have no \
+one-step transition into S_b', 'states': ['1']}}, {{'assumption': 'A4', \
+'witness': 'A4: state(s) -1 have no one-step transition into S_a', \
+'states': ['-1']}}]
+"""
+
+BIRTH_DEATH_VALIDATE_MACHINE = f"""\
+{{
+  "assumptions": {{
+    "S_a": [
+      "1"
+    ],
+    "S_b": [
+      "-1"
+    ],
+    "a1": true,
+    "a2": false,
+    "a3": true,
+    "a4": false,
+    "violations": [
+      {{
+        "assumption": "A2",
+        "states": [
+          "1"
+        ],
+        "witness": "A2: state(s) 1 have no one-step transition into S_b"
+      }},
+      {{
+        "assumption": "A4",
+        "states": [
+          "-1"
+        ],
+        "witness": "A4: state(s) -1 have no one-step transition into S_a"
+      }}
+    ]
+  }},
+  "command": "validate",
+  "parameters": {{
+    "format": "machine"
+  }},
+  "version": "{__version__}"
+}}
 """
 
 IID_DOC = """
@@ -62,6 +120,18 @@ class TestValidateCommand:
         code, out, _ = run_cli(capsys, "validate", "--model", path)
         assert code == 1
         assert "A2" in out
+
+    def test_golden_report_names_a2_and_a4(self, write_model, capsys):
+        path = write_model(BIRTH_DEATH_DOC)
+        for fmt, expected in (("text", BIRTH_DEATH_VALIDATE_TEXT),
+                              ("machine", BIRTH_DEATH_VALIDATE_MACHINE)):
+            code, out, err = run_cli(capsys, "validate", "--model", path,
+                                     "--format", fmt)
+            assert (code, err) == (1, "")
+            lines = out.splitlines(keepends=True)
+            assert sum("model_sha256" in line for line in lines) == 1
+            assert "".join(line for line in lines
+                           if "model_sha256" not in line) == expected
 
     def test_unreadable_model(self, capsys):
         code, _, err = run_cli(capsys, "validate", "--model", "/nope.yaml")

@@ -3,8 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from chainbounds import (AssumptionError, BlockStructure, DomainError,
-                         MarkovModel, limit_matrix, pf_extended,
+from chainbounds import (AssumptionError, MarkovModel, limit_matrix,
                          pf_irreducible)
 from conftest import (birth_death, iid_model, random_positive_model,
                       two_cycle, two_state)
@@ -100,67 +99,87 @@ class TestIrreducibleSolver:
             assert abs(ratio - (2 * tri.rho - e)) <= 1e-9 * max(1.0, ratio)
 
 
+def support(x):
+    return tuple(int(i) for i in np.flatnonzero(x))
+
+
 class TestExtendedSolver:
+    """The core-block solve that ``limit_matrix`` extends to the fringe."""
+
     def test_full_core_matches_irreducible(self):
+        # constant f: every state is in the argmax set, so the limit
+        # matrix is P itself, with rho = 1 and v = 1
         rng = np.random.default_rng(31)
-        M = rng.uniform(0.1, 1.0, (4, 4))
-        structure = BlockStructure(core=range(4), fringe=())
-        ext = pf_extended(M, structure)
-        base = pf_irreducible(M)
-        assert abs(ext.rho - base.rho) <= 1e-12
-        assert np.abs(ext.v - base.v).max() <= 1e-12
+        P = rng.uniform(0.1, 1.0, (4, 4))
+        P /= P.sum(axis=1, keepdims=True)
+        model = MarkovModel(tuple("abcd"), P, [0.5] * 4, [0.25] * 4)
+        Mbar, tri = limit_matrix(model, "upper")
+        base = pf_irreducible(P)
+        assert np.array_equal(Mbar, model.P)
+        assert abs(tri.rho - 1.0) <= 1e-12
+        assert np.abs(tri.v - 1.0).max() <= 1e-12
+        assert abs(tri.rho - base.rho) <= 1e-12
+        assert np.abs(tri.v - base.v).max() <= 1e-12
+        triple_invariants(Mbar, tri)
 
     def test_tiny_block_example(self):
-        M = np.array([[1.0, 0.0], [1.0, 0.0]])
-        tri = pf_extended(M, BlockStructure(core=(0,), fringe=(1,)))
-        assert tri.rho == 1.0
-        assert np.array_equal(tri.u, [1.0, 0.0])
+        # identical rows: the fringe row equals the core row, so v = 1
+        Mbar, tri = limit_matrix(iid_model(0.25), "upper")
+        assert tri.rho == 0.25
+        assert np.array_equal(tri.u, [0.0, 1.0])
         assert np.array_equal(tri.v, [1.0, 1.0])
 
     def test_two_state_limit_by_hand(self):
         # columns of P kept on the f-argmax state only
-        M = np.array([[0.0, 0.3], [0.0, 0.7]])
-        tri = pf_extended(M, BlockStructure(core=(1,), fringe=(0,)))
+        Mbar, tri = limit_matrix(two_state(0.3, 0.3), "upper")
+        assert np.array_equal(Mbar, [[0.0, 0.3], [0.0, 0.7]])
         assert abs(tri.rho - 0.7) <= 1e-14
         assert np.abs(tri.v - np.array([0.3 / 0.7, 1.0])).max() <= 1e-12
         assert np.array_equal(tri.u, [0.0, 1.0])
 
     def test_against_charpoly_oracle(self):
+        # f ties at its maximum on k = 1..3 of 4 states, in random places
         rng = np.random.default_rng(37)
         for _ in range(20):
             k = int(rng.integers(1, 4))
-            A = rng.uniform(0.1, 1.0, (k, k))
-            B = rng.uniform(0.1, 1.0, (4 - k, k))
-            M = np.zeros((4, 4))
-            M[:k, :k] = A
-            M[k:, :k] = B
-            structure = BlockStructure(core=range(k), fringe=range(k, 4))
-            tri = pf_extended(M, structure)
-            assert abs(tri.rho - charpoly_spectral_radius(M)) <= 1e-9
-            triple_invariants(M, tri)
+            model = random_positive_model(rng, 4)
+            top = rng.permutation(4)[:k]
+            f = rng.uniform(-1.0, 0.5, 4)
+            f[top] = 1.0
+            model = MarkovModel(model.states, model.P, f, model.q)
+            Mbar, tri = limit_matrix(model, "upper")
+            assert support(tri.u) == tuple(sorted(int(i) for i in top))
+            assert abs(tri.rho - charpoly_spectral_radius(Mbar)) <= 1e-9
+            triple_invariants(Mbar, tri)
 
-    def test_structure_mismatch_nonzero_column(self):
-        M = np.array([[0.5, 0.5], [0.5, 0.5]])
-        with pytest.raises(DomainError, match="not zero"):
-            pf_extended(M, BlockStructure(core=(0,), fringe=(1,)))
-
-    def test_structure_mismatch_zero_fringe_row(self):
-        M = np.array([[1.0, 0.0], [0.0, 0.0]])
-        with pytest.raises(DomainError, match="no transition into the core"):
-            pf_extended(M, BlockStructure(core=(0,), fringe=(1,)))
+    def test_tiny_argmax_selfloop(self):
+        # power iteration on the whole limit matrix does not converge
+        # here; the core solve gives rho = P(c, c) exactly
+        P = np.array([[0.5, 0.25, 0.25],
+                      [0.3, 0.3, 0.4],
+                      [0.5, 0.5 - 1e-9, 1e-9]])
+        model = MarkovModel(("a", "b", "c"), P, [0.0, 0.5, 1.0],
+                            [1 / 3, 1 / 3, 1 / 3])
+        Mbar, tri = limit_matrix(model, "upper")
+        assert tri.rho == 1e-9
+        assert np.array_equal(tri.u, [0.0, 0.0, 1.0])
+        assert np.abs(tri.v / [0.25e9, 0.4e9, 1.0] - 1.0).max() <= 1e-12
+        triple_invariants(Mbar, tri)
 
 
 class TestLimitMatrix:
     def test_iid_rank_one(self):
         model = iid_model(0.3)
-        Mbar, structure, tri = limit_matrix(model, "upper")
-        assert structure.core == (1,)
+        Mbar, tri = limit_matrix(model, "upper")
+        assert support(tri.u) == (1,)
         assert abs(tri.rho - 0.3) <= 1e-14
         assert np.array_equal(Mbar[:, 0], [0.0, 0.0])
 
     def test_assumption_violation_propagates(self):
-        with pytest.raises(AssumptionError):
+        with pytest.raises(AssumptionError, match="A1"):
             limit_matrix(two_cycle(), "upper")
+        with pytest.raises(AssumptionError, match="A2"):
+            limit_matrix(birth_death(), "upper")
 
     def test_selfloop_weight_is_rho(self):
         P = np.array([[0.6, 0.2, 0.2],
@@ -168,21 +187,13 @@ class TestLimitMatrix:
                       [0.25, 0.25, 0.5]])
         model = MarkovModel(("a", "b", "c"), P, [0.0, 0.2, 1.0],
                             [1 / 3, 1 / 3, 1 / 3])
-        _, structure, tri = limit_matrix(model, "upper")
-        assert structure.core == (2,)
+        _, tri = limit_matrix(model, "upper")
+        assert support(tri.u) == (2,)
         assert abs(tri.rho - 0.5) <= 1e-14
 
     def test_lower_side_uses_argmin_columns(self):
         model = two_state(0.3, 0.3)
-        Mbar, structure, tri = limit_matrix(model, "lower")
-        assert structure.core == (0,)
+        Mbar, tri = limit_matrix(model, "lower")
+        assert support(tri.u) == (0,)
         assert abs(tri.rho - 0.7) <= 1e-14
         assert np.array_equal(Mbar[:, 1], [0.0, 0.0])
-
-    def test_witness_edges_exist(self):
-        rng = np.random.default_rng(41)
-        model = random_positive_model(rng, 5)
-        _, structure, _ = limit_matrix(model, "upper")
-        for x, y in structure.witness.items():
-            assert model.P[x, y] > 0.0
-            assert y in structure.core

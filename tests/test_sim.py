@@ -109,8 +109,9 @@ class TestEmpiricalTail:
         import chainbounds.sim as sim_module
         model = two_state(0.3, 0.3)
         baseline = empirical_tail(model, 9, 0.6, "upper", 100, seed=6)
-        # 7 trials of n + 1 = 10 draws and a (block, 2) gather and compare
-        monkeypatch.setattr(sim_module, "CHUNK_VALUES", 7 * (10 + 2 * 2))
+        # 7 trials of n + 1 = 10 draws and the walk's per-trial vectors
+        monkeypatch.setattr(sim_module, "CHUNK_VALUES",
+                            7 * (10 + sim_module.WALK_VALUES))
         rechunked = empirical_tail(model, 9, 0.6, "upper", 100, seed=6)
         assert rechunked.hits == baseline.hits
         # one trial's draws alone exceed the budget: one trial per chunk
