@@ -6,11 +6,14 @@ theta-derivative, and sigma2 the supremum of Lambda'' there; all three
 are finite under the side's positivity assumptions because the spectral
 objects converge to those of the column-restricted limit matrix.
 
-A grid point costs three Perron solves: theta, and theta +/- 5e-4
+A grid point needs three Perron solves: theta, and theta +/- 5e-4
 (1 + |theta|) for the cross-check of Lambda''; derivatives come from
-``TiltedFamily.derivatives``.  Constants are memoized on the model per
-side (``model.memo``), and the limit-matrix triple is shared with the
-boundary rate (``family.limit_triple``).
+``TiltedFamily.derivatives``.  The points of a round are known before it
+runs, so each round hands all of them with their neighbours to
+``TiltedFamily.at_many``, which solves them as stacks, and the evaluation
+loop then finds every point memoized.  Constants are memoized on the
+model per side (``model.memo``), and the limit-matrix triple is shared
+with the boundary rate (``family.limit_triple``).
 
 The suprema are located with an adaptive grid, not a certified global
 optimizer: start from theta in {0, 0.25, ..., 8}, then each round halves
@@ -177,9 +180,16 @@ def _compute_constants(model: MarkovModel, side: str) -> BoundConstants:
                 s_best, s_arg = s2_t, sign * t
         return (k_best, l_best, s_best), (k_arg, l_arg, s_arg)
 
+    def prefetch(ts):
+        # one stacked solve for the round's tilts and their cross-check
+        # neighbours; ``evaluate`` then finds every point memoized
+        fam.at_many(_family.cross_check_thetas(sign * float(t) for t in ts))
+
     extent = GRID_EXTENT
     spacing = GRID_SPACING
-    for t in np.arange(0.0, extent + spacing / 2, spacing):
+    initial = np.arange(0.0, extent + spacing / 2, spacing)
+    prefetch(initial)
+    for t in initial:
         evaluate(t)
     best, args = running_maxima()
 
@@ -193,16 +203,17 @@ def _compute_constants(model: MarkovModel, side: str) -> BoundConstants:
         old_extent = extent
         extent *= 2.0
         step = (extent - old_extent) / EXTENSION_POINTS
-        for k in range(1, EXTENSION_POINTS + 1):
-            evaluate(old_extent + k * step)
+        ts = [old_extent + k * step for k in range(1, EXTENSION_POINTS + 1)]
         for arg in set(args):
-            center = abs(arg) if math.isfinite(arg) else None
-            if center is None:
+            if not math.isfinite(arg):
                 continue
+            center = abs(arg)
             for j in range(1, LOCAL_POINTS + 1):
-                for t in (center - j * spacing, center + j * spacing):
-                    if 0.0 <= t <= extent:
-                        evaluate(t)
+                ts.extend(t for t in (center - j * spacing, center + j * spacing)
+                          if 0.0 <= t <= extent)
+        prefetch(ts + [extent, 2.0 * extent])
+        for t in ts:
+            evaluate(t)
         best, args = running_maxima()
         moved = max(
             abs(b - p) / max(abs(p), 1e-30) for b, p in zip(best, prev))

@@ -20,7 +20,9 @@ whose entries never exceed max(P), and m is added back in log space.
 A ``TiltedFamily`` memoizes tilted points and their derivatives by theta,
 so grid sweeps, Newton steps and cross-checks share eigensolves; the
 family itself and the limit-matrix triple of each side are memoized on
-the model (``model.memo``).  All returned values are immutable.
+the model (``model.memo``).  ``TiltedFamily.at_many`` solves a batch of
+tilts as stacked Perron solves (``perron.pf_stack``), with the same points
+``at`` would compute one by one.  All returned values are immutable.
 """
 
 import math
@@ -37,6 +39,7 @@ CROSS_CHECK_STEP = 5e-4    # step of the mandatory quadratic-difference check
 DEGENERACY_TOL = 1e-10
 MEAN_MATCH_TOL = 1e-10
 NEWTON_TOL = 1e-12         # on |Lambda' - mu| / (1 + |mu|) or step / max(1, |theta|)
+STACK_VALUES = 2**15       # matrix entries per stacked Perron solve (at_many)
 
 __all__ = [
     "TiltedPoint",
@@ -45,6 +48,7 @@ __all__ = [
     "RatePoint",
     "TiltedFamily",
     "family_of",
+    "cross_check_thetas",
     "limit_triple",
     "tilt",
     "lambda_prime",
@@ -161,25 +165,75 @@ class TiltedFamily:
     def at(self, theta: float) -> TiltedPoint:
         return memo(self._points, float(theta), self._compute)
 
+    def at_many(self, thetas) -> None:
+        """Memoize the points of ``thetas`` from stacked Perron solves.
+
+        Thetas already memoized are skipped; the rest are solved in stacks
+        of at most STACK_VALUES matrix entries (``perron.pf_stack``), and
+        each point is bit-identical to ``at(theta)`` on a fresh family.  A
+        point whose tilt or solve fails is not published, so ``at(theta)``
+        raises its error alone.
+        """
+        todo = np.array([t for t in dict.fromkeys(map(float, thetas))
+                         if t not in self._points])
+        expo, m = self._exponents(todo)
+        finite = np.isfinite(m)
+        todo, expo, m = todo[finite], expo[finite], m[finite]
+        size = max(1, STACK_VALUES // self.f.size**2)
+        for start in range(0, todo.size, size):
+            part = slice(start, start + size)
+            shifted = self._shifted(expo[part], m[part])
+            triples = _perron.pf_stack(shifted)
+            solved = [i for i, tri in enumerate(triples)
+                      if isinstance(tri, _perron.PerronTriple)]
+            if not solved:
+                continue
+            for point in self._assemble(
+                    todo[part][solved], shifted[solved], m[part][solved],
+                    [triples[i] for i in solved]):
+                memo(self._points, point.theta, lambda _, p=point: p)
+
+    def _exponents(self, thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Rows theta * f and their maxima m; m is not finite where theta*f
+        overflows."""
+        with np.errstate(over="ignore"):
+            expo = np.multiply.outer(thetas, self.f)
+        return expo, expo.max(axis=1)
+
+    def _shifted(self, expo: np.ndarray, m: np.ndarray) -> np.ndarray:
+        """exp(-m) * P_tilde per row of exponents."""
+        return self.P * np.exp(expo - m[:, None])[:, None, :]
+
     def _compute(self, theta: float) -> TiltedPoint:
-        P, f = self.P, self.f
-        expo = theta * f
-        m = float(expo.max())
-        shifted = P * np.exp(expo - m)[None, :]
-        tri = _perron.pf_irreducible(shifted)
-        Lam = m + math.log(tri.rho)
-        v = tri.v
-        P_theta = shifted * (v[None, :] / (tri.rho * v[:, None]))
+        expo, m = self._exponents(np.array([theta]))
+        if not math.isfinite(m[0]):
+            raise DomainError(f"family: theta={theta!r} overflows theta*f")
+        shifted = self._shifted(expo, m)
+        tri = _perron.pf_irreducible(shifted[0])
+        return self._assemble([theta], shifted, m, [tri])[0]
+
+    def _assemble(self, thetas, shifted: np.ndarray, m: np.ndarray,
+                  triples: list) -> list[TiltedPoint]:
+        """Points from the shifted matrices and their Perron triples."""
+        rho = np.array([tri.rho for tri in triples])
+        V = np.array([tri.v for tri in triples])
+        P_theta = shifted * (V[:, None, :] / (rho[:, None, None] * V[:, :, None]))
         # scrub the ~1e-13 eigen-residual off the row sums so tilted
         # chains are themselves valid generators
-        P_theta /= P_theta.sum(axis=1, keepdims=True)
-        pi = tri.u * v
-        scale = math.exp(m) if m < 709.0 else math.inf
-        triple = _perron.PerronTriple(
-            rho=math.exp(Lam) if Lam < 709.0 else math.inf,
-            u=tri.u, v=v, residual=tri.residual * scale)
-        return TiltedPoint(theta=theta, triple=triple, P_theta=P_theta,
-                           pi_theta=pi, Lambda=Lam, mean=float(pi @ f))
+        P_theta /= P_theta.sum(axis=2, keepdims=True)
+        pi = np.array([tri.u for tri in triples]) * V
+        means = np.matmul(pi[:, None, :], self.f[:, None])[:, 0, 0].tolist()
+        points = []
+        for b, (theta, tri, shift) in enumerate(zip(thetas, triples, m.tolist())):
+            Lam = shift + math.log(tri.rho)
+            scale = math.exp(shift) if shift < 709.0 else math.inf
+            triple = _perron.PerronTriple(
+                rho=math.exp(Lam) if Lam < 709.0 else math.inf,
+                u=tri.u, v=tri.v, residual=tri.residual * scale)
+            points.append(TiltedPoint(
+                theta=float(theta), triple=triple, P_theta=P_theta[b],
+                pi_theta=pi[b], Lambda=Lam, mean=means[b]))
+        return points
 
     @property
     def stationary_mean(self) -> float:
@@ -231,13 +285,12 @@ class TiltedFamily:
         Disagreement raises instead of returning silently.
         """
         theta = float(theta)
-        if h is None:
-            h = CROSS_CHECK_STEP * (1.0 + abs(theta))
+        h, lo, hi = _stencil(theta, h)
         if h <= 0.0:
             raise DomainError("family: finite-difference step must be positive")
         value = self.derivatives(theta)[1]
-        fd2 = (self.at(theta + h).Lambda - 2.0 * self.at(theta).Lambda
-               + self.at(theta - h).Lambda) / (h * h)
+        fd2 = (self.at(hi).Lambda - 2.0 * self.at(theta).Lambda
+               + self.at(lo).Lambda) / (h * h)
         tol = max(1e-6, 1e-3 * abs(value))
         if abs(value - fd2) > tol:
             raise CrossCheckError(
@@ -245,6 +298,24 @@ class TiltedFamily:
                 f"fundamental matrix {value!r} vs quadratic difference {fd2!r} "
                 f"(tolerance {tol:.1e})")
         return value
+
+
+def _stencil(theta: float, h: float | None = None) -> tuple[float, float, float]:
+    """(h, theta - h, theta + h): the step of the Lambda'' cross-check at
+    theta (default 5e-4*(1+|theta|)) and the neighbours it solves."""
+    if h is None:
+        h = CROSS_CHECK_STEP * (1.0 + abs(theta))
+    return h, theta - h, theta + h
+
+
+def cross_check_thetas(thetas) -> list[float]:
+    """Each theta followed by the neighbours ``lambda_second`` solves at
+    its default step: the tilts to hand ``TiltedFamily.at_many`` before
+    evaluating Lambda'' at thetas."""
+    out = []
+    for theta in map(float, thetas):
+        out.extend((theta, *_stencil(theta)[1:]))
+    return out
 
 
 def family_of(model: MarkovModel) -> TiltedFamily:
@@ -469,6 +540,7 @@ def spectral_curve(model: MarkovModel, thetas) -> SpectralCurve:
     """Evaluate Lambda, Lambda' and Lambda'' over a theta grid."""
     fam = family_of(model)
     grid = np.asarray(thetas, dtype=np.float64)
+    fam.at_many(cross_check_thetas(grid))
     lam = np.empty_like(grid)
     lam1 = np.empty_like(grid)
     lam2 = np.empty_like(grid)

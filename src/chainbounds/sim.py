@@ -181,6 +181,28 @@ def _philox_integers(key: int, count: int) -> np.ndarray:
     return (np.random.Philox(key=key).random_raw(count) >> 11).view(np.int64)
 
 
+def _philox_rows(first: int, rows: int, count: int) -> np.ndarray:
+    """Row i is ``_philox_integers(first + i, count)``, for i < rows.
+
+    One Philox serves every row: its documented ``state`` dict is set to
+    key words ((first + i) mod 2**64, (first + i) >> 64), counter zero and
+    an empty buffer, which is the state ``Philox(key=first + i)`` starts
+    in, at a fraction of the cost of constructing one.  Building it on the
+    largest key lets numpy range-check the keys.
+    """
+    bitgen = np.random.Philox(key=first + rows - 1)
+    state = bitgen.state
+    state["state"]["counter"][:] = 0
+    state["buffer_pos"] = 4
+    key = state["state"]["key"]
+    out = np.empty((rows, count), dtype=np.uint64)
+    for i in range(rows):
+        key[0], key[1] = (first + i) % 2**64, (first + i) >> 64
+        bitgen.state = state
+        out[i] = bitgen.random_raw(count)
+    return np.right_shift(out, 11, out=out).view(np.int64)
+
+
 def _check_seed(seed) -> int:
     seed = int(seed)
     if seed < 0:
@@ -248,10 +270,7 @@ def empirical_tail(model: MarkovModel, n: int, mu: float, side: str,
     hits = 0
     for start in range(0, trials, chunk):
         block = min(chunk, trials - start)
-        draws = np.empty((block, n + 1), dtype=np.int64)
-        for i in range(block):
-            draws[i] = _philox_integers(seed + start + i, n + 1)
-        walk = _walk(sp, draws)
+        walk = _walk(sp, _philox_rows(seed + start, block, n + 1))
         next(walk)                 # X_0 adds nothing to the sum
         sums = np.zeros(block)
         for pos in walk:

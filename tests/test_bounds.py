@@ -294,5 +294,18 @@ def test_concurrent_lookups_share_one_memoized_value():
         assert all(p is q for p, q in zip(other_points, points))
 
 
+def test_stack_budget_does_not_change_constants(monkeypatch):
+    import chainbounds.family as family_module
+    rng = np.random.default_rng(44)
+    models = [random_positive_model(rng, n) for n in (3, 6)]
+    baseline = [repr(constants(m, side)) for m in models
+                for side in ("upper", "lower")]
+    # one matrix per stack: every solve of the search is a stack of one
+    monkeypatch.setattr(family_module, "STACK_VALUES", 1)
+    fresh = [MarkovModel(m.states, m.P, m.f, m.q) for m in models]
+    assert [repr(constants(m, side)) for m in fresh
+            for side in ("upper", "lower")] == baseline
+
+
 def test_hoeffding_bound_is_the_chernoff_report():
     assert hoeffding_bound is chernoff_bound

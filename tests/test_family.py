@@ -2,8 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from chainbounds import (CrossCheckError, DomainError, MarkovModel,
+import chainbounds.family as family_module
+import chainbounds.perron as perron_module
+from chainbounds import (ConvergenceError, CrossCheckError, DomainError,
+                         MarkovModel, TiltedFamily,
                          detect_degenerate, family_of, kl_rate, kl_rate_direct,
                          lambda_prime, lambda_second, level_sets, mean_set,
                          rate_function, spectral_curve, theta_of_mean, tilt)
@@ -352,3 +357,87 @@ class TestSpectralCurve:
                           Lambda=np.array([0.0]),
                           Lambda1=np.array([0.0, 0.1]),
                           Lambda2=np.array([0.0, 0.1]))
+
+
+def outcome(fam, theta):
+    """The point's fields as bytes, or the error ``fam.at`` raises."""
+    try:
+        p = fam.at(theta)
+    except (ConvergenceError, DomainError) as exc:
+        return type(exc), str(exc)
+    return tuple(np.asarray(x).tobytes() for x in (
+        p.triple.rho, p.triple.u, p.triple.v, p.triple.residual, p.P_theta,
+        p.pi_theta, p.Lambda, p.mean))
+
+
+@st.composite
+def chains(draw):
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(2, 12))
+    if draw(st.booleans()):
+        return random_positive_model(rng, n)
+    return random_irreducible_model(rng, n)
+
+
+@st.composite
+def theta_sets(draw):
+    base = draw(st.lists(st.floats(-200.0, 200.0), min_size=1, max_size=6))
+    thetas = [0.0] + base + draw(st.lists(st.sampled_from(base), max_size=3))
+    # the cross-check neighbours of a few of them, as the constant search asks
+    for theta in draw(st.lists(st.sampled_from(base), max_size=3)):
+        thetas += family_module.cross_check_thetas([theta])[1:]
+    return draw(st.permutations(thetas))
+
+
+class TestStackedPoints:
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(model=chains(), thetas=theta_sets())
+    def test_at_many_equals_solo_points(self, model, thetas):
+        # large tilts on sparse chains can run out of iterations; a short
+        # budget, shared by stack and solo, keeps those failures cheap
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(perron_module, "ITERATION_BUDGET", 2000)
+            fam = TiltedFamily(model)
+            fam.at_many(thetas)
+            for theta in thetas:
+                solo = outcome(TiltedFamily(model), theta)
+                if isinstance(solo[0], type):
+                    assert theta not in fam._points
+                assert outcome(fam, theta) == solo
+
+    def test_a_failed_member_is_not_published(self):
+        # the tiny argmax self-loop: at theta = 52 the iteration stops on
+        # its trigger but the eigen-residual gate of the finished triple fails
+        P = np.array([[0.5, 0.25, 0.25],
+                      [0.3, 0.3, 0.4],
+                      [0.5, 0.5 - 1e-9, 1e-9]])
+        model = MarkovModel(("a", "b", "c"), P, [0.0, 0.5, 1.0],
+                            [1 / 3, 1 / 3, 1 / 3])
+        fam = family_of(model)
+        fam.at_many([-1.0, 52.0, 0.0, 3.5])
+        assert sorted(fam._points) == [-1.0, 0.0, 3.5]
+        for theta in (-1.0, 0.0, 3.5):
+            assert outcome(fam, theta) == outcome(TiltedFamily(model), theta)
+        with pytest.raises(ConvergenceError, match="eigen-residual"):
+            fam.at(52.0)
+
+    def test_overflowing_tilt_is_a_domain_error(self):
+        model = MarkovModel(("0", "1"), [[0.5, 0.5], [0.5, 0.5]],
+                            [0.0, 4.0], [0.5, 0.5])
+        fam = family_of(model)
+        fam.at_many([1e308, 1.0])
+        assert list(fam._points) == [1.0]
+        with pytest.raises(DomainError, match="overflows"):
+            tilt(model, 1e308)
+
+    def test_stacks_split_at_the_budget(self, monkeypatch):
+        model = random_positive_model(np.random.default_rng(43), 5)
+        thetas = np.linspace(-3.0, 3.0, 13)
+        whole = TiltedFamily(model)
+        whole.at_many(thetas)
+        monkeypatch.setattr(family_module, "STACK_VALUES", 2 * 25)
+        pairs = TiltedFamily(model)
+        pairs.at_many(thetas)
+        for theta in thetas:
+            assert outcome(pairs, theta) == outcome(whole, theta)

@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from chainbounds import (AssumptionError, MarkovModel, limit_matrix,
-                         pf_irreducible)
+from chainbounds import (AssumptionError, ConvergenceError, MarkovModel,
+                         limit_matrix, pf_irreducible)
+from chainbounds.perron import PerronTriple, pf_stack
 from conftest import (birth_death, iid_model, random_positive_model,
                       two_cycle, two_state)
 from oracles import (charpoly_spectral_radius, two_cycle_right_eigvec,
@@ -84,6 +85,13 @@ class TestIrreducibleSolver:
         assert a.rho == b.rho
         assert np.array_equal(a.v, b.v)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_entries_rejected(self, bad):
+        M = np.array([[0.5, 0.5], [0.25, 0.75]])
+        M[1, 0] = bad
+        with pytest.raises(ValueError, match="finite"):
+            pf_irreducible(M)
+
     def test_birth_death_closed_form(self):
         # radical coefficient -5 checked against a dense eigensolver;
         # with it the formula gives rho(0) = 1 as it must
@@ -97,6 +105,44 @@ class TestIrreducibleSolver:
             assert abs(tri.rho - expected) <= 1e-10 * expected
             ratio = tri.v[1] / tri.v[2]
             assert abs(ratio - (2 * tri.rho - e)) <= 1e-9 * max(1.0, ratio)
+
+
+def same_triple(a, b):
+    return (a.rho == b.rho and a.residual == b.residual
+            and a.u.tobytes() == b.u.tobytes()
+            and a.v.tobytes() == b.v.tobytes())
+
+
+class TestStackedSolver:
+    def test_members_equal_solo_solves(self):
+        rng = np.random.default_rng(41)
+        for n in (2, 3, 5, 10, 50):
+            Ms = rng.uniform(0.0, 1.0, (7, n, n)) * rng.uniform(0.0, 1.0, (7, 1, n))
+            Ms[3] *= 1e-200
+            for M, tri in zip(Ms, pf_stack(Ms)):
+                assert same_triple(tri, pf_irreducible(M))
+
+    def test_a_bad_member_fails_alone(self):
+        good = np.array([[0.2, 0.8], [0.6, 0.4]])
+        stack = np.stack([good, good, good, np.zeros((2, 2)), good])
+        stack[0, 1, 1] = np.nan
+        stack[2, 0, 0] = -0.1
+        out = pf_stack(stack)
+        assert isinstance(out[0], ValueError) and "finite" in str(out[0])
+        assert isinstance(out[2], ValueError) and "nonnegative" in str(out[2])
+        assert isinstance(out[3], ConvergenceError)
+        for tri in (out[1], out[4]):
+            assert isinstance(tri, PerronTriple)
+            assert same_triple(tri, pf_irreducible(good))
+
+    def test_scalar_members(self):
+        out = pf_stack(np.array([[[0.37]], [[0.0]], [[np.inf]]]))
+        assert out[0].rho == 0.37
+        assert "reducible" in str(out[1]) and "finite" in str(out[2])
+
+    def test_shape_checked(self):
+        with pytest.raises(ValueError, match="shape"):
+            pf_stack(np.ones((2, 3)))
 
 
 def support(x):

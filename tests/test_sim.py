@@ -72,6 +72,17 @@ class TestEmpiricalTail:
                 hits += 1
         assert hits == est.hits
 
+    def test_chunk_draws_match_a_philox_per_key(self):
+        # one generator per chunk, its state reset to each trial's key;
+        # the keys carry from the low into the high key word
+        for first in (0, 2**64 - 3, 2**128 - 7):
+            rows = sim._philox_rows(first, 6, 9)
+            for t, row in enumerate(rows):
+                raw = np.random.Philox(key=first + t).random_raw(9)
+                assert np.array_equal(row, (raw >> 11).view(np.int64))
+        with pytest.raises(ValueError, match="2\\*\\*128"):
+            sim._philox_rows(2**128 - 3, 6, 9)
+
     def test_lower_side_counts_small_means(self):
         model = two_state(0.3, 0.3)
         up = empirical_tail(model, 15, 0.5, "upper", trials=400, seed=2)
