@@ -10,8 +10,11 @@ A grid point needs three Perron solves: theta, and theta +/- 5e-4
 (1 + |theta|) for the cross-check of Lambda''; derivatives come from
 ``TiltedFamily.derivatives``.  The points of a round are known before it
 runs, so each round hands all of them with their neighbours to
-``TiltedFamily.at_many``, which solves them as stacks, and the evaluation
-loop then finds every point memoized.  Constants are memoized on the
+``TiltedFamily.at_many``, which solves them as one stacked Perron solve,
+and the round's tilts to ``TiltedFamily.derivatives_many``, which solves
+their derivatives as one stacked linear solve; the evaluation loop then
+finds everything memoized.  Neighbours only give Lambda, so their tilted
+matrices are never built.  Constants are memoized on the
 model per side (``model.memo``), and the limit-matrix triple is shared
 with the boundary rate (``family.limit_triple``).
 
@@ -181,9 +184,12 @@ def _compute_constants(model: MarkovModel, side: str) -> BoundConstants:
         return (k_best, l_best, s_best), (k_arg, l_arg, s_arg)
 
     def prefetch(ts):
-        # one stacked solve for the round's tilts and their cross-check
-        # neighbours; ``evaluate`` then finds every point memoized
-        fam.at_many(_family.cross_check_thetas(sign * float(t) for t in ts))
+        # one stacked Perron solve for the round's tilts and their
+        # cross-check neighbours, and one stacked linear solve for the
+        # tilts' derivatives; ``evaluate`` then finds all of it memoized
+        thetas = [sign * float(t) for t in ts]
+        fam.at_many(_family.cross_check_thetas(thetas))
+        fam.derivatives_many(thetas)
 
     extent = GRID_EXTENT
     spacing = GRID_SPACING

@@ -13,20 +13,28 @@ d log v / d theta take one fundamental-matrix solve at a cached point
 (Kemeny and Snell 1960; Meyer 1975), and mean inversion is Newton's
 method with that Lambda'' as slope.
 
-To avoid overflow the reweighted matrix is never formed directly: all
-spectral work happens on exp(-m) * P_tilde with m = max_y theta*f(y),
-whose entries never exceed max(P), and m is added back in log space.
+To avoid overflow all spectral work happens on exp(-m) * P_tilde with
+m = max_y theta*f(y), and m is added back in log space.  That matrix is
+the column reweighting P diag(d) of the generator, d = exp(theta*f - m)
+<= 1, and it is never formed: the Perron solver takes P and d
+(``perron.pf_irreducible``, ``perron.pf_stack``).
 
 A ``TiltedFamily`` memoizes tilted points and their derivatives by theta,
 so grid sweeps, Newton steps and cross-checks share eigensolves; the
 family itself and the limit-matrix triple of each side are memoized on
 the model (``model.memo``).  ``TiltedFamily.at_many`` solves a batch of
-tilts as stacked Perron solves (``perron.pf_stack``), with the same points
-``at`` would compute one by one.  All returned values are immutable.
+tilts as one stacked Perron solve against the shared P, and
+``TiltedFamily.derivatives_many`` the derivatives of a batch as one
+stacked linear solve, both with the bytes ``at`` and ``derivatives``
+compute one by one.  ``TiltedPoint.P_theta`` is built on first read; the
+derivatives build the tilted chains they need as a stack of their own,
+so the constant search keeps no (S, S) matrix per point.  All returned
+values are immutable.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -39,7 +47,6 @@ CROSS_CHECK_STEP = 5e-4    # step of the mandatory quadratic-difference check
 DEGENERACY_TOL = 1e-10
 MEAN_MATCH_TOL = 1e-10
 NEWTON_TOL = 1e-12         # on |Lambda' - mu| / (1 + |mu|) or step / max(1, |theta|)
-STACK_VALUES = 2**15       # matrix entries per stacked Perron solve (at_many)
 
 __all__ = [
     "TiltedPoint",
@@ -70,18 +77,43 @@ class TiltedPoint:
     ``triple`` is the Perron triple of the reweighted (untilted-scale)
     matrix; its ``rho`` equals exp(Lambda) and may overflow to inf for
     extreme theta, in which case ``Lambda`` remains the reliable field.
+    The remaining fields are what ``P_theta`` is built from: the
+    generator, the weights d = exp(theta*f - m) and the Perron root of
+    P diag(d).
     """
 
     theta: float
     triple: _perron.PerronTriple
-    P_theta: np.ndarray
     pi_theta: np.ndarray
     Lambda: float
     mean: float
+    _P: np.ndarray = field(repr=False)
+    _d: np.ndarray = field(repr=False)
+    _rho: float = field(repr=False)
 
     def __post_init__(self):
-        self.P_theta.setflags(write=False)
         self.pi_theta.setflags(write=False)
+
+    @cached_property
+    def P_theta(self) -> np.ndarray:
+        """The tilted stochastic matrix, built on first read."""
+        P_theta = _tilted_chains([self])[0]
+        P_theta.setflags(write=False)
+        return P_theta
+
+
+def _tilted_chains(points: list) -> np.ndarray:
+    """P_theta = P diag(d) v(y) / (rho v(x)) of each point, as a stack;
+    entry b does not depend on the other points."""
+    P = points[0]._P
+    D = np.array([p._d for p in points])
+    V = np.array([p.triple.v for p in points])
+    rho = np.array([p._rho for p in points])
+    P_theta = (P * D[:, None, :]) * (V[:, None, :] / (rho[:, None, None] * V[:, :, None]))
+    # scrub the ~1e-13 eigen-residual off the row sums so tilted chains
+    # are themselves valid generators
+    P_theta /= P_theta.sum(axis=2, keepdims=True)
+    return P_theta
 
 
 @dataclass(frozen=True, eq=False)
@@ -166,62 +198,49 @@ class TiltedFamily:
         return memo(self._points, float(theta), self._compute)
 
     def at_many(self, thetas) -> None:
-        """Memoize the points of ``thetas`` from stacked Perron solves.
+        """Memoize the points of ``thetas`` from one stacked Perron solve.
 
-        Thetas already memoized are skipped; the rest are solved in stacks
-        of at most STACK_VALUES matrix entries (``perron.pf_stack``), and
-        each point is bit-identical to ``at(theta)`` on a fresh family.  A
-        point whose tilt or solve fails is not published, so ``at(theta)``
-        raises its error alone.
+        Thetas already memoized are skipped; the rest are solved as one
+        stack against the shared P (``perron.pf_stack``), and each point is
+        bit-identical to ``at(theta)`` on a fresh family.  A point whose
+        tilt or solve fails is not published, so ``at(theta)`` raises its
+        error alone.
         """
         todo = np.array([t for t in dict.fromkeys(map(float, thetas))
                          if t not in self._points])
-        expo, m = self._exponents(todo)
+        D, m = self._weights(todo)
         finite = np.isfinite(m)
-        todo, expo, m = todo[finite], expo[finite], m[finite]
-        size = max(1, STACK_VALUES // self.f.size**2)
-        for start in range(0, todo.size, size):
-            part = slice(start, start + size)
-            shifted = self._shifted(expo[part], m[part])
-            triples = _perron.pf_stack(shifted)
-            solved = [i for i, tri in enumerate(triples)
-                      if isinstance(tri, _perron.PerronTriple)]
-            if not solved:
-                continue
-            for point in self._assemble(
-                    todo[part][solved], shifted[solved], m[part][solved],
-                    [triples[i] for i in solved]):
-                memo(self._points, point.theta, lambda _, p=point: p)
+        todo, D, m = todo[finite], D[finite], m[finite]
+        triples = _perron.pf_stack(self.P, D)
+        solved = [i for i, tri in enumerate(triples)
+                  if isinstance(tri, _perron.PerronTriple)]
+        if not solved:
+            return
+        for point in self._assemble(todo[solved], D[solved], m[solved],
+                                    [triples[i] for i in solved]):
+            memo(self._points, point.theta, lambda _, p=point: p)
 
-    def _exponents(self, thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Rows theta * f and their maxima m; m is not finite where theta*f
-        overflows."""
-        with np.errstate(over="ignore"):
+    def _weights(self, thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Rows d = exp(theta*f - m) and the shifts m = max theta*f; m is
+        not finite, and its row not usable, where theta*f overflows."""
+        with np.errstate(over="ignore", invalid="ignore"):
             expo = np.multiply.outer(thetas, self.f)
-        return expo, expo.max(axis=1)
-
-    def _shifted(self, expo: np.ndarray, m: np.ndarray) -> np.ndarray:
-        """exp(-m) * P_tilde per row of exponents."""
-        return self.P * np.exp(expo - m[:, None])[:, None, :]
+            m = expo.max(axis=1)
+            return np.exp(expo - m[:, None]), m
 
     def _compute(self, theta: float) -> TiltedPoint:
-        expo, m = self._exponents(np.array([theta]))
+        D, m = self._weights(np.array([theta]))
         if not math.isfinite(m[0]):
             raise DomainError(f"family: theta={theta!r} overflows theta*f")
-        shifted = self._shifted(expo, m)
-        tri = _perron.pf_irreducible(shifted[0])
-        return self._assemble([theta], shifted, m, [tri])[0]
+        tri = _perron.pf_irreducible(self.P, D[0])
+        return self._assemble([theta], D, m, [tri])[0]
 
-    def _assemble(self, thetas, shifted: np.ndarray, m: np.ndarray,
+    def _assemble(self, thetas, D: np.ndarray, m: np.ndarray,
                   triples: list) -> list[TiltedPoint]:
-        """Points from the shifted matrices and their Perron triples."""
-        rho = np.array([tri.rho for tri in triples])
-        V = np.array([tri.v for tri in triples])
-        P_theta = shifted * (V[:, None, :] / (rho[:, None, None] * V[:, :, None]))
-        # scrub the ~1e-13 eigen-residual off the row sums so tilted
-        # chains are themselves valid generators
-        P_theta /= P_theta.sum(axis=2, keepdims=True)
-        pi = np.array([tri.u for tri in triples]) * V
+        """Points from the weight rows of P and their Perron triples."""
+        D.setflags(write=False)
+        pi = np.array([tri.u for tri in triples]) * np.array(
+            [tri.v for tri in triples])
         means = np.matmul(pi[:, None, :], self.f[:, None])[:, 0, 0].tolist()
         points = []
         for b, (theta, tri, shift) in enumerate(zip(thetas, triples, m.tolist())):
@@ -231,8 +250,8 @@ class TiltedFamily:
                 rho=math.exp(Lam) if Lam < 709.0 else math.inf,
                 u=tri.u, v=tri.v, residual=tri.residual * scale)
             points.append(TiltedPoint(
-                theta=float(theta), triple=triple, P_theta=P_theta[b],
-                pi_theta=pi[b], Lambda=Lam, mean=means[b]))
+                theta=float(theta), triple=triple, pi_theta=pi[b], Lambda=Lam,
+                mean=means[b], _P=self.P, _d=D[b], _rho=tri.rho))
         return points
 
     @property
@@ -246,8 +265,11 @@ class TiltedFamily:
         return self._degenerate
 
     def _detect_degenerate(self) -> bool:
+        centres = (-1.0, 0.0, 1.0)
+        self.at_many(cross_check_thetas(centres))
+        self.derivatives_many(centres)
         d_matrix = float(np.abs(self.at(1.0).P_theta - self.P).max())
-        d_curv = max(self.lambda_second(t) for t in (-1.0, 0.0, 1.0))
+        d_curv = max(self.lambda_second(t) for t in centres)
         near_const = d_matrix <= DEGENERACY_TOL
         flat = d_curv <= DEGENERACY_TOL
         if near_const != flat:
@@ -266,14 +288,44 @@ class TiltedFamily:
         """
         return memo(self._derivatives, float(theta), self._derive)
 
+    def derivatives_many(self, thetas) -> None:
+        """Memoize ``derivatives`` of the memoized points among ``thetas``
+        from one stacked linear solve, bit-identical to the solo ones.
+
+        Thetas without a memoized point are skipped, so ``derivatives``
+        raises their solve's error alone; a singular slice fails the whole
+        stacked solve, so then nothing is memoized and each ``derivatives``
+        call solves alone.
+        """
+        todo = [t for t in dict.fromkeys(map(float, thetas))
+                if t in self._points and t not in self._derivatives]
+        try:
+            stacked = self._derive_stack([self._points[t] for t in todo])
+        except np.linalg.LinAlgError:
+            return
+        for theta, value in zip(todo, stacked):
+            memo(self._derivatives, theta, lambda _, v=value: v)
+
     def _derive(self, theta: float) -> tuple[np.ndarray, float]:
-        point = self.at(theta)
-        pi, P_theta = point.pi_theta, point.P_theta
-        fc = self.f - point.mean
-        A = np.eye(pi.size) - P_theta + pi[None, :]
-        sol = np.linalg.solve(A, np.column_stack((P_theta @ fc, fc)))
+        return self._derive_stack([self.at(theta)])[0]
+
+    def _derive_stack(self, points: list) -> list[tuple[np.ndarray, float]]:
+        """``derivatives`` of each point; LAPACK runs once per slice of the
+        stacked solve, so an entry does not depend on the rest."""
+        if not points:
+            return []
+        P_theta = _tilted_chains(points)
+        pi = np.array([p.pi_theta for p in points])
+        fc = self.f - np.array([p.mean for p in points])[:, None]
+        rhs = np.stack((np.matmul(P_theta, fc[:, :, None])[:, :, 0], fc), axis=2)
+        # A = I - P_theta + 1 pi', built in the stack's own memory
+        A = np.subtract(np.eye(self.f.size), P_theta, out=P_theta)
+        A += pi[:, None, :]
+        sol = np.linalg.solve(A, rhs)
         sol.setflags(write=False)
-        return sol[:, 0], 2.0 * float(pi @ (fc * sol[:, 1])) - float(pi @ (fc * fc))
+        curvature = (2.0 * np.matmul(pi[:, None, :], (fc * sol[:, :, 1])[:, :, None])
+                     - np.matmul(pi[:, None, :], (fc * fc)[:, :, None]))
+        return list(zip(sol[:, :, 0], curvature[:, 0, 0].tolist()))
 
     def lambda_second(self, theta: float, h: float | None = None) -> float:
         """Lambda''(theta) by the fundamental matrix (``derivatives``).
@@ -541,6 +593,7 @@ def spectral_curve(model: MarkovModel, thetas) -> SpectralCurve:
     fam = family_of(model)
     grid = np.asarray(thetas, dtype=np.float64)
     fam.at_many(cross_check_thetas(grid))
+    fam.derivatives_many(grid)
     lam = np.empty_like(grid)
     lam1 = np.empty_like(grid)
     lam2 = np.empty_like(grid)

@@ -7,11 +7,12 @@ import weakref
 import numpy as np
 import pytest
 
-from chainbounds import (AssumptionError, DomainError, MarkovModel,
-                         chernoff_bound, constants, ergodic_gap, family_of,
-                         hoeffding_bound, level_sets, rate_function, tilt,
-                         two_sided_bound)
-from conftest import (iid_model, random_positive_model, two_cycle, two_state)
+from chainbounds import (AssumptionError, ChainboundsError, DomainError,
+                         MarkovModel, TiltedFamily, chernoff_bound, constants,
+                         ergodic_gap, family_of, hoeffding_bound, level_sets,
+                         rate_function, tilt, two_sided_bound, validate)
+from conftest import (iid_model, random_irreducible_model,
+                      random_positive_model, two_cycle, two_state)
 from oracles import bernoulli_rate, exact_tail_probability
 
 
@@ -294,17 +295,33 @@ def test_concurrent_lookups_share_one_memoized_value():
         assert all(p is q for p, q in zip(other_points, points))
 
 
-def test_stack_budget_does_not_change_constants(monkeypatch):
-    import chainbounds.family as family_module
+def test_constants_do_not_depend_on_batching(monkeypatch):
+    # positive chains, and sparse irreducible ones that meet a side's
+    # assumptions
     rng = np.random.default_rng(44)
-    models = [random_positive_model(rng, n) for n in (3, 6)]
-    baseline = [repr(constants(m, side)) for m in models
-                for side in ("upper", "lower")]
-    # one matrix per stack: every solve of the search is a stack of one
-    monkeypatch.setattr(family_module, "STACK_VALUES", 1)
+    models = [random_positive_model(rng, n) for n in (3, 6, 12)]
+    while len(models) < 6:
+        model = random_irreducible_model(rng, int(rng.integers(3, 9)))
+        if validate(model).upper_ok or validate(model).lower_ok:
+            models.append(model)
+
+    def outcomes(models):
+        out = []
+        for model in models:
+            for side in ("upper", "lower"):
+                try:
+                    out.append(repr(constants(model, side)))
+                except ChainboundsError as exc:
+                    out.append((type(exc), str(exc)))
+        return out
+
+    baseline = outcomes(models)
+    # no stacked solve at all: every point and derivative is solved alone
+    monkeypatch.setattr(TiltedFamily, "at_many", lambda self, thetas: None)
+    monkeypatch.setattr(TiltedFamily, "derivatives_many",
+                        lambda self, thetas: None)
     fresh = [MarkovModel(m.states, m.P, m.f, m.q) for m in models]
-    assert [repr(constants(m, side)) for m in fresh
-            for side in ("upper", "lower")] == baseline
+    assert outcomes(fresh) == baseline
 
 
 def test_hoeffding_bound_is_the_chernoff_report():

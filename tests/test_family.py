@@ -431,13 +431,69 @@ class TestStackedPoints:
         with pytest.raises(DomainError, match="overflows"):
             tilt(model, 1e308)
 
-    def test_stacks_split_at_the_budget(self, monkeypatch):
-        model = random_positive_model(np.random.default_rng(43), 5)
-        thetas = np.linspace(-3.0, 3.0, 13)
-        whole = TiltedFamily(model)
-        whole.at_many(thetas)
-        monkeypatch.setattr(family_module, "STACK_VALUES", 2 * 25)
-        pairs = TiltedFamily(model)
-        pairs.at_many(thetas)
-        for theta in thetas:
-            assert outcome(pairs, theta) == outcome(whole, theta)
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(model=chains(), thetas=theta_sets())
+    def test_derivatives_many_equals_solo_derivatives(self, model, thetas):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(perron_module, "ITERATION_BUDGET", 2000)
+            fam = TiltedFamily(model)
+            fam.at_many(thetas)
+            fam.derivatives_many(thetas)
+            stacked = set(fam._derivatives)
+            solo = {theta: derivative_outcome(TiltedFamily(model), theta)
+                    for theta in thetas}
+            # a singular slice leaves every derivative to its solo solve
+            if not any(out[0] is np.linalg.LinAlgError
+                       for out in solo.values()):
+                assert stacked == set(fam._points)
+            for theta in thetas:
+                assert derivative_outcome(fam, theta) == solo[theta]
+
+    def test_a_singular_slice_fails_alone(self, monkeypatch):
+        # with the identity in place of P_1, I - P_1 + 1 pi' is the
+        # rank-one 1 pi', which fails numpy's whole stacked solve
+        chains = family_module._tilted_chains
+
+        def identity_at_one(points):
+            out = chains(points)
+            out[[p.theta == 1.0 for p in points]] = np.eye(2)
+            return out
+
+        monkeypatch.setattr(family_module, "_tilted_chains", identity_at_one)
+        model = random_positive_model(np.random.default_rng(47), 2)
+        fam = TiltedFamily(model)
+        fam.at_many([0.0, 1.0])
+        fam.derivatives_many([0.0, 1.0])
+        assert derivative_outcome(fam, 0.0) == derivative_outcome(
+            TiltedFamily(model), 0.0)
+        with pytest.raises(np.linalg.LinAlgError):
+            fam.derivatives(1.0)
+
+    def test_cross_check_neighbours_never_build_P_theta(self):
+        from chainbounds.bounds import constants
+        model = random_positive_model(np.random.default_rng(48), 10)
+        constants(model, "upper")
+        fam = family_of(model)
+        centres = set(fam._derivatives)
+        neighbours = [p for t, p in fam._points.items() if t not in centres]
+        assert len(neighbours) >= len(centres) > 0
+        assert not any("P_theta" in p.__dict__ for p in neighbours)
+        # built on read, with the bytes of the eager formula
+        point = neighbours[len(neighbours) // 2]
+        expo = point.theta * model.f
+        d = np.exp(expo - expo.max())
+        rho = perron_module.pf_irreducible(model.P, d).rho
+        v = point.triple.v
+        eager = model.P * d[None, :] * (v[None, :] / (rho * v[:, None]))
+        eager /= eager.sum(axis=1, keepdims=True)
+        assert point.P_theta.tobytes() == eager.tobytes()
+
+
+def derivative_outcome(fam, theta):
+    """``fam.derivatives(theta)`` as bytes, or the error it raises."""
+    try:
+        w, curvature = fam.derivatives(theta)
+    except (ConvergenceError, DomainError, np.linalg.LinAlgError) as exc:
+        return type(exc), str(exc)
+    return w.tobytes(), curvature

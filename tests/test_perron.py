@@ -114,35 +114,48 @@ def same_triple(a, b):
 
 
 class TestStackedSolver:
+    """``pf_stack(P, D)``: member b is P diag(D[b]), solved as alone."""
+
     def test_members_equal_solo_solves(self):
         rng = np.random.default_rng(41)
         for n in (2, 3, 5, 10, 50):
-            Ms = rng.uniform(0.0, 1.0, (7, n, n)) * rng.uniform(0.0, 1.0, (7, 1, n))
-            Ms[3] *= 1e-200
-            for M, tri in zip(Ms, pf_stack(Ms)):
-                assert same_triple(tri, pf_irreducible(M))
+            P = rng.uniform(0.0, 1.0, (n, n))
+            D = rng.uniform(0.0, 1.0, (7, n))
+            D[3] *= 1e-200
+            for d, tri in zip(D, pf_stack(P, D)):
+                assert same_triple(tri, pf_irreducible(P, d))
 
     def test_a_bad_member_fails_alone(self):
-        good = np.array([[0.2, 0.8], [0.6, 0.4]])
-        stack = np.stack([good, good, good, np.zeros((2, 2)), good])
-        stack[0, 1, 1] = np.nan
-        stack[2, 0, 0] = -0.1
-        out = pf_stack(stack)
+        P = np.array([[0.2, 0.8], [0.6, 0.4]])
+        D = np.array([[1.0, np.nan], [1.0, 0.5], [-0.1, 1.0],
+                      [0.0, 0.0], [0.3, 2.0]])
+        out = pf_stack(P, D)
         assert isinstance(out[0], ValueError) and "finite" in str(out[0])
         assert isinstance(out[2], ValueError) and "nonnegative" in str(out[2])
         assert isinstance(out[3], ConvergenceError)
-        for tri in (out[1], out[4]):
-            assert isinstance(tri, PerronTriple)
-            assert same_triple(tri, pf_irreducible(good))
+        for i in (1, 4):
+            assert isinstance(out[i], PerronTriple)
+            assert same_triple(out[i], pf_irreducible(P, D[i]))
+
+    @pytest.mark.parametrize("bad, match", [(np.nan, "finite"),
+                                            (-0.1, "nonnegative")])
+    def test_a_bad_matrix_fails_every_member(self, bad, match):
+        P = np.array([[0.2, 0.8], [0.6, 0.4]])
+        P[1, 0] = bad
+        out = pf_stack(P, np.ones((3, 2)))
+        assert len(out) == 3
+        assert all(isinstance(e, ValueError) and match in str(e) for e in out)
 
     def test_scalar_members(self):
-        out = pf_stack(np.array([[[0.37]], [[0.0]], [[np.inf]]]))
+        out = pf_stack(np.array([[1.0]]), np.array([[0.37], [0.0], [np.inf]]))
         assert out[0].rho == 0.37
         assert "reducible" in str(out[1]) and "finite" in str(out[2])
 
     def test_shape_checked(self):
         with pytest.raises(ValueError, match="shape"):
-            pf_stack(np.ones((2, 3)))
+            pf_stack(np.ones((2, 3)), np.ones((1, 3)))
+        with pytest.raises(ValueError, match="shape"):
+            pf_stack(np.ones((2, 2)), np.ones((1, 3)))
 
 
 def support(x):
