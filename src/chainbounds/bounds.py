@@ -14,19 +14,20 @@ runs, so each round hands all of them with their neighbours to
 and the round's tilts to ``TiltedFamily.derivatives_many``, which solves
 their derivatives as one stacked linear solve; the evaluation loop then
 finds everything memoized.  Neighbours only give Lambda, so their tilted
-matrices are never built.  Constants are memoized on the
-model per side (``model.memo``), and the limit-matrix triple is shared
-with the boundary rate (``family.limit_triple``).
+matrices and rescaled triples are never built.  Constants are memoized
+on the model per side (``model.memo``), and the limit-matrix triple is
+shared with the boundary rate (``family.limit_triple``).
 
 The suprema are located with an adaptive grid, not a certified global
-optimizer: start from theta in {0, 0.25, ..., 8}, then each round halves
-the spacing around the current argmaxes and doubles the grid extent,
-stopping once the running maxima move by less than 1e-6 relative and the
-sigma2 tail guard (evaluations at the extent and at twice the extent stay
-below the current maximum) passes.  The eigenvector-ratio limit of the
-limit matrix is always included as a K candidate.  Diagnostics in
-``grid_summary`` expose where each supremum was attained so results can
-be audited.
+optimizer: start from theta in {0, 0.25, ..., 8}, the grid
+``family.half_line_grid`` that mean inversion brackets on too, then each
+round halves the spacing around the current argmaxes and doubles the
+grid extent, stopping once the running maxima move by less than 1e-6
+relative and the sigma2 tail guard (evaluations at the extent and at
+twice the extent stay below the current maximum) passes.  The
+eigenvector-ratio limit of the limit matrix is always included as a K
+candidate.  Diagnostics in ``grid_summary`` expose where each supremum
+was attained so results can be audited.
 """
 
 import math
@@ -38,8 +39,6 @@ from . import family as _family
 from .errors import DomainError
 from .model import MarkovModel, level_sets, memo
 
-GRID_SPACING = 0.25
-GRID_EXTENT = 8.0
 REFINE_ROUNDS = 12
 REFINE_RTOL = 1e-6
 LOCAL_POINTS = 8           # points added on each side of an argmax per round
@@ -160,7 +159,7 @@ def _compute_constants(model: MarkovModel, side: str) -> BoundConstants:
         if hit is not None:
             return hit
         theta = sign * t
-        v = fam.at(theta).triple.v
+        v = fam.at(theta).v
         w = fam.derivatives(theta)[0]
         ratio = v[None, :] / v[:, None]            # [x, y] = v(y)/v(x)
         k_t = float(ratio.max())
@@ -191,9 +190,9 @@ def _compute_constants(model: MarkovModel, side: str) -> BoundConstants:
         fam.at_many(_family.cross_check_thetas(thetas))
         fam.derivatives_many(thetas)
 
-    extent = GRID_EXTENT
-    spacing = GRID_SPACING
-    initial = np.arange(0.0, extent + spacing / 2, spacing)
+    extent = _family.GRID_EXTENT
+    spacing = _family.GRID_SPACING
+    initial = _family.half_line_grid()
     prefetch(initial)
     for t in initial:
         evaluate(t)

@@ -11,7 +11,10 @@ mu = Lambda'(theta) are dual coordinates.  The convex conjugate Lambda*
 is the large deviations rate used by the tail bounds.  Lambda'' and
 d log v / d theta take one fundamental-matrix solve at a cached point
 (Kemeny and Snell 1960; Meyer 1975), and mean inversion is Newton's
-method with that Lambda'' as slope.
+method with that Lambda'' as slope, bracketed and started on the initial
+tilt grid of a half-line (``half_line_grid``).  This module owns that
+grid, which the constant search of ``bounds`` starts from too, so after
+``bounds.constants`` a mean inversion finds its bracket memoized.
 
 To avoid overflow all spectral work happens on exp(-m) * P_tilde with
 m = max_y theta*f(y), and m is added back in log space.  That matrix is
@@ -26,12 +29,13 @@ the model (``model.memo``).  ``TiltedFamily.at_many`` solves a batch of
 tilts as one stacked Perron solve against the shared P, and
 ``TiltedFamily.derivatives_many`` the derivatives of a batch as one
 stacked linear solve, both with the bytes ``at`` and ``derivatives``
-compute one by one.  ``TiltedPoint.P_theta`` is built on first read; the
-derivatives build the tilted chains they need as a stack of their own,
-so the constant search keeps no (S, S) matrix per point.  All returned
-values are immutable.
+compute one by one.  ``TiltedPoint.triple`` and ``TiltedPoint.P_theta``
+are built on first read; the derivatives build the tilted chains they
+need as a stack of their own, so the constant search keeps no (S, S)
+matrix per point.  All returned values are immutable.
 """
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -41,8 +45,10 @@ import numpy as np
 from . import assumptions as _assumptions
 from . import perron as _perron
 from .errors import ConvergenceError, CrossCheckError, DomainError
-from .model import MarkovModel, level_sets, memo
+from .model import MarkovModel, level_sets, memo, publish
 
+GRID_SPACING = 0.25        # the initial tilt grid {0, 0.25, ..., 8} of a half-line,
+GRID_EXTENT = 8.0          # shared by the constant search and mean inversion
 CROSS_CHECK_STEP = 5e-4    # step of the mandatory quadratic-difference check
 DEGENERACY_TOL = 1e-10
 MEAN_MATCH_TOL = 1e-10
@@ -56,6 +62,7 @@ __all__ = [
     "TiltedFamily",
     "family_of",
     "cross_check_thetas",
+    "half_line_grid",
     "limit_triple",
     "tilt",
     "lambda_prime",
@@ -77,22 +84,38 @@ class TiltedPoint:
     ``triple`` is the Perron triple of the reweighted (untilted-scale)
     matrix; its ``rho`` equals exp(Lambda) and may overflow to inf for
     extreme theta, in which case ``Lambda`` remains the reliable field.
-    The remaining fields are what ``P_theta`` is built from: the
-    generator, the weights d = exp(theta*f - m) and the Perron root of
-    P diag(d).
+    ``triple`` and ``P_theta`` are built on first read from the remaining
+    fields: the generator, the weights d = exp(theta*f - m), the shift m
+    and the solver's triple of P diag(d), whose right vector is ``v``.
     """
 
     theta: float
-    triple: _perron.PerronTriple
     pi_theta: np.ndarray
     Lambda: float
     mean: float
     _P: np.ndarray = field(repr=False)
     _d: np.ndarray = field(repr=False)
-    _rho: float = field(repr=False)
+    _shift: float = field(repr=False)
+    _solved: _perron.PerronTriple = field(repr=False)
 
     def __post_init__(self):
         self.pi_theta.setflags(write=False)
+
+    @property
+    def v(self) -> np.ndarray:
+        """The right Perron vector ``triple.v``, read without building
+        ``triple``."""
+        return self._solved.v
+
+    @cached_property
+    def triple(self) -> _perron.PerronTriple:
+        """The Perron triple of the untilted-scale matrix, built on first
+        read."""
+        scale = math.exp(self._shift) if self._shift < 709.0 else math.inf
+        return _perron.PerronTriple(
+            rho=math.exp(self.Lambda) if self.Lambda < 709.0 else math.inf,
+            u=self._solved.u, v=self._solved.v,
+            residual=self._solved.residual * scale)
 
     @cached_property
     def P_theta(self) -> np.ndarray:
@@ -107,8 +130,8 @@ def _tilted_chains(points: list) -> np.ndarray:
     entry b does not depend on the other points."""
     P = points[0]._P
     D = np.array([p._d for p in points])
-    V = np.array([p.triple.v for p in points])
-    rho = np.array([p._rho for p in points])
+    V = np.array([p.v for p in points])
+    rho = np.array([p._solved.rho for p in points])
     P_theta = (P * D[:, None, :]) * (V[:, None, :] / (rho[:, None, None] * V[:, :, None]))
     # scrub the ~1e-13 eigen-residual off the row sums so tilted chains
     # are themselves valid generators
@@ -200,14 +223,17 @@ class TiltedFamily:
     def at_many(self, thetas) -> None:
         """Memoize the points of ``thetas`` from one stacked Perron solve.
 
-        Thetas already memoized are skipped; the rest are solved as one
-        stack against the shared P (``perron.pf_stack``), and each point is
+        Thetas already memoized are skipped, and nothing is solved when
+        all are; the rest are solved as one stack against the shared P
+        (``perron.pf_stack``) and published together, each point
         bit-identical to ``at(theta)`` on a fresh family.  A point whose
         tilt or solve fails is not published, so ``at(theta)`` raises its
         error alone.
         """
         todo = np.array([t for t in dict.fromkeys(map(float, thetas))
                          if t not in self._points])
+        if not todo.size:
+            return
         D, m = self._weights(todo)
         finite = np.isfinite(m)
         todo, D, m = todo[finite], D[finite], m[finite]
@@ -216,9 +242,9 @@ class TiltedFamily:
                   if isinstance(tri, _perron.PerronTriple)]
         if not solved:
             return
-        for point in self._assemble(todo[solved], D[solved], m[solved],
-                                    [triples[i] for i in solved]):
-            memo(self._points, point.theta, lambda _, p=point: p)
+        points = self._assemble(todo[solved], D[solved], m[solved],
+                                [triples[i] for i in solved])
+        publish(self._points, {p.theta: p for p in points})
 
     def _weights(self, thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Rows d = exp(theta*f - m) and the shifts m = max theta*f; m is
@@ -242,17 +268,11 @@ class TiltedFamily:
         pi = np.array([tri.u for tri in triples]) * np.array(
             [tri.v for tri in triples])
         means = np.matmul(pi[:, None, :], self.f[:, None])[:, 0, 0].tolist()
-        points = []
-        for b, (theta, tri, shift) in enumerate(zip(thetas, triples, m.tolist())):
-            Lam = shift + math.log(tri.rho)
-            scale = math.exp(shift) if shift < 709.0 else math.inf
-            triple = _perron.PerronTriple(
-                rho=math.exp(Lam) if Lam < 709.0 else math.inf,
-                u=tri.u, v=tri.v, residual=tri.residual * scale)
-            points.append(TiltedPoint(
-                theta=float(theta), triple=triple, pi_theta=pi[b], Lambda=Lam,
-                mean=means[b], _P=self.P, _d=D[b], _rho=tri.rho))
-        return points
+        return [TiltedPoint(theta=float(theta), pi_theta=pi[b],
+                            Lambda=shift + math.log(tri.rho), mean=means[b],
+                            _P=self.P, _d=D[b], _shift=shift, _solved=tri)
+                for b, (theta, tri, shift)
+                in enumerate(zip(thetas, triples, m.tolist()))]
 
     @property
     def stationary_mean(self) -> float:
@@ -285,6 +305,8 @@ class TiltedFamily:
         w = Z P_theta fc, fc = f - Lambda', is d log v / d theta up to a
         constant that cancels from every eigenvector ratio, and Lambda'' =
         2 pi(fc Z fc) - pi(fc^2).  Memoized; ``lambda_second`` checks it.
+        A singular I - P_theta + 1 pi' (seen on sparse chains once the tilt
+        has underflowed part of the chain) raises ``ConvergenceError``.
         """
         return memo(self._derivatives, float(theta), self._derive)
 
@@ -295,7 +317,7 @@ class TiltedFamily:
         Thetas without a memoized point are skipped, so ``derivatives``
         raises their solve's error alone; a singular slice fails the whole
         stacked solve, so then nothing is memoized and each ``derivatives``
-        call solves alone.
+        call solves alone, the singular ones raising.
         """
         todo = [t for t in dict.fromkeys(map(float, thetas))
                 if t in self._points and t not in self._derivatives]
@@ -303,11 +325,16 @@ class TiltedFamily:
             stacked = self._derive_stack([self._points[t] for t in todo])
         except np.linalg.LinAlgError:
             return
-        for theta, value in zip(todo, stacked):
-            memo(self._derivatives, theta, lambda _, v=value: v)
+        publish(self._derivatives, dict(zip(todo, stacked)))
 
     def _derive(self, theta: float) -> tuple[np.ndarray, float]:
-        return self._derive_stack([self.at(theta)])[0]
+        point = self.at(theta)
+        try:
+            return self._derive_stack([point])[0]
+        except np.linalg.LinAlgError as exc:
+            raise ConvergenceError(
+                f"family: I - P_theta + 1 pi' is singular at theta={theta!r}; "
+                "Lambda'' and d log v / d theta are unavailable there") from exc
 
     def _derive_stack(self, points: list) -> list[tuple[np.ndarray, float]]:
         """``derivatives`` of each point; LAPACK runs once per slice of the
@@ -370,6 +397,13 @@ def cross_check_thetas(thetas) -> list[float]:
     return out
 
 
+def half_line_grid() -> np.ndarray:
+    """The tilts {0, GRID_SPACING, ..., GRID_EXTENT} of a half-line: the
+    first round of the constant search and the bracket grid of
+    ``theta_of_mean``, times the side's sign."""
+    return np.arange(0.0, GRID_EXTENT + GRID_SPACING / 2, GRID_SPACING)
+
+
 def family_of(model: MarkovModel) -> TiltedFamily:
     """Memoized family handle for a model instance."""
     return memo(model._derived, "family", lambda _: TiltedFamily(model))
@@ -408,11 +442,17 @@ def theta_of_mean(model: MarkovModel, mu: float) -> float:
     """Invert the strictly increasing mean map: find theta with
     Lambda'(theta) = mu.
 
-    Doubles the bracket [-1, 1] until the mean map brackets mu, then runs
-    Newton's method from the nearer endpoint with slope Lambda'', taking
-    the bracket midpoint whenever a step would leave the bracket.  Requires
-    a nondegenerate family and mu strictly inside the attainable mean
-    range.
+    The bracket comes from the half-line toward mu: first the constant
+    search's initial grid sign * {0, 0.25, ..., 8} (``half_line_grid``),
+    memoized after ``bounds.constants`` and otherwise solved as one stack,
+    then the tilts sign * 16, 32, ... one at a time.  Newton's method with
+    slope Lambda'' starts at the cubic Hermite interpolant of the inverse
+    map theta(mu) on the bracket, whose slopes are 1 / Lambda'' at the ends
+    (the bracket midpoint if an end has none), and takes the bracket
+    midpoint whenever a step would leave the bracket.  Stacked and solo
+    points are bit-identical, so the result does not depend on what the
+    family memoized before.  Requires a nondegenerate family and mu
+    strictly inside the attainable mean range.
     """
     fam = family_of(model)
     if fam.is_degenerate:
@@ -425,34 +465,44 @@ def theta_of_mean(model: MarkovModel, mu: float) -> float:
         raise DomainError(
             f"family: mu={mu!r} is not strictly inside the mean range "
             f"({ls.a!r}, {ls.b!r})")
+    pif = fam.stationary_mean
+    if mu == pif:
+        return 0.0
+    sign = 1.0 if mu > pif else -1.0
+    where = "above" if sign > 0.0 else "below"
+    grid = (sign * half_line_grid()).tolist()
+    fam.at_many(grid)
 
     def g(t: float) -> float:
         return fam.at(t).mean - mu
 
-    def expand(endpoint: float, value: float, where: str):
-        # Doubling stops early if the eigensolver gives out: that happens
-        # when eigenvector ratios blow up with the tilt, i.e. exactly when
-        # the attainable means end strictly before the extreme of f and mu
-        # sits beyond them.
-        for _ in range(60):
-            if (value <= 0.0) if where == "below" else (value >= 0.0):
-                return endpoint, value
-            endpoint *= 2.0
-            try:
-                value = g(endpoint)
-            except ConvergenceError as exc:
-                raise DomainError(
-                    f"family: mu={mu!r} lies {where} every attainable mean "
-                    f"(last bracketed tilt {endpoint / 2!r}; eigensolver "
-                    f"gave up beyond it)") from exc
+    # The mean map increases, so the first tilt whose mean reaches mu ends
+    # the bracket.  A grid point missing from the memo failed its solve;
+    # the doubled tilts fail once eigenvector ratios blow up, i.e. when the
+    # attainable means end strictly before the extreme of f and mu lies
+    # beyond them.
+    extension = (sign * GRID_EXTENT * 2.0 ** k for k in range(1, 58))
+    last = None
+    for theta in itertools.chain(grid, extension):    # up to |theta| = 2**60
+        try:
+            gap = (fam._points.get(theta) or fam.at(theta)).mean - mu
+        except ConvergenceError as exc:
+            raise DomainError(
+                f"family: mu={mu!r} lies {where} every attainable mean "
+                f"(last bracketed tilt {last!r}; eigensolver gave up "
+                f"beyond it)") from exc
+        if sign * gap >= 0.0:
+            break
+        last = theta
+    else:
         raise DomainError(
             f"family: mu={mu!r} lies {where} every attainable mean")
 
-    lo, hi = -1.0, 1.0
-    lo, g_lo = expand(lo, g(lo), "below")
-    hi, g_hi = expand(hi, g(hi), "above")
-
-    theta, g_t = (lo, g_lo) if -g_lo <= g_hi else (hi, g_hi)
+    lo, hi = sorted((last, theta))
+    theta = _hermite_start(fam, mu, lo, hi)
+    if not lo < theta < hi:
+        theta = 0.5 * (lo + hi)
+    g_t = g(theta)
     for _ in range(100):
         if abs(g_t) <= NEWTON_TOL * (1.0 + abs(mu)):
             break
@@ -471,6 +521,25 @@ def theta_of_mean(model: MarkovModel, mu: float) -> float:
             f"family: mean inversion stalled at |Lambda' - mu| = {err:.3e} "
             f"for mu={mu!r}")
     return float(theta)
+
+
+def _hermite_start(fam: TiltedFamily, mu: float, lo: float,
+                   hi: float) -> float:
+    """The cubic Hermite interpolant at mu of the inverse mean map theta(mu)
+    through the memoized bracket ends lo < hi, with slopes 1 / Lambda''
+    from one stacked derivative solve; NaN if an end has no derivative."""
+    fam.derivatives_many((lo, hi))
+    try:
+        c_lo, c_hi = fam.derivatives(lo)[1], fam.derivatives(hi)[1]
+    except ConvergenceError:
+        return math.nan
+    if not (c_lo > 0.0 and c_hi > 0.0):
+        return math.nan
+    m_lo = fam.at(lo).mean
+    h = fam.at(hi).mean - m_lo
+    s = (mu - m_lo) / h
+    return ((1.0 + 2.0 * s) * (1.0 - s) ** 2 * lo + s * (1.0 - s) ** 2 * h / c_lo
+            + s * s * (3.0 - 2.0 * s) * hi - s * s * (1.0 - s) * h / c_hi)
 
 
 def kl_rate(model: MarkovModel, theta1: float, theta2: float) -> float:

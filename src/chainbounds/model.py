@@ -59,6 +59,14 @@ def memo(cache: dict, key, compute):
     return hit
 
 
+def publish(cache: dict, values: dict) -> None:
+    """Publish ``values`` into a ``memo`` cache under one acquisition of the
+    lock; a key already there keeps its first value."""
+    with _MEMO_LOCK:
+        for key, value in values.items():
+            cache.setdefault(key, value)
+
+
 @dataclass(frozen=True, eq=False)
 class MarkovModel:
     """Validated finite-state Markov model: labels, P, f and q.

@@ -1,7 +1,11 @@
 import json
 
+import numpy as np
+import pytest
+
 from chainbounds import __version__, lambda_n_exact, load_model
 from chainbounds.cli import main
+from conftest import random_irreducible_model
 
 TWO_STATE_DOC = """
 states: [s0, s1]
@@ -316,3 +320,18 @@ class TestUsageAndErrors:
                                "--theta", "600")
         assert code == 2
         assert "perron" in err
+
+    @pytest.mark.parametrize("seed, theta", [(31, "163"), (1, "-163")])
+    def test_singular_fundamental_matrix_exits_two(self, write_model, capsys,
+                                                   seed, theta):
+        # at this tilt part of the sparse chain has underflowed and
+        # I - P_theta + 1 pi' is exactly singular
+        model = random_irreducible_model(np.random.default_rng(seed), 11)
+        path = write_model(json.dumps({"states": list(model.states),
+                                       "P": model.P.tolist(),
+                                       "f": model.f.tolist()}))
+        code, _, err = run_cli(capsys, "spectrum", "--model", path,
+                               "--theta", theta)
+        assert code == 2
+        assert err.startswith("error: family: ")
+        assert f"singular at theta={float(theta)!r}" in err
