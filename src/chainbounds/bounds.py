@@ -6,28 +6,25 @@ theta-derivative, and sigma2 the supremum of Lambda'' there; all three
 are finite under the side's positivity assumptions because the spectral
 objects converge to those of the column-restricted limit matrix.
 
-A grid point needs three Perron solves: theta, and theta +/- 5e-4
-(1 + |theta|) for the cross-check of Lambda''; derivatives come from
-``TiltedFamily.derivatives``.  The points of a round are known before it
-runs, so each round hands all of them with their neighbours to
-``TiltedFamily.at_many``, which solves them as one stacked Perron solve,
-and the round's tilts to ``TiltedFamily.derivatives_many``, which solves
-their derivatives as one stacked linear solve; the evaluation loop then
-finds everything memoized.  Neighbours only give Lambda, so their tilted
-matrices and rescaled triples are never built.  Constants are memoized
-on the model per side (``model.memo``), and the limit-matrix triple is
-shared with the boundary rate (``family.limit_triple``).
+K, L and sigma2 are the maxima over every evaluated tilt, the tail guard
+tilts included, so each is at least every value the search computed.
+A round hands all of its new tilts to ``TiltedFamily.lambda_second_many``
+(one stacked Perron solve with the cross-check neighbours, one stacked
+linear solve for the derivatives), then reduces the eigenvector ratios
+of the whole round as one stack.  Constants are memoized on the model
+per side (``model.memo``), and the limit-matrix triple is shared with
+the boundary rate (``family.limit_triple``).
 
 The suprema are located with an adaptive grid, not a certified global
 optimizer: start from theta in {0, 0.25, ..., 8}, the grid
 ``family.half_line_grid`` that mean inversion brackets on too, then each
 round halves the spacing around the current argmaxes and doubles the
 grid extent, stopping once the running maxima move by less than 1e-6
-relative and the sigma2 tail guard (evaluations at the extent and at
-twice the extent stay below the current maximum) passes.  The
-eigenvector-ratio limit of the limit matrix is always included as a K
-candidate.  Diagnostics in ``grid_summary`` expose where each supremum
-was attained so results can be audited.
+relative and the sigma2 tail guard passes: each round also evaluates
+the extent and twice the extent, and sigma2 must peak strictly inside
+the extent.  The eigenvector-ratio limit of the limit matrix is always
+included as a K candidate.  Diagnostics in ``grid_summary`` expose where
+each supremum was attained so results can be audited.
 """
 
 import math
@@ -60,11 +57,14 @@ __all__ = [
 class GridSummary:
     """Diagnostics of the supremum search.
 
-    ``argmax_K`` is +/-inf when the limit-matrix candidate won.  A summary
-    with ``converged`` False means the refinement budget ran out and the
-    constants are best-so-far values.  ``tail_guard_passed`` reports the
-    two-point Lambda'' lookahead, which is a pragmatic guard rather than
-    a proof that the tail holds no larger value.
+    ``theta_max`` is the final grid extent; evaluation reaches
+    ``2 * theta_max``, the tail guard's lookahead, and those tilts count
+    in ``n_points`` and the maxima.  ``argmax_K`` is +/-inf when the
+    limit-matrix candidate won.  A summary with ``converged`` False means
+    the refinement budget ran out and the constants are best-so-far
+    values.  ``tail_guard_passed`` reports the two-point Lambda''
+    lookahead, which is a pragmatic guard rather than a proof that the
+    tail holds no larger value.
     """
 
     theta_max: float
@@ -150,52 +150,43 @@ def _compute_constants(model: MarkovModel, side: str) -> BoundConstants:
     K_limit = float(v_inf.max() / v_inf.min())
     rho_inf = limit_triple.rho
 
-    evals: dict[float, tuple[float, float, float]] = {}
+    # the evaluated t >= 0 of the half-line, sorted, with K_t, L_t and
+    # sigma2_t at each in the rows of ``values``; the real tilt is sign * t
+    done = np.empty(0)
+    values = np.empty((3, 0))
 
-    def evaluate(t: float) -> tuple[float, float, float]:
-        # t >= 0 parametrizes the half-line; the real tilt is sign * t
-        t = float(t)
-        hit = evals.get(t)
-        if hit is not None:
-            return hit
-        theta = sign * t
-        v = fam.at(theta).v
-        w = fam.derivatives(theta)[0]
-        ratio = v[None, :] / v[:, None]            # [x, y] = v(y)/v(x)
-        k_t = float(ratio.max())
-        l_t = float(np.abs(ratio * (w[None, :] - w[:, None])).max())
-        s2_t = fam.lambda_second(theta)
-        out = (k_t, l_t, s2_t)
-        evals[t] = out
-        return out
+    def evaluate(ts) -> None:
+        # one round: its new tilts' Lambda'' from one family call, then v
+        # and w from the memo, reduced as a stack
+        nonlocal done, values
+        known = set(done.tolist())
+        ts = np.array([t for t in dict.fromkeys(map(float, ts)) if t not in known])
+        thetas = (sign * ts).tolist()
+        s2 = fam.lambda_second_many(thetas)
+        V = np.array([fam.at(theta).v for theta in thetas])
+        W = np.array([fam.derivatives(theta)[0] for theta in thetas])
+        ratio = V[:, None, :] / V[:, :, None]      # [b, x, y] = v(y)/v(x)
+        slope = W[:, None, :] - W[:, :, None]
+        slope *= ratio
+        L_t = np.abs(slope, out=slope).max(axis=(1, 2))
+        done = np.concatenate((done, ts))
+        values = np.concatenate(
+            (values, [ratio.max(axis=(1, 2)), L_t, s2]), axis=1)
+        order = np.argsort(done)
+        done, values = done[order], values[:, order]
 
     def running_maxima():
-        k_arg, l_arg, s_arg = math.inf * sign, 0.0, 0.0
-        k_best, l_best, s_best = K_limit, -math.inf, -math.inf
-        for t in sorted(evals):
-            k_t, l_t, s2_t = evals[t]
-            if k_t > k_best:
-                k_best, k_arg = k_t, sign * t
-            if l_t > l_best:
-                l_best, l_arg = l_t, sign * t
-            if s2_t > s_best:
-                s_best, s_arg = s2_t, sign * t
-        return (k_best, l_best, s_best), (k_arg, l_arg, s_arg)
-
-    def prefetch(ts):
-        # one stacked Perron solve for the round's tilts and their
-        # cross-check neighbours, and one stacked linear solve for the
-        # tilts' derivatives; ``evaluate`` then finds all of it memoized
-        thetas = [sign * float(t) for t in ts]
-        fam.at_many(_family.cross_check_thetas(thetas))
-        fam.derivatives_many(thetas)
+        # the smallest maximizing t of each row; K_limit wins ties
+        i = values.argmax(axis=1)
+        best = values[np.arange(3), i].tolist()
+        args = (sign * done[i]).tolist()
+        if not best[0] > K_limit:
+            best[0], args[0] = K_limit, math.inf * sign
+        return tuple(best), tuple(args)
 
     extent = _family.GRID_EXTENT
     spacing = _family.GRID_SPACING
-    initial = _family.half_line_grid()
-    prefetch(initial)
-    for t in initial:
-        evaluate(t)
+    evaluate(_family.half_line_grid())
     best, args = running_maxima()
 
     rounds = 0
@@ -216,18 +207,13 @@ def _compute_constants(model: MarkovModel, side: str) -> BoundConstants:
             for j in range(1, LOCAL_POINTS + 1):
                 ts.extend(t for t in (center - j * spacing, center + j * spacing)
                           if 0.0 <= t <= extent)
-        prefetch(ts + [extent, 2.0 * extent])
-        for t in ts:
-            evaluate(t)
+        evaluate(ts + [extent, 2.0 * extent])
         best, args = running_maxima()
         moved = max(
             abs(b - p) / max(abs(p), 1e-30) for b, p in zip(best, prev))
-        s2_at_edge = evaluate(extent)[2]
-        s2_beyond = evaluate(2.0 * extent)[2]
-        guard_tol = 1e-12 * max(1.0, best[2])
-        tail_ok = (s2_at_edge <= best[2] + guard_tol
-                   and s2_beyond <= best[2] + guard_tol
-                   and abs(args[2]) < extent)
+        # sigma2 at the guard tilts extent and 2 * extent is inside the
+        # maximum, so the tail guard holds when it peaks before the extent
+        tail_ok = abs(args[2]) < extent
         if moved < REFINE_RTOL and tail_ok:
             converged = True
             break
@@ -236,7 +222,7 @@ def _compute_constants(model: MarkovModel, side: str) -> BoundConstants:
     summary = GridSummary(
         theta_max=extent,
         rounds=rounds,
-        n_points=len(evals),
+        n_points=done.size,
         argmax_K=args[0],
         argmax_L=args[1],
         argmax_sigma2=args[2],

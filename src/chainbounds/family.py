@@ -29,10 +29,14 @@ the model (``model.memo``).  ``TiltedFamily.at_many`` solves a batch of
 tilts as one stacked Perron solve against the shared P, and
 ``TiltedFamily.derivatives_many`` the derivatives of a batch as one
 stacked linear solve, both with the bytes ``at`` and ``derivatives``
-compute one by one.  ``TiltedPoint.triple`` and ``TiltedPoint.P_theta``
-are built on first read; the derivatives build the tilted chains they
-need as a stack of their own, so the constant search keeps no (S, S)
-matrix per point.  All returned values are immutable.
+compute one by one.  ``TiltedFamily.lambda_second_many`` runs both for
+a batch of tilts and the cross-check neighbours of their Lambda'', a
+stencil only this module knows; the constant search makes one such call
+per round, ``spectral_curve`` and the degeneracy test one each.
+``TiltedPoint.triple`` and ``TiltedPoint.P_theta`` are built on first
+read; the derivatives build the tilted chains they need as a stack of
+their own, so the constant search keeps no (S, S) matrix per point.  All
+returned values are immutable.
 """
 
 import itertools
@@ -61,7 +65,6 @@ __all__ = [
     "RatePoint",
     "TiltedFamily",
     "family_of",
-    "cross_check_thetas",
     "half_line_grid",
     "limit_triple",
     "tilt",
@@ -285,11 +288,8 @@ class TiltedFamily:
         return self._degenerate
 
     def _detect_degenerate(self) -> bool:
-        centres = (-1.0, 0.0, 1.0)
-        self.at_many(cross_check_thetas(centres))
-        self.derivatives_many(centres)
+        d_curv = max(self.lambda_second_many((-1.0, 0.0, 1.0)))
         d_matrix = float(np.abs(self.at(1.0).P_theta - self.P).max())
-        d_curv = max(self.lambda_second(t) for t in centres)
         near_const = d_matrix <= DEGENERACY_TOL
         flat = d_curv <= DEGENERACY_TOL
         if near_const != flat:
@@ -378,6 +378,17 @@ class TiltedFamily:
                 f"(tolerance {tol:.1e})")
         return value
 
+    def lambda_second_many(self, thetas) -> list[float]:
+        """``lambda_second`` at each of ``thetas``, in order, at the default
+        step: the tilts and their cross-check neighbours are solved as one
+        stacked Perron solve (``at_many``) and the tilts' derivatives as one
+        stacked linear solve (``derivatives_many``).  The first failure
+        raises what a loop of ``lambda_second`` raises."""
+        thetas = [float(t) for t in thetas]
+        self.at_many([s for t in thetas for s in (t, *_stencil(t)[1:])])
+        self.derivatives_many(thetas)
+        return [self.lambda_second(t) for t in thetas]
+
 
 def _stencil(theta: float, h: float | None = None) -> tuple[float, float, float]:
     """(h, theta - h, theta + h): the step of the Lambda'' cross-check at
@@ -385,16 +396,6 @@ def _stencil(theta: float, h: float | None = None) -> tuple[float, float, float]
     if h is None:
         h = CROSS_CHECK_STEP * (1.0 + abs(theta))
     return h, theta - h, theta + h
-
-
-def cross_check_thetas(thetas) -> list[float]:
-    """Each theta followed by the neighbours ``lambda_second`` solves at
-    its default step: the tilts to hand ``TiltedFamily.at_many`` before
-    evaluating Lambda'' at thetas."""
-    out = []
-    for theta in map(float, thetas):
-        out.extend((theta, *_stencil(theta)[1:]))
-    return out
 
 
 def half_line_grid() -> np.ndarray:
@@ -661,14 +662,7 @@ def spectral_curve(model: MarkovModel, thetas) -> SpectralCurve:
     """Evaluate Lambda, Lambda' and Lambda'' over a theta grid."""
     fam = family_of(model)
     grid = np.asarray(thetas, dtype=np.float64)
-    fam.at_many(cross_check_thetas(grid))
-    fam.derivatives_many(grid)
-    lam = np.empty_like(grid)
-    lam1 = np.empty_like(grid)
-    lam2 = np.empty_like(grid)
-    for i, t in enumerate(grid):
-        point = fam.at(t)
-        lam[i] = point.Lambda
-        lam1[i] = point.mean
-        lam2[i] = fam.lambda_second(t)
-    return SpectralCurve(grid=grid, Lambda=lam, Lambda1=lam1, Lambda2=lam2)
+    lam2 = fam.lambda_second_many(grid)
+    points = [fam.at(t) for t in grid]
+    return SpectralCurve(grid=grid, Lambda=[p.Lambda for p in points],
+                         Lambda1=[p.mean for p in points], Lambda2=lam2)

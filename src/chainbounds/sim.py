@@ -175,14 +175,9 @@ def _exact_integers(u: np.ndarray) -> np.ndarray:
     return m
 
 
-def _philox_integers(key: int, count: int) -> np.ndarray:
-    """m with m * 2**-53 the first ``count`` values of
-    ``Generator(Philox(key=key)).random()``."""
-    return (np.random.Philox(key=key).random_raw(count) >> 11).view(np.int64)
-
-
 def _philox_rows(first: int, rows: int, count: int) -> np.ndarray:
-    """Row i is ``_philox_integers(first + i, count)``, for i < rows.
+    """Row i is m with m * 2**-53 the first ``count`` values of
+    ``Generator(Philox(key=first + i)).random()``, for i < rows.
 
     One Philox serves every row: its documented ``state`` dict is set to
     key words ((first + i) mod 2**64, (first + i) >> 64), counter zero and
@@ -229,7 +224,7 @@ def sample_trajectory(model: MarkovModel, n: int, rng) -> np.ndarray:
     if isinstance(rng, np.random.Generator):
         m = _exact_integers(rng.random(n + 1))
     else:
-        m = _philox_integers(_check_seed(rng), n + 1)
+        m = _philox_rows(_check_seed(rng), 1, n + 1)[0]
     return _path(model, m)
 
 

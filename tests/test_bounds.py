@@ -64,9 +64,29 @@ class TestConstants:
         assert abs(up.rho_inf - lo.rho_inf) <= 1e-12
 
     def test_running_maxima_dominate_any_sample(self):
-        model = two_state(0.3, 0.3)
+        rng = np.random.default_rng(5)
+        for _ in range(14):
+            twenty_states = random_positive_model(rng, int(rng.integers(2, 30)))
+        cases = [(two_state(0.3, 0.3), "upper"), (twenty_states, "lower"),
+                 (random_positive_model(np.random.default_rng(30), 4), "lower")]
+        for model, side in cases:
+            c = constants(model, side)
+            fam = family_of(model)
+            sign = 1.0 if side == "upper" else -1.0
+            # every tilt the search solved, its guard tilts included
+            solved = [t for t in list(fam._points)
+                      if sign * t >= 0.0 and t in fam._derivatives]
+            assert solved
+            for theta in solved:
+                v = fam.at(theta).v
+                w = fam.derivatives(theta)[0]
+                ratio = v[None, :] / v[:, None]
+                assert ratio.max() <= c.K
+                assert np.abs(ratio * (w[None, :] - w[:, None])).max() <= c.L
+                assert fam.lambda_second(theta) <= c.sigma2
+        model = cases[0][0]
         c = constants(model, "upper")
-        from chainbounds import family_of, lambda_second
+        from chainbounds import lambda_second
         fam = family_of(model)
         for theta in np.linspace(0.0, 6.0, 25):
             v = fam.at(theta).triple.v

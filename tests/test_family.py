@@ -438,7 +438,7 @@ def theta_sets(draw):
     thetas = [0.0] + base + draw(st.lists(st.sampled_from(base), max_size=3))
     # the cross-check neighbours of a few of them, as the constant search asks
     for theta in draw(st.lists(st.sampled_from(base), max_size=3)):
-        thetas += family_module.cross_check_thetas([theta])[1:]
+        thetas += family_module._stencil(theta)[1:]
     return draw(st.permutations(thetas))
 
 
@@ -503,6 +503,18 @@ class TestStackedPoints:
             for theta in thetas:
                 assert derivative_outcome(fam, theta) == solo[theta]
 
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(model=chains(), thetas=theta_sets())
+    def test_lambda_second_many_equals_solo_values(self, model, thetas):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(perron_module, "ITERATION_BUDGET", 2000)
+            assert (curvature_outcome(TiltedFamily(model).lambda_second_many,
+                                      thetas)
+                    == curvature_outcome(
+                        lambda ts: [TiltedFamily(model).lambda_second(t)
+                                    for t in ts], thetas))
+
     def test_a_singular_slice_fails_alone(self, monkeypatch):
         # with the identity in place of P_1, I - P_1 + 1 pi' is the
         # rank-one 1 pi', which fails numpy's whole stacked solve
@@ -544,6 +556,14 @@ class TestStackedPoints:
         assert point.P_theta.tobytes() == eager.tobytes()
         assert point.triple.rho == math.exp(point.Lambda)
         assert point.triple.residual == solved.residual * math.exp(expo.max())
+
+
+def curvature_outcome(lambda_seconds, thetas):
+    """``lambda_seconds(thetas)`` as bytes, or the error it raises."""
+    try:
+        return np.array(lambda_seconds(thetas)).tobytes()
+    except (ConvergenceError, CrossCheckError, DomainError) as exc:
+        return type(exc), str(exc)
 
 
 def derivative_outcome(fam, theta):
