@@ -32,11 +32,14 @@ stacked linear solve, both with the bytes ``at`` and ``derivatives``
 compute one by one.  ``TiltedFamily.lambda_second_many`` runs both for
 a batch of tilts and the cross-check neighbours of their Lambda'', a
 stencil only this module knows; the constant search makes one such call
-per round, ``spectral_curve`` and the degeneracy test one each.
+per round and ``spectral_curve`` one.
 ``TiltedPoint.triple`` and ``TiltedPoint.P_theta`` are built on first
 read; the derivatives build the tilted chains they need as a stack of
 their own, so the constant search keeps no (S, S) matrix per point.  All
-returned values are immutable.
+returned values are immutable.  The limits of Lambda' toward -inf and +inf
+are the least and greatest means of f along a cycle of the graph P > 0
+(Friedland 1986); Karp's recursion gives them without a Perron solve
+(``_cycle_means``), for degeneracy (they coincide) and ``mean_set``.
 """
 
 import itertools
@@ -176,9 +179,8 @@ class SpectralCurve:
 class MeanSet:
     """Closure endpoints of the attainable tilted means, within [a, b].
 
-    When a side's assumptions fail the corresponding endpoint is a
-    numerical estimate from below/above (probed at geometrically growing
-    tilts), since the closure may then end strictly inside (a, b).
+    When a side's assumptions fail its endpoint is the extreme cycle mean
+    of f on that side, which may lie strictly inside (a, b).
     """
 
     lo: float
@@ -218,7 +220,6 @@ class TiltedFamily:
         self.P, self.f = model.P, model.f
         self._points: dict[float, TiltedPoint] = {}
         self._derivatives: dict[float, tuple[np.ndarray, float]] = {}
-        self._degenerate: bool | None = None
 
     def at(self, theta: float) -> TiltedPoint:
         return memo(self._points, float(theta), self._compute)
@@ -281,23 +282,10 @@ class TiltedFamily:
     def stationary_mean(self) -> float:
         return self.at(0.0).mean
 
-    @property
+    @cached_property
     def is_degenerate(self) -> bool:
-        if self._degenerate is None:
-            self._degenerate = self._detect_degenerate()
-        return self._degenerate
-
-    def _detect_degenerate(self) -> bool:
-        d_curv = max(self.lambda_second_many((-1.0, 0.0, 1.0)))
-        d_matrix = float(np.abs(self.at(1.0).P_theta - self.P).max())
-        near_const = d_matrix <= DEGENERACY_TOL
-        flat = d_curv <= DEGENERACY_TOL
-        if near_const != flat:
-            raise CrossCheckError(
-                "family: degeneracy indicators disagree: "
-                f"max|P_1 - P| = {d_matrix:.3e}, max Lambda'' = {d_curv:.3e} "
-                f"(threshold {DEGENERACY_TOL})")
-        return near_const
+        lo, hi = _cycle_means(self.P, self.f)
+        return hi - lo <= DEGENERACY_TOL * (1.0 + float(np.abs(self.f).max()))
 
     def derivatives(self, theta: float) -> tuple[np.ndarray, float]:
         """(w, Lambda'') from one solve with Z = (I - P_theta + 1 pi')^-1.
@@ -396,6 +384,27 @@ def _stencil(theta: float, h: float | None = None) -> tuple[float, float, float]
     if h is None:
         h = CROSS_CHECK_STEP * (1.0 + abs(theta))
     return h, theta - h, theta + h
+
+
+def _cycle_means(P: np.ndarray, f: np.ndarray) -> tuple[float, float]:
+    """(least, greatest) mean of f along a cycle of the graph P > 0: the
+    limits of Lambda'(theta) as theta -> -inf and +inf (Friedland 1986).
+
+    Karp's recursion (Karp 1978) from every state, so the graph need not be
+    strongly connected: D[k, :, v] is the greatest weight of a k-step walk
+    ending at v, a step into y weighing f(y) (row 0) or -f(y) (row 1), and
+    the greatest cycle mean is max_v min_k (D[S, v] - D[k, v]) / (S - k).
+    """
+    S = f.size
+    edges = np.where(P > 0.0, 0.0, -np.inf)
+    weights = np.stack((f, -f))
+    D = np.zeros((S + 1, 2, S))
+    for k in range(S):
+        D[k + 1] = (D[k][:, :, None] + edges).max(axis=1) + weights
+    with np.errstate(invalid="ignore"):
+        ratio = ((D[S] - D[:S]) / (S - np.arange(S))[:, None, None]).min(axis=0)
+    best = np.where(D[S] > -np.inf, ratio, -np.inf).max(axis=1)
+    return -float(best[1]), float(best[0])
 
 
 def half_line_grid() -> np.ndarray:
@@ -618,44 +627,27 @@ def rate_function(model: MarkovModel, mu: float, side: str = "upper") -> RatePoi
 def detect_degenerate(model: MarkovModel) -> bool:
     """True iff tilting never moves the chain (constant family).
 
-    Decided by two indicators that must agree: P_1 equals P entrywise and
-    Lambda'' vanishes at theta in {-1, 0, 1}, both to 1e-10.  Borderline
-    chains, where the indicators disagree, raise with both numbers.
+    Decided without a Perron solve: the family is constant iff f has one
+    mean along every cycle of the graph P > 0, i.e. the least and greatest
+    cycle means differ by at most DEGENERACY_TOL * (1 + max|f|).
     """
     return family_of(model).is_degenerate
 
 
 def mean_set(model: MarkovModel) -> MeanSet:
-    """Attainable tilted means: closure endpoints within [a, b]."""
+    """Attainable tilted means: closure endpoints within [a, b], the
+    extreme b (a) where the upper (lower) assumptions hold and otherwise
+    the greatest (least) cycle mean of f (``_cycle_means``)."""
     fam = family_of(model)
     pif = fam.stationary_mean
     if fam.is_degenerate:
         return MeanSet(lo=pif, hi=pif, degenerate=True, stationary_mean=pif)
     ls = level_sets(model)
     report = _assumptions.validate(model)
-    hi = ls.b if report.upper_ok else _tail_mean_estimate(fam, +1.0)
-    lo = ls.a if report.lower_ok else _tail_mean_estimate(fam, -1.0)
-    return MeanSet(lo=lo, hi=hi, degenerate=False, stationary_mean=pif)
-
-
-def _tail_mean_estimate(fam: TiltedFamily, sign: float) -> float:
-    """Estimate lim Lambda'(sign*theta) by probing growing tilts.
-
-    Stops when increments fall below 1e-9 or the eigensolver gives up
-    (the latter happens for chains whose eigenvector ratios blow up,
-    which is exactly the regime where the limit is not assumption-backed).
-    """
-    last = fam.stationary_mean
-    for t in (1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0):
-        try:
-            cur = fam.at(sign * t).mean
-        except ConvergenceError:
-            break
-        if abs(cur - last) < 1e-9:
-            last = cur
-            break
-        last = cur
-    return last
+    lo, hi = _cycle_means(model.P, model.f)
+    return MeanSet(lo=ls.a if report.lower_ok else lo,
+                   hi=ls.b if report.upper_ok else hi,
+                   degenerate=False, stationary_mean=pif)
 
 
 def spectral_curve(model: MarkovModel, thetas) -> SpectralCurve:

@@ -129,7 +129,7 @@ def _build_sampler(model: MarkovModel) -> _Sampler:
     for r, row in enumerate(bound):
         lo[r] = np.searchsorted(row, starts, side="right") + r * S
         skip[r] = np.searchsorted(row, row, side="right") - columns
-        distinct = np.unique(row)
+        distinct = row[np.r_[True, row[1:] != row[:-1]]]    # row is sorted
         inside = (np.searchsorted(distinct, ends, side="left")
                   - np.searchsorted(distinct, starts, side="right"))
         extra = max(extra, int(inside.max()))

@@ -133,6 +133,27 @@ def lambda_second_pair_variance(P, f, theta: float, h: float) -> float:
     return float((weights * (g - mean) ** 2).sum())
 
 
+def simple_cycle_means(P, f) -> tuple[float, float]:
+    """(least, greatest) mean of f over the states of a simple cycle of the
+    graph P > 0, by enumerating every simple cycle: each cycle is walked
+    from its smallest state through larger ones only, by depth-first
+    search.  Self-loops count as cycles of length one."""
+    adj = np.asarray(P) > 0.0
+    f = [float(x) for x in f]
+    means = []
+
+    def extend(start, path, total):
+        for y in np.flatnonzero(adj[path[-1]]).tolist():
+            if y == start:
+                means.append(total / len(path))
+            elif y > start and y not in path:
+                extend(start, path + [y], total + f[y])
+
+    for start in range(len(f)):
+        extend(start, [start], f[start])
+    return min(means), max(means)
+
+
 def inverse_cdf_path(P, q, u) -> np.ndarray:
     """States X_0..X_n driven by the uniforms u[0..n]: X_0 from q, X_k from
     row X_{k-1} of P, each the number of cumulative weights at or below its

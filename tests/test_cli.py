@@ -3,8 +3,10 @@ import json
 import numpy as np
 import pytest
 
-from chainbounds import __version__, lambda_n_exact, load_model
+from chainbounds import (__version__, lambda_n_exact, load_model,
+                         two_sided_bound)
 from chainbounds.cli import main
+from chainbounds.sim import ergodic_checks
 from conftest import random_irreducible_model
 
 TWO_STATE_DOC = """
@@ -240,6 +242,38 @@ class TestReports:
             assert row["Lambda_n"] == lambda_n_exact(model, row["theta"],
                                                      row["n"])
 
+    def test_ergodic_listed_and_counted_horizons(self, write_model, capsys):
+        # lo:hi:count rounds an even spread and drops repeated horizons
+        path = write_model(TWO_STATE_DOC)
+        model = load_model(path)
+        for spec, ns in (("5,10,20", [5, 10, 20]),
+                         ("1:100:7", [1, 18, 34, 50, 67, 84, 100]),
+                         ("1:5:9", [1, 2, 3, 4, 5])):
+            code, out, _ = run_cli(capsys, "ergodic", "--model", path,
+                                   "--theta", "0.5", "--n", spec,
+                                   "--format", "machine")
+            assert code == 0
+            want = [{"theta": c.theta, "n": c.n, "Lambda_n": c.Lambda_n,
+                     "Lambda": c.Lambda, "gap": c.gap, "bound": c.bound,
+                     "pass": c.passed}
+                    for c in ergodic_checks(model, 0.5, ns)]
+            assert json.loads(out)["ergodic"] == want
+
+    def test_bound_interval_equals_two_sided_bound(self, write_model, capsys):
+        path = write_model(TWO_STATE_DOC)
+        want = two_sided_bound(load_model(path), 50, (0.6, 0.9))
+        argv = ("bound", "--model", path, "--mu", "0.7", "--n", "50",
+                "--interval", "0.6,0.9")
+        code, out, _ = run_cli(capsys, *argv, "--format", "machine")
+        assert code == 0
+        assert json.loads(out)["two_sided"] == {
+            "interval_lo": 0.6, "interval_hi": 0.9, "n": 50, "value": want}
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        section = out.split("[two_sided]\n", 1)[1]
+        assert section == ("interval_lo = 0.6\ninterval_hi = 0.9\nn = 50\n"
+                           f"value = {want!r}\n")
+
     def test_rate_with_mu_list(self, write_model, capsys):
         path = write_model(TWO_STATE_DOC)
         code, out, _ = run_cli(capsys, "rate", "--model", path,
@@ -296,6 +330,13 @@ class TestUsageAndErrors:
                                "--theta", "1:2")
         assert code == 1
         assert "lo:hi:count" in err
+
+    def test_interval_needs_two_values(self, write_model, capsys):
+        path = write_model(TWO_STATE_DOC)
+        code, _, err = run_cli(capsys, "bound", "--model", path,
+                               "--mu", "0.7", "--n", "10", "--interval", "0.9")
+        assert code == 1
+        assert "LO,HI" in err
 
     def test_wrong_side_mu_is_validation_failure(self, write_model, capsys):
         path = write_model(TWO_STATE_DOC)

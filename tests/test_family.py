@@ -11,11 +11,13 @@ from chainbounds import (ConvergenceError, CrossCheckError, DomainError,
                          MarkovModel, TiltedFamily, constants,
                          detect_degenerate, family_of, kl_rate, kl_rate_direct,
                          lambda_prime, lambda_second, level_sets, mean_set,
-                         rate_function, spectral_curve, theta_of_mean, tilt)
+                         rate_function, spectral_curve, theta_of_mean, tilt,
+                         validate)
 from conftest import (iid_model, random_irreducible_model,
                       random_positive_model, two_cycle, two_state)
 from oracles import (bernoulli_rate, lambda_second_pair_variance,
-                     ratio_derivative_fd, two_state_tilted_rho)
+                     ratio_derivative_fd, simple_cycle_means,
+                     two_state_tilted_rho)
 
 THETA_PAIRS = ((0.5, 0.7), (-1.0, 2.0), (1.0, 1.0))
 
@@ -383,6 +385,65 @@ class TestDegeneracyAndMeans:
         # the top state forces a bounce, capping the attainable mean at 0
         assert ms.hi < 0.01
         assert ms.lo == -1.0  # lower side assumptions hold
+
+    def test_mean_set_equals_brute_force_cycle_means(self):
+        # sparse chains: where a side's assumptions fail, its endpoint is
+        # the extreme mean of f over the simple cycles of P > 0
+        rng = np.random.default_rng(7)
+        failing = 0
+        for _ in range(60):
+            model = random_irreducible_model(rng, int(rng.integers(2, 9)))
+            ms = mean_set(model)
+            if ms.degenerate:
+                continue
+            report, ls = validate(model), level_sets(model)
+            lo, hi = simple_cycle_means(model.P, model.f)
+            if report.upper_ok:
+                assert ms.hi == ls.b
+            else:
+                assert abs(ms.hi - hi) <= 1e-12
+            if report.lower_ok:
+                assert ms.lo == ls.a
+            else:
+                assert abs(ms.lo - lo) <= 1e-12
+            failing += not (report.upper_ok and report.lower_ok)
+        assert failing >= 20
+
+    def test_bipartite_periodic_chains_degenerate(self):
+        # every cycle alternates the halves, so its mean of f = +-1 + c is c
+        rng = np.random.default_rng(5)
+        for na, nb, c in ((1, 1, 0.3), (2, 3, 0.3), (3, 3, -0.7), (4, 2, 0.3)):
+            P = np.zeros((na + nb, na + nb))
+            P[:na, na:] = rng.uniform(0.1, 1.0, (na, nb))
+            P[na:, :na] = rng.uniform(0.1, 1.0, (nb, na))
+            P /= P.sum(axis=1, keepdims=True)
+            f = np.r_[np.full(na, 1.0 + c), np.full(nb, -1.0 + c)]
+            model = MarkovModel(tuple(map(str, range(na + nb))), P, f,
+                                np.full(na + nb, 1.0 / (na + nb)))
+            assert detect_degenerate(model)
+            ms = mean_set(model)
+            assert ms.degenerate and abs(ms.stationary_mean - c) <= 1e-12
+
+    def test_borderline_chain_rate_is_scale_invariant(self):
+        # f = delta * (0, 1, 0.5) has Lambda_delta(theta) = Lambda_1(delta
+        # theta), so the rate at mu = 0.7 delta does not depend on delta;
+        # the mean inversion stops at |Lambda' - mu| <= 1e-12, a 1e-3 share
+        # of the scale at delta = 1e-9, and the rate's error is second order
+        P = [[0.5, 0.3, 0.2], [0.2, 0.5, 0.3], [0.3, 0.2, 0.5]]
+        values = []
+        for delta in (1e-9, 1e-7, 1e-5):
+            model = MarkovModel(("a", "b", "c"), P,
+                                delta * np.array([0.0, 1.0, 0.5]), [1 / 3] * 3)
+            assert not detect_degenerate(model)
+            values.append(rate_function(model, 0.7 * delta, "upper").value)
+        assert values[0] > 0.0
+        assert max(values) - min(values) <= 1e-5 * values[-1]
+
+    def test_degeneracy_makes_no_perron_solve(self, stack_sizes):
+        for model in (two_cycle(), two_state(0.3, 0.3),
+                      random_irreducible_model(np.random.default_rng(3), 6)):
+            detect_degenerate(model)
+        assert stack_sizes == []
 
     def test_tilted_means_approach_the_max(self):
         rng = np.random.default_rng(21)

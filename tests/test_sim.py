@@ -1,14 +1,21 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import chainbounds
 import chainbounds.sim as sim
 from chainbounds import (DomainError, MarkovModel, chernoff_bound,
                          empirical_tail, ergodic_check, ergodic_gap,
                          lambda_n_exact, sample_trajectory, tilt)
 from conftest import (iid_model, random_positive_model, two_cycle, two_state)
 from oracles import exact_scaled_log_mgf, inverse_cdf_path, replay_tail_hits
+
+CHAIN10 = Path(__file__).resolve().parents[1] / "bench" / "fixtures" / "chain10.yaml"
 
 
 def delta_start(model, index):
@@ -253,6 +260,20 @@ class TestGuideTableSampler:
             est = empirical_tail(model, n, mu, side, trials, seed)
             assert est.hits == replay_tail_hits(model, n, mu, side, trials,
                                                 seed)
+
+    def test_sampling_does_not_import_numpy_ma(self):
+        # np.unique imports numpy.ma (about 13 ms); the sampler's rows are
+        # sorted, so their distinct values need no np.unique
+        script = ("import sys\n"
+                  "from chainbounds import load_model, sample_trajectory\n"
+                  "sample_trajectory(load_model(sys.argv[1]), 20, 3)\n"
+                  "print('numpy.ma' in sys.modules)\n")
+        env = dict(os.environ, PYTHONPATH=str(
+            Path(chainbounds.__file__).resolve().parents[1]))
+        done = subprocess.run([sys.executable, "-c", script, str(CHAIN10)],
+                              capture_output=True, text=True, env=env,
+                              timeout=60, check=True)
+        assert done.stdout == "False\n"
 
     def test_adversarial_chain_hits_match_the_replay(self):
         model = chain_of_rows(ADVERSARIAL_ROWS)
