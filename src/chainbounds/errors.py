@@ -33,10 +33,6 @@ class DomainError(ChainboundsError):
 class ConvergenceError(ChainboundsError):
     """An iterative solver exhausted its budget or missed its tolerance."""
 
-    def __init__(self, message: str, residual: float | None = None):
-        super().__init__(message)
-        self.residual = residual
-
 
 class CrossCheckError(ChainboundsError):
     """Two independent routes to the same quantity disagree."""

@@ -20,7 +20,9 @@ To avoid overflow all spectral work happens on exp(-m) * P_tilde with
 m = max_y theta*f(y), and m is added back in log space.  That matrix is
 the column reweighting P diag(d) of the generator, d = exp(theta*f - m)
 <= 1, and it is never formed: the Perron solver takes P and d
-(``perron.pf_irreducible``, ``perron.pf_stack``).
+(``perron.pf_irreducible``, ``perron.pf_stack``) and returns the left
+vector as d times a vector of P' diag(d), so states the tilt starves get
+left entries that are small, not noise.
 
 A ``TiltedFamily`` memoizes tilted points and their derivatives by theta,
 so grid sweeps, Newton steps and cross-checks share eigensolves; the
@@ -93,6 +95,8 @@ class TiltedPoint:
     ``triple`` and ``P_theta`` are built on first read from the remaining
     fields: the generator, the weights d = exp(theta*f - m), the shift m
     and the solver's triple of P diag(d), whose right vector is ``v``.
+    ``triple.gap`` is that solve's enclosure gap, a relative width that
+    the shift m does not change.
     """
 
     theta: float
@@ -117,11 +121,9 @@ class TiltedPoint:
     def triple(self) -> _perron.PerronTriple:
         """The Perron triple of the untilted-scale matrix, built on first
         read."""
-        scale = math.exp(self._shift) if self._shift < 709.0 else math.inf
         return _perron.PerronTriple(
             rho=math.exp(self.Lambda) if self.Lambda < 709.0 else math.inf,
-            u=self._solved.u, v=self._solved.v,
-            residual=self._solved.residual * scale)
+            u=self._solved.u, v=self._solved.v, gap=self._solved.gap)
 
     @cached_property
     def P_theta(self) -> np.ndarray:
@@ -139,8 +141,8 @@ def _tilted_chains(points: list) -> np.ndarray:
     V = np.array([p.v for p in points])
     rho = np.array([p._solved.rho for p in points])
     P_theta = (P * D[:, None, :]) * (V[:, None, :] / (rho[:, None, None] * V[:, :, None]))
-    # scrub the ~1e-13 eigen-residual off the row sums so tilted chains
-    # are themselves valid generators
+    # the row sums are the right Collatz-Wielandt ratios over rho: scrub
+    # their roundoff so tilted chains are themselves valid generators
     P_theta /= P_theta.sum(axis=2, keepdims=True)
     return P_theta
 
@@ -283,8 +285,13 @@ class TiltedFamily:
         return self.at(0.0).mean
 
     @cached_property
+    def cycle_means(self) -> tuple[float, float]:
+        """The least and greatest cycle means of f (``_cycle_means``)."""
+        return _cycle_means(self.P, self.f)
+
+    @cached_property
     def is_degenerate(self) -> bool:
-        lo, hi = _cycle_means(self.P, self.f)
+        lo, hi = self.cycle_means
         return hi - lo <= DEGENERACY_TOL * (1.0 + float(np.abs(self.f).max()))
 
     def derivatives(self, theta: float) -> tuple[np.ndarray, float]:
@@ -462,7 +469,8 @@ def theta_of_mean(model: MarkovModel, mu: float) -> float:
     midpoint whenever a step would leave the bracket.  Stacked and solo
     points are bit-identical, so the result does not depend on what the
     family memoized before.  Requires a nondegenerate family and mu
-    strictly inside the attainable mean range.
+    strictly inside the attainable mean range; a mean inside (a, b) but
+    beyond every cycle mean (``mean_set``) is rejected before any solve.
     """
     fam = family_of(model)
     if fam.is_degenerate:
@@ -475,11 +483,15 @@ def theta_of_mean(model: MarkovModel, mu: float) -> float:
         raise DomainError(
             f"family: mu={mu!r} is not strictly inside the mean range "
             f"({ls.a!r}, {ls.b!r})")
+    lo, hi = _attainable(model)
+    if not lo < mu < hi:
+        raise DomainError(
+            f"family: mu={mu!r} lies {'above' if mu >= hi else 'below'} "
+            f"every attainable mean")
     pif = fam.stationary_mean
     if mu == pif:
         return 0.0
     sign = 1.0 if mu > pif else -1.0
-    where = "above" if sign > 0.0 else "below"
     grid = (sign * half_line_grid()).tolist()
     fam.at_many(grid)
 
@@ -487,26 +499,16 @@ def theta_of_mean(model: MarkovModel, mu: float) -> float:
         return fam.at(t).mean - mu
 
     # The mean map increases, so the first tilt whose mean reaches mu ends
-    # the bracket.  A grid point missing from the memo failed its solve;
-    # the doubled tilts fail once eigenvector ratios blow up, i.e. when the
-    # attainable means end strictly before the extreme of f and mu lies
-    # beyond them.
+    # the bracket.  A grid point missing from the memo failed its solve,
+    # and ``at`` raises its error.
     extension = (sign * GRID_EXTENT * 2.0 ** k for k in range(1, 58))
     last = None
     for theta in itertools.chain(grid, extension):    # up to |theta| = 2**60
-        try:
-            gap = (fam._points.get(theta) or fam.at(theta)).mean - mu
-        except ConvergenceError as exc:
-            raise DomainError(
-                f"family: mu={mu!r} lies {where} every attainable mean "
-                f"(last bracketed tilt {last!r}; eigensolver gave up "
-                f"beyond it)") from exc
-        if sign * gap >= 0.0:
+        if sign * ((fam._points.get(theta) or fam.at(theta)).mean - mu) >= 0.0:
             break
         last = theta
     else:
-        raise DomainError(
-            f"family: mu={mu!r} lies {where} every attainable mean")
+        raise DomainError(f"family: no tilt up to {theta!r} reaches mu={mu!r}")
 
     lo, hi = sorted((last, theta))
     theta = _hermite_start(fam, mu, lo, hi)
@@ -642,12 +644,17 @@ def mean_set(model: MarkovModel) -> MeanSet:
     pif = fam.stationary_mean
     if fam.is_degenerate:
         return MeanSet(lo=pif, hi=pif, degenerate=True, stationary_mean=pif)
+    lo, hi = _attainable(model)
+    return MeanSet(lo=lo, hi=hi, degenerate=False, stationary_mean=pif)
+
+
+def _attainable(model: MarkovModel) -> tuple[float, float]:
+    """The endpoints of ``mean_set`` of a nondegenerate family, without a
+    Perron solve."""
     ls = level_sets(model)
     report = _assumptions.validate(model)
-    lo, hi = _cycle_means(model.P, model.f)
-    return MeanSet(lo=ls.a if report.lower_ok else lo,
-                   hi=ls.b if report.upper_ok else hi,
-                   degenerate=False, stationary_mean=pif)
+    lo, hi = family_of(model).cycle_means
+    return (ls.a if report.lower_ok else lo, ls.b if report.upper_ok else hi)
 
 
 def spectral_curve(model: MarkovModel, thetas) -> SpectralCurve:

@@ -1,28 +1,38 @@
 """Perron-Frobenius eigentriples for nonnegative matrices.
 
-The solver is a deterministic power iteration (all-ones start, sup-norm
-normalization each step) run simultaneously for the right vector and,
-on the transpose, for the left one.  Iteration happens on M + eps*I with
-a small eps: matrices whose positivity digraph is periodic make plain
-power iteration oscillate, and the shift cures that without changing the
-eigenvectors (every eigenvalue moves by exactly eps, which breaks the
-balanced |eigenvalue| ties behind the oscillation and barely perturbs
-well-separated spectra).  The reported eigenvalue
-comes from the two-sided Rayleigh quotient u'Mv / u'v on the original
-matrix, which is accurate to roundoff once the vectors have converged and
-avoids subtracting the shift back out of the estimate.
-
 Matrices come in factored form: one shared nonnegative P and rows D, and
 member b of the family is M_b = P diag(D[b]), the shape of every tilt of
-one chain.  ``pf_stack`` iterates all members at once without forming any
-M_b: the right product is P (D[b] * v) and the left one D[b] * (P'u), one
-matrix-vector product per member against the shared P and its transpose.
-Each member keeps its own stopping tests, budget and gates, and numpy's
-stacked ``matmul`` computes each member's product with the same BLAS call
-as the member alone, so a member's triple is bit-identical to its solo
-solve; stacking only spreads the per-step interpreter overhead over the
-members.  ``pf_irreducible`` is the stack of one, with D = 1 for a
-general matrix.
+one chain.  ``pf_irreducible`` is the stack of one, with D = 1 for a
+general matrix.  The right vector v is the Perron vector of M = P diag(d);
+the left one is taken in factored form, u = d * z with z the Perron
+vector of P' diag(d), since then M' u = diag(d) P' diag(d) z = rho u.
+Where a tilt starves a state (d tiny) z stays well scaled, while the
+entries of u itself would be noise.
+
+A positive vector x of a nonnegative A is judged by its Collatz-Wielandt
+ratios (A x)_i / x_i, whose least and greatest values enclose rho(A).  A
+member is done once both of its vectors have an enclosure of relative
+width (max - min) / max, its gap, at most ENCLOSURE * S * 2**-53: a
+componentwise test that does not depend on scale.  Entries with
+x_i = (A x)_i = 0, which arise only through underflow, are skipped; v
+must still be positive.
+
+Every member starts with up to WARM_UP power steps (all-ones start,
+sup-norm normalization), the stack advancing together: one stacked
+``matmul`` against (P, P') makes the products P (d * v) and P' (d * z) of
+every member, and members leave as they are enclosed.  A member still
+open after the warm-up takes Noda's inverse iteration alone (Noda 1971;
+quadratic convergence by Elsner 1976), on each vector up to NODA_CAP
+times: shift by sigma, the greatest ratio, and solve
+(sigma I - A) w = x.  As sigma >= rho, (sigma I - A)^-1 is nonnegative;
+rounding can flip the sign of w once sigma is within roundoff of rho, so
+x becomes |w|, which is sound because the enclosure certifies whatever
+positive vector it is given.  The adaptive shift also copes with the
+periodic patterns that make plain power iteration oscillate.  Stacked
+``matmul`` runs the same per-slice product as ``P @ x``, every test is
+per member and the Noda steps run per member, so a member's triple is
+bit-identical to its solo solve.  The eigenvalue is the two-sided
+Rayleigh quotient u'Mv / u'v, a convex combination of the right ratios.
 
 Normalization convention for a triple (rho, u, v):
 
@@ -34,7 +44,8 @@ renumbering, with A = P[core, core].  Its triple is assembled from the
 core: rho = rho(A), u is u_A on the core and 0 elsewhere, and v is v_A on
 the core and B v_A / rho(A) off it.  This needs A irreducible and no zero
 row in B, which are the side's assumptions (A1-A2 or A3-A4), so
-``assumptions.require`` gates it.
+``assumptions.require`` gates it.  The assembled triple is checked by the
+same enclosures, the left one on the core, where u is nonzero.
 """
 
 import math
@@ -46,10 +57,13 @@ from . import assumptions as _assumptions
 from .errors import ConvergenceError, DomainError
 from .model import MarkovModel, level_sets
 
-RESIDUAL_TOL = 1e-11      # times the max entry of the matrix
-RHO_REL_TOL = 1e-13       # successive eigenvalue-estimate agreement
-ITERATION_BUDGET = 100_000
-SHIFT_FRACTION = 1e-3     # eps = SHIFT_FRACTION * max entry
+# Each fixed by measurement: bounds_dense members all meet the enclosure
+# within 13 power steps; sparse chains tilted by |theta| <= 200 needed up
+# to 196 Noda steps; and rounding alone can spread the ratios of a
+# correctly rounded eigenvector by 2 (S + 2) 2**-53 <= 8 S 2**-53.
+WARM_UP = 15      # power steps before a member turns to Noda steps
+NODA_CAP = 256    # Noda steps per vector
+ENCLOSURE = 8     # gap tolerance ENCLOSURE * S * 2**-53
 
 __all__ = ["PerronTriple", "pf_irreducible", "pf_stack", "limit_matrix"]
 
@@ -58,14 +72,14 @@ __all__ = ["PerronTriple", "pf_irreducible", "pf_stack", "limit_matrix"]
 class PerronTriple:
     """Spectral radius with left/right eigenvectors in the convention above.
 
-    ``residual`` is the max-norm eigen-residual actually achieved on the
-    matrix the triple was computed from.
+    ``gap`` is the relative width of the solver's Collatz-Wielandt
+    enclosure of ``rho``, the larger of its two vectors' gaps.
     """
 
     rho: float
     u: np.ndarray
     v: np.ndarray
-    residual: float
+    gap: float
 
     def __post_init__(self):
         u = np.asarray(self.u, dtype=np.float64)
@@ -81,170 +95,117 @@ class PerronTriple:
         return self.u * self.v
 
 
-def _right(P: np.ndarray, D: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """Row b is P diag(D[b]) @ X[b], one matrix-vector product per row."""
-    return np.matmul(P, (D * X)[:, :, None])[:, :, 0]
-
-
-def _left(P: np.ndarray, D: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """Row b is (P diag(D[b]))' @ X[b], one matrix-vector product per row
-    against a contiguous copy of P'."""
-    return D * np.matmul(np.ascontiguousarray(P.T), X[:, :, None])[:, :, 0]
-
-
 def _dot(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     """Entry b is X[b] @ Y[b], by the BLAS call that product makes alone."""
     return np.matmul(X[:, None, :], Y[:, :, None])[:, 0, 0]
 
 
-def _top(P: np.ndarray, D: np.ndarray) -> np.ndarray:
-    """Max entry of each member: max_j D[b, j] * colmax_j(P), which for
-    nonnegative D is exactly the max over P diag(D[b])."""
-    return (D * P.max(axis=0)).max(axis=1)
+def _tolerance(n: int) -> float:
+    return ENCLOSURE * n * 2.0 ** -53
 
 
-def _shifted_products(PP: np.ndarray, W_in: np.ndarray, W_out: np.ndarray,
-                      eps: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """(M_b + eps_b I) X[0, b] and (M_b + eps_b I)' X[1, b] for each row b,
-    from PP = (P, P') and the weights W_in = (D, 1), W_out = (1, D)."""
-    Y = np.matmul(PP, (W_in * X)[..., None])[..., 0]
-    Y *= W_out
-    Y += eps * X
-    return Y
+def _enclosure(Y: np.ndarray, X: np.ndarray):
+    """The greatest Collatz-Wielandt ratio Y / X along the last axis and
+    the gap (max - min) / max, skipping 0/0; the gap is NaN where the top
+    ratio is not finite and positive.  Callers silence 0/0 warnings."""
+    R = Y / X
+    hi = np.fmax.reduce(R, axis=-1)
+    return hi, (hi - np.fmin.reduce(R, axis=-1)) / hi
 
 
-def _power_vectors(P: np.ndarray, D: np.ndarray, hi: np.ndarray):
-    """Run the two-sided power iteration on a stack; return (U, V, done).
+def _noda(A: np.ndarray, x: np.ndarray, tol: float):
+    """Noda steps on A from x until its gap is at most tol: (x, gap).
+    Raises ConvergenceError when the cap is reached, the ratios are not
+    finite or a shift is singular.
 
-    Member b iterates on M_b + eps[b] I with M_b = P diag(D[b]) and eps[b]
-    = SHIFT_FRACTION * hi[b], hi[b] the max entry of M_b; where
-    ``done[b]``, rows b of U and V are its left and right vectors.  Each
-    member iterates exactly as it would alone: numpy's stacked ``matmul``
-    runs the same per-slice product as ``P @ x``, and every test below is
-    taken per member, so a member's vectors and iteration count do not
-    depend on the rest of the stack.  Members that converge or fail leave
-    the active set.
-
-    Vectors are sup-normalized each step.  The cheap trigger is agreement
-    of successive eigenvalue estimates to RHO_REL_TOL relative, but the
-    decisive test is the sup-norm eigen-residual: per-step rounding keeps
-    the estimates jittering at about eps/(spectral gap), which for nearly
-    balanced spectra sits above RHO_REL_TOL, so the residual is also
-    polled periodically.  The gate anticipates the final normalization:
-    the right vector will be rescaled by sum(u)/(u.v), which can be large
-    when eigenvector entries are lopsided, so the raw residual must be
-    smaller by that factor.
+    Each step solves in the coordinates of s = x (1 where x is 0):
+    w = s * (sigma I - S^-1 A S)^-1 (x / s) is (sigma I - A)^-1 x, and as
+    the rows of S^-1 A S sum to the ratios, sigma I - S^-1 A S is a
+    diagonally dominant M-matrix whose solution is accurate entry by entry
+    relative to x, however graded x is.
     """
+    eye = np.eye(x.size)
+    for _ in range(NODA_CAP):
+        sigma, gap = _enclosure(A @ x, x)
+        if gap <= tol:
+            return x, gap
+        if not gap <= 1.0:
+            raise ConvergenceError(
+                "perron: Collatz-Wielandt ratios are not finite")
+        s = np.where(x > 0.0, x, 1.0)
+        try:
+            w = s * np.abs(np.linalg.solve(sigma * eye - A * s / s[:, None],
+                                           x / s))
+        except np.linalg.LinAlgError:
+            raise ConvergenceError(
+                f"perron: Noda shift {sigma!r} is singular") from None
+        x = w / w.max()
+    raise ConvergenceError(f"perron: enclosure gap {gap:.3e} exceeds "
+                           f"tolerance {tol:.3e} after {NODA_CAP} Noda steps")
+
+
+def _vectors(P: np.ndarray, D: np.ndarray):
+    """Enclosed vectors of each member P diag(D[b]): (Z, V, gap, errors),
+    with errors[b] None where rows b of Z and V hold member b's vectors and
+    gap[b] their gap, and otherwise the ConvergenceError it raised."""
     B, n = D.shape
-    # slice 0 iterates the right vectors against P, slice 1 the left ones
-    # against P', so one stacked product advances both
-    PP = np.empty((2, 1, n, n))
-    PP[0, 0], PP[1, 0] = P, P.T
-    W_in = np.ones((2, B, n))
-    W_in[0] = D
-    W_out = W_in[::-1].copy()
-    eps = SHIFT_FRACTION * hi
-    # max entry of M + eps I, diagonal shift included
-    gate = 0.3 * RESIDUAL_TOL * np.maximum(
-        hi, (np.diagonal(P) * D).max(axis=1) + eps)
-    eps = eps[:, None]
+    tol = _tolerance(n)
+    PP = np.stack((P, P.T))[:, None]
     X = np.ones((2, B, n))
-    prev = np.full((2, B), np.inf)
-    members = np.arange(B)             # input index of each member row
-    active = np.ones(B, dtype=bool)    # converged rows linger until compacted
-    U, V = np.ones((B, n)), np.ones((B, n))
-    done = np.zeros(B, dtype=bool)
-    for k in range(ITERATION_BUDGET):
-        Y = _shifted_products(PP, W_in, W_out, eps, X)
-        r = np.maximum.reduce(Y, axis=2)
-        b = members.size
-        failed = not (np.minimum.reduce(r, axis=None) > 0.0
-                      and np.maximum.reduce(r, axis=None) < np.inf)
-        if failed:
-            # a non-positive or non-finite estimate fails its member
-            good = (r > 0.0) & (r < np.inf)
-            good = good[0] & good[1]
-            active &= good
-            r[:, ~good] = 1.0
-        X = Y / r[:, :, None]
-        if k % 50 == 49:
-            check = active.copy()
-        else:
-            close = np.abs(r - prev) <= RHO_REL_TOL * r
-            check = close[0] & close[1] & active
-        c = check.nonzero()[0]
-        if c.size:
-            # the trigger's members take the residual test together, each
-            # row by the same arithmetic as alone
-            Xc = X[:, c]
-            res = np.abs(_shifted_products(PP, W_in[:, c], W_out[:, c],
-                                           eps[c], Xc)
-                         - r[:, c, None] * Xc).max(axis=2)
-            v, u = Xc
-            with np.errstate(divide="ignore", invalid="ignore"):
-                v_rescale = u.sum(axis=1) / _dot(u, v)
-            ok = ((res[0] * np.fmax(1.0, v_rescale) <= gate[c])
-                  & (res[1] <= gate[c]))
-            c = c[ok]
-            U[members[c]], V[members[c]] = u[ok], v[ok]
-            done[members[c]] = True
-            active[c] = False
-        left = c.size > 0
-        prev = r
-        if failed or left:
-            alive = int(np.count_nonzero(active))
-            if not alive:
+    out, gap = np.ones((2, B, n)), np.full(B, np.nan)
+    errors: list = [None] * B
+    members = np.arange(B)          # input index of each row of X
+    weights = D
+    for _ in range(WARM_UP):
+        Y = np.matmul(PP, (weights * X)[..., None])[..., 0]
+        g = np.maximum(*_enclosure(Y, X)[1])
+        scale = np.maximum.reduce(Y, axis=2)
+        done = g <= tol
+        failed = ~done & ~((scale > 0.0) & (scale < np.inf)).all(axis=0)
+        stay = ~(done | failed)
+        if not stay.all():
+            out[:, members[done]], gap[members[done]] = X[:, done], g[done]
+            for b in members[failed].tolist():
+                errors[b] = ConvergenceError(
+                    "perron: a power step lost every entry or overflowed")
+            Y, scale = Y[:, stay], scale[:, stay]
+            weights, members = weights[stay], members[stay]
+            if not members.size:
                 break
-            # drop converged rows once they are half of the stack, and
-            # failed ones at once
-            if failed or 2 * alive <= b:
-                X, prev = X[:, active], prev[:, active]
-                W_in, W_out = W_in[:, active], W_out[:, active]
-                eps, gate = eps[active], gate[active]
-                members = members[active]
-                active = np.ones(alive, dtype=bool)
-    return U, V, done
+        X = Y / scale[..., None]
+    for row, b in enumerate(members.tolist()):
+        try:
+            for side, A in enumerate((P, P.T)):
+                out[side, b], g = _noda(A * D[b], X[side, row], tol)
+                gap[b] = np.fmax(gap[b], g)
+        except ConvergenceError as exc:
+            errors[b] = exc
+    return out[1], out[0], gap, errors
 
 
-def _gated_residuals(P: np.ndarray, D: np.ndarray, rho: np.ndarray,
-                     U: np.ndarray, V: np.ndarray, what: str) -> list:
-    """Per member, the max-norm eigen-residual of (rho, u, v) on
-    P diag(D[b]), or the ConvergenceError for one above tolerance."""
-    res_u = np.abs(_left(P, D, U) - rho[:, None] * U).max(axis=1)
-    res_v = np.abs(_right(P, D, V) - rho[:, None] * V).max(axis=1)
-    out = []
-    for ru, rv, top in zip(res_u.tolist(), res_v.tolist(),
-                           _top(P, D).tolist()):
-        residual, tol = max(ru, rv), RESIDUAL_TOL * top
-        out.append(ConvergenceError(
-            f"perron: {what} {residual:.3e} exceeds tolerance {tol:.3e}",
-            residual=residual) if residual > tol else residual)
-    return out
-
-
-def _finish(P: np.ndarray, D: np.ndarray, U: np.ndarray,
-            V: np.ndarray) -> list:
-    """Apply the normalization convention and measure the residual on each
-    member; entry b is its PerronTriple or the ConvergenceError of a gate.
-    Values of members that fail the eigenvalue test are computed but unused."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        rho = _dot(U, _right(P, D, V)) / _dot(U, V)
-        U = U / U.sum(axis=1)[:, None]
-        V = V / _dot(U, V)[:, None]
-        residuals = _gated_residuals(P, D, rho, U, V, "eigen-residual")
+def _finish(P: np.ndarray, D: np.ndarray, Z: np.ndarray, V: np.ndarray,
+            gap: np.ndarray, errors: list) -> list:
+    """Apply the normalization convention to each member; entry b is its
+    PerronTriple or the ConvergenceError of a failed member or check.
+    Values of failed members are computed but unused."""
+    U = D * Z
+    U /= U.sum(axis=1)[:, None]
+    uv = _dot(U, V)
+    rho = _dot(U, np.matmul(P, (D * V)[:, :, None])[:, :, 0]) / uv
+    V = V / uv[:, None]
     positive = (V.min(axis=1) > 0.0).tolist()
     out = []
-    for b, (r, residual) in enumerate(zip(rho.tolist(), residuals)):
-        if not math.isfinite(r) or r <= 0.0:
+    for b, (r, g) in enumerate(zip(rho.tolist(), gap.tolist())):
+        if errors[b] is not None:
+            out.append(errors[b])
+        elif not math.isfinite(r) or r <= 0.0:
             out.append(ConvergenceError(
                 f"perron: iteration produced a non-positive eigenvalue ({r!r})"))
-        elif isinstance(residual, ConvergenceError):
-            out.append(residual)
         elif not positive[b]:
             out.append(ConvergenceError(
                 "perron: right eigenvector lost strict positivity"))
         else:
-            out.append(PerronTriple(rho=r, u=U[b], v=V[b], residual=residual))
+            out.append(PerronTriple(rho=r, u=U[b], v=V[b], gap=g))
     return out
 
 
@@ -254,9 +215,9 @@ def pf_stack(P: np.ndarray, D: np.ndarray) -> list:
     ``P`` has shape (S, S) and ``D`` shape (B, S).  Entry b of the result
     is member b's ``PerronTriple``, bit-identical to
     ``pf_irreducible(P, D[b])``, or the exception that call would raise:
-    every check of D, the iteration and the residual and positivity gates
-    apply to each member alone, so one bad row cannot spoil the others.
-    A P with a negative or non-finite entry fails every member.
+    every check of D, the iteration and the enclosure and positivity
+    checks apply to each member alone, so one bad row cannot spoil the
+    others.  A P with a negative or non-finite entry fails every member.
     """
     P = np.asarray(P, dtype=np.float64)
     D = np.asarray(D, dtype=np.float64)
@@ -273,8 +234,7 @@ def pf_stack(P: np.ndarray, D: np.ndarray) -> list:
                 for _ in range(B)]
     out: list = [None] * B
     with np.errstate(invalid="ignore", over="ignore"):
-        hi = _top(P, D)
-    finite = np.isfinite(D).all(axis=1) & np.isfinite(hi)
+        finite = np.isfinite(D * P.max(axis=0)).all(axis=1)
     for i, (ok, low) in enumerate(zip(finite.tolist(), D.min(axis=1).tolist())):
         if not ok:
             out[i] = ValueError("perron: matrix entries must be finite")
@@ -289,16 +249,15 @@ def pf_stack(P: np.ndarray, D: np.ndarray) -> list:
                     "perron: 1x1 matrix with zero entry is reducible")
             else:
                 out[i] = PerronTriple(rho=rho, u=np.ones(1), v=np.ones(1),
-                                      residual=0.0)
+                                      gap=0.0)
         return out
     if not todo:
         return out
     valid = D if len(todo) == B else D[todo]
-    U, V, done = _power_vectors(P, valid, hi[todo])
-    for i, ok, result in zip(todo, done.tolist(), _finish(P, valid, U, V)):
-        out[i] = result if ok else ConvergenceError(
-            "perron: power iteration did not converge within "
-            f"{ITERATION_BUDGET} iterations (ill-conditioned spectrum)")
+    with np.errstate(divide="ignore", invalid="ignore"):
+        results = _finish(P, valid, *_vectors(P, valid))
+    for i, result in zip(todo, results):
+        out[i] = result
     return out
 
 
@@ -345,9 +304,11 @@ def limit_matrix(model: MarkovModel, side: str = "upper"):
     u[core] = tri.u
     v[core] = tri.v
     v[fringe] = P[np.ix_(fringe, core)] @ tri.v / tri.rho
-    residual = _gated_residuals(Mbar, np.ones((1, model.n_states)),
-                                np.array([tri.rho]), u[None], v[None],
-                                "assembled eigen-residual")[0]
-    if isinstance(residual, ConvergenceError):
-        raise residual
-    return Mbar, PerronTriple(rho=tri.rho, u=u, v=v, residual=residual)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        gap = float(np.maximum(_enclosure(Mbar @ v, v)[1],
+                               _enclosure((Mbar.T @ u)[core], u[core])[1]))
+    tol = _tolerance(model.n_states)
+    if not gap <= tol:
+        raise ConvergenceError(f"perron: assembled enclosure gap {gap:.3e} "
+                               f"exceeds tolerance {tol:.3e}")
+    return Mbar, PerronTriple(rho=tri.rho, u=u, v=v, gap=gap)

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+import chainbounds.family as family_module
 from chainbounds import (__version__, lambda_n_exact, load_model,
                          two_sided_bound)
 from chainbounds.cli import main
@@ -364,13 +365,17 @@ class TestUsageAndErrors:
 
     @pytest.mark.parametrize("seed, theta", [(31, "163"), (1, "-163")])
     def test_singular_fundamental_matrix_exits_two(self, write_model, capsys,
-                                                   seed, theta):
-        # at this tilt part of the sparse chain has underflowed and
-        # I - P_theta + 1 pi' is exactly singular
+                                                   monkeypatch, seed, theta):
+        # the tilt itself solves; with the identity in place of P_theta,
+        # I - P_theta + 1 pi' is the rank-one 1 pi'
         model = random_irreducible_model(np.random.default_rng(seed), 11)
         path = write_model(json.dumps({"states": list(model.states),
                                        "P": model.P.tolist(),
                                        "f": model.f.tolist()}))
+        assert run_cli(capsys, "spectrum", "--model", path,
+                       "--theta", theta)[0] == 0
+        monkeypatch.setattr(family_module, "_tilted_chains",
+                            lambda points: np.array([np.eye(11)] * len(points)))
         code, _, err = run_cli(capsys, "spectrum", "--model", path,
                                "--theta", theta)
         assert code == 2

@@ -13,7 +13,7 @@ from chainbounds import (ConvergenceError, CrossCheckError, DomainError,
                          lambda_prime, lambda_second, level_sets, mean_set,
                          rate_function, spectral_curve, theta_of_mean, tilt,
                          validate)
-from conftest import (iid_model, random_irreducible_model,
+from conftest import (iid_model, no_selfloop_top, random_irreducible_model,
                       random_positive_model, two_cycle, two_state)
 from oracles import (bernoulli_rate, lambda_second_pair_variance,
                      ratio_derivative_fd, simple_cycle_means,
@@ -262,13 +262,15 @@ class TestMeanInversion:
             theta_of_mean(model, mu)
             assert stack_sizes.count(1) <= 12
 
-    def test_unattainable_interior_mean_rejected(self):
+    def test_unattainable_interior_mean_rejected(self, stack_sizes):
         # the no-self-loop chain can spend at most every other step on top,
-        # so means above 0 are unattainable despite b = 1
+        # so means above 0 are unattainable despite b = 1; the cycle means
+        # decide that without a Perron solve
         model = MarkovModel(("-1", "1"), [[0.5, 0.5], [1.0, 0.0]],
                             [-1.0, 1.0], [0.5, 0.5])
         with pytest.raises(DomainError, match="above every attainable"):
             theta_of_mean(model, 0.5)
+        assert stack_sizes == []
 
 
 class TestRelativeEntropyRate:
@@ -480,7 +482,7 @@ def outcome(fam, theta):
     except (ConvergenceError, DomainError) as exc:
         return type(exc), str(exc)
     return tuple(np.asarray(x).tobytes() for x in (
-        p.triple.rho, p.triple.u, p.triple.v, p.triple.residual, p.P_theta,
+        p.triple.rho, p.triple.u, p.triple.v, p.triple.gap, p.P_theta,
         p.pi_theta, p.Lambda, p.mean))
 
 
@@ -508,33 +510,25 @@ class TestStackedPoints:
               suppress_health_check=[HealthCheck.too_slow])
     @given(model=chains(), thetas=theta_sets())
     def test_at_many_equals_solo_points(self, model, thetas):
-        # large tilts on sparse chains can run out of iterations; a short
-        # budget, shared by stack and solo, keeps those failures cheap
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(perron_module, "ITERATION_BUDGET", 2000)
-            fam = TiltedFamily(model)
-            fam.at_many(thetas)
-            for theta in thetas:
-                solo = outcome(TiltedFamily(model), theta)
-                if isinstance(solo[0], type):
-                    assert theta not in fam._points
-                assert outcome(fam, theta) == solo
+        fam = TiltedFamily(model)
+        fam.at_many(thetas)
+        for theta in thetas:
+            solo = outcome(TiltedFamily(model), theta)
+            if isinstance(solo[0], type):
+                assert theta not in fam._points
+            assert outcome(fam, theta) == solo
 
     def test_a_failed_member_is_not_published(self):
-        # the tiny argmax self-loop: at theta = 52 the iteration stops on
-        # its trigger but the eigen-residual gate of the finished triple fails
-        P = np.array([[0.5, 0.25, 0.25],
-                      [0.3, 0.3, 0.4],
-                      [0.5, 0.5 - 1e-9, 1e-9]])
-        model = MarkovModel(("a", "b", "c"), P, [0.0, 0.5, 1.0],
-                            [1 / 3, 1 / 3, 1 / 3])
+        # at theta = 1000 the weight of the f-argmin state underflows to 0,
+        # so the tilted matrix of the no-self-loop chain is nilpotent
+        model = no_selfloop_top()
         fam = family_of(model)
-        fam.at_many([-1.0, 52.0, 0.0, 3.5])
+        fam.at_many([-1.0, 1000.0, 0.0, 3.5])
         assert sorted(fam._points) == [-1.0, 0.0, 3.5]
         for theta in (-1.0, 0.0, 3.5):
             assert outcome(fam, theta) == outcome(TiltedFamily(model), theta)
-        with pytest.raises(ConvergenceError, match="eigen-residual"):
-            fam.at(52.0)
+        with pytest.raises(ConvergenceError, match="power step"):
+            fam.at(1000.0)
 
     def test_overflowing_tilt_is_a_domain_error(self):
         model = MarkovModel(("0", "1"), [[0.5, 0.5], [0.5, 0.5]],
@@ -549,32 +543,28 @@ class TestStackedPoints:
               suppress_health_check=[HealthCheck.too_slow])
     @given(model=chains(), thetas=theta_sets())
     def test_derivatives_many_equals_solo_derivatives(self, model, thetas):
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(perron_module, "ITERATION_BUDGET", 2000)
-            fam = TiltedFamily(model)
-            fam.at_many(thetas)
-            fam.derivatives_many(thetas)
-            stacked = set(fam._derivatives)
-            solo = {theta: derivative_outcome(TiltedFamily(model), theta)
-                    for theta in thetas}
-            # a singular slice leaves every derivative to its solo solve
-            if not any(out[0] is ConvergenceError and "singular" in out[1]
-                       for out in solo.values()):
-                assert stacked == set(fam._points)
-            for theta in thetas:
-                assert derivative_outcome(fam, theta) == solo[theta]
+        fam = TiltedFamily(model)
+        fam.at_many(thetas)
+        fam.derivatives_many(thetas)
+        stacked = set(fam._derivatives)
+        solo = {theta: derivative_outcome(TiltedFamily(model), theta)
+                for theta in thetas}
+        # a singular slice leaves every derivative to its solo solve
+        if not any(out[0] is ConvergenceError and "singular" in out[1]
+                   for out in solo.values()):
+            assert stacked == set(fam._points)
+        for theta in thetas:
+            assert derivative_outcome(fam, theta) == solo[theta]
 
     @settings(max_examples=40, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
     @given(model=chains(), thetas=theta_sets())
     def test_lambda_second_many_equals_solo_values(self, model, thetas):
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(perron_module, "ITERATION_BUDGET", 2000)
-            assert (curvature_outcome(TiltedFamily(model).lambda_second_many,
-                                      thetas)
-                    == curvature_outcome(
-                        lambda ts: [TiltedFamily(model).lambda_second(t)
-                                    for t in ts], thetas))
+        assert (curvature_outcome(TiltedFamily(model).lambda_second_many,
+                                  thetas)
+                == curvature_outcome(
+                    lambda ts: [TiltedFamily(model).lambda_second(t)
+                                for t in ts], thetas))
 
     def test_a_singular_slice_fails_alone(self, monkeypatch):
         # with the identity in place of P_1, I - P_1 + 1 pi' is the
@@ -616,7 +606,7 @@ class TestStackedPoints:
         eager /= eager.sum(axis=1, keepdims=True)
         assert point.P_theta.tobytes() == eager.tobytes()
         assert point.triple.rho == math.exp(point.Lambda)
-        assert point.triple.residual == solved.residual * math.exp(expo.max())
+        assert point.triple.gap == solved.gap
 
 
 def curvature_outcome(lambda_seconds, thetas):

@@ -1,12 +1,15 @@
 import math
+import time
 
 import numpy as np
 import pytest
 
 from chainbounds import (AssumptionError, ConvergenceError, MarkovModel,
-                         limit_matrix, pf_irreducible)
+                         TiltedFamily, constants, limit_matrix,
+                         pf_irreducible)
 from chainbounds.perron import PerronTriple, pf_stack
-from conftest import (birth_death, iid_model, random_positive_model,
+from conftest import (birth_death, iid_model, no_selfloop_top,
+                      random_irreducible_model, random_positive_model,
                       two_cycle, two_state)
 from oracles import (charpoly_spectral_radius, two_cycle_right_eigvec,
                      two_state_tilted_rho)
@@ -108,7 +111,7 @@ class TestIrreducibleSolver:
 
 
 def same_triple(a, b):
-    return (a.rho == b.rho and a.residual == b.residual
+    return (a.rho == b.rho and a.gap == b.gap
             and a.u.tobytes() == b.u.tobytes()
             and a.v.tobytes() == b.v.tobytes())
 
@@ -160,6 +163,35 @@ class TestStackedSolver:
 
 def support(x):
     return tuple(int(i) for i in np.flatnonzero(x))
+
+
+def tiny_selfloop_chain():
+    """The f-argmax state c keeps itself with probability 1e-9 only."""
+    P = np.array([[0.5, 0.25, 0.25],
+                  [0.3, 0.3, 0.4],
+                  [0.5, 0.5 - 1e-9, 1e-9]])
+    return MarkovModel(("a", "b", "c"), P, [0.0, 0.5, 1.0],
+                       [1 / 3, 1 / 3, 1 / 3])
+
+
+def near_periodic_cycle():
+    """The 3-cycle a -> b -> c -> a, mixed with 1e-3 of uniform jumps."""
+    P = (1 - 1e-3) * np.roll(np.eye(3), 1, axis=1) + 1e-3 / 3
+    return MarkovModel(("a", "b", "c"), P, [0.0, 0.5, 1.0],
+                       [1 / 3, 1 / 3, 1 / 3])
+
+
+def positive_draw(k):
+    """Draw k (from 0) of positive chains with 2-12 states: P and f uniform
+    on [0, 1), rows of P normalized, from default_rng(17)."""
+    rng = np.random.default_rng(17)
+    for _ in range(k + 1):
+        S = int(rng.integers(2, 13))
+        P = rng.random((S, S))
+        P /= P.sum(axis=1, keepdims=True)
+        f = rng.random(S)
+    return MarkovModel(tuple(f"s{i}" for i in range(S)), P, f,
+                       np.full(S, 1.0 / S))
 
 
 class TestExtendedSolver:
@@ -214,11 +246,7 @@ class TestExtendedSolver:
     def test_tiny_argmax_selfloop(self):
         # power iteration on the whole limit matrix does not converge
         # here; the core solve gives rho = P(c, c) exactly
-        P = np.array([[0.5, 0.25, 0.25],
-                      [0.3, 0.3, 0.4],
-                      [0.5, 0.5 - 1e-9, 1e-9]])
-        model = MarkovModel(("a", "b", "c"), P, [0.0, 0.5, 1.0],
-                            [1 / 3, 1 / 3, 1 / 3])
+        model = tiny_selfloop_chain()
         Mbar, tri = limit_matrix(model, "upper")
         assert tri.rho == 1e-9
         assert np.array_equal(tri.u, [0.0, 0.0, 1.0])
@@ -256,3 +284,59 @@ class TestLimitMatrix:
         assert support(tri.u) == (0,)
         assert abs(tri.rho - 0.7) <= 1e-14
         assert np.array_equal(Mbar[:, 1], [0.0, 0.0])
+
+
+class TestHardChains:
+    """Tilts with starved states or a nearly periodic pattern: Lambda
+    against values computed once with 60+ digit arithmetic (mpmath eig of
+    P diag(exp(theta f)), precision grown with |theta|)."""
+
+    @pytest.mark.parametrize("chain, side, reference", [
+        # tiny argmax self-loop, upper side
+        (tiny_selfloop_chain, "upper", {52.0: 38.19577643336203,
+                                        64.0: 47.20521588995445,
+                                        128.0: 107.27673416308566,
+                                        256.0: 235.2767341630536}),
+        # near-periodic 3-cycle: theta = 7.625 and its cross-check stencil
+        (near_periodic_cycle, "upper", {7.6206875: 3.8199456466527777,
+                                        7.625: 3.8221235605842043,
+                                        7.6293125: 3.824301521317414}),
+        # 11-state positive chain with smallest entry 6.1e-6, lower side
+        (lambda: positive_draw(43), "lower", {-51.25: -13.945694572883596,
+                                              -51.5: -13.98772653536945,
+                                              -51.75: -14.02902981375559,
+                                              -2048.75: -114.21741051051814}),
+    ], ids=["tiny_selfloop", "near_periodic_cycle", "positive_draw_43"])
+    def test_constants_and_lambda(self, chain, side, reference):
+        model = chain()
+        consts = constants(model, side)
+        assert consts.K >= 1.0 and math.isfinite(consts.L)
+        family = TiltedFamily(model)
+        for theta, expected in reference.items():
+            assert (abs(family.at(theta).Lambda - expected)
+                    <= 1e-14 * abs(expected))
+
+    def test_sparse_tilts_agree_with_eig_or_fail_fast(self):
+        # sparse tilts agree with a dense eigensolver, nilpotent ones raise,
+        # and each takes at most 50 ms
+        rng = np.random.default_rng(1)
+        models = [random_irreducible_model(rng, n) for n in range(3, 15, 2)]
+        sparse = [(model, theta) for model in models
+                  for theta in (-200.0, -50.0, 200.0)]
+        # nilpotent tilts: the weight of the f-argmin state underflows to 0
+        nilpotent = [(no_selfloop_top(), 1000.0), (two_cycle(), 600.0)]
+        for k, (model, theta) in enumerate(sparse + nilpotent):
+            start = time.perf_counter()
+            try:
+                Lambda = TiltedFamily(model).at(theta).Lambda
+            except ConvergenceError:
+                Lambda = None
+            assert time.perf_counter() - start <= 0.05
+            if k >= len(sparse):
+                assert Lambda is None
+                continue
+            assert Lambda is not None
+            expo = theta * model.f
+            M = model.P * np.exp(expo - expo.max())
+            dense = math.log(np.abs(np.linalg.eigvals(M)).max()) + expo.max()
+            assert abs(Lambda - dense) <= 1e-13 * max(1.0, abs(dense))
