@@ -100,13 +100,10 @@ def _parse_int_grid(text: str) -> list[int]:
             return list(range(lo, hi + 1))
         if len(parts) == 3:
             lo, hi, count = parts
-            values = [int(round(x)) for x in np.linspace(lo, hi, count)]
-            seen, out = set(), []
-            for value in values:
-                if value not in seen:
-                    seen.add(value)
-                    out.append(value)
-            return out
+            if count < 1:
+                raise DomainError(f"cli: grid count must be >= 1, got {count}")
+            return list(dict.fromkeys(int(round(x))
+                                      for x in np.linspace(lo, hi, count)))
         raise DomainError(f"cli: cannot parse integer grid {text!r}")
     return [_scalar_int(text, "grid")]
 

@@ -61,7 +61,7 @@ GRID_EXTENT = 8.0          # shared by the constant search and mean inversion
 CROSS_CHECK_STEP = 5e-4    # step of the mandatory quadratic-difference check
 DEGENERACY_TOL = 1e-10
 MEAN_MATCH_TOL = 1e-10
-NEWTON_TOL = 1e-12         # on |Lambda' - mu| / (1 + |mu|) or step / max(1, |theta|)
+NEWTON_TOL = 1e-12         # on |Lambda' - mu| / (b - a) or step / max(1, |theta|)
 
 __all__ = [
     "TiltedPoint",
@@ -93,8 +93,9 @@ class TiltedPoint:
     matrix; its ``rho`` equals exp(Lambda) and may overflow to inf for
     extreme theta, in which case ``Lambda`` remains the reliable field.
     ``triple`` and ``P_theta`` are built on first read from the remaining
-    fields: the generator, the weights d = exp(theta*f - m), the shift m
-    and the solver's triple of P diag(d), whose right vector is ``v``.
+    fields: the generator, the weights d = exp(theta*f - m) with
+    m = max theta*f, and the solver's triple of P diag(d), whose right
+    vector is ``v``.
     ``triple.gap`` is that solve's enclosure gap, a relative width that
     the shift m does not change.
     """
@@ -105,7 +106,6 @@ class TiltedPoint:
     mean: float
     _P: np.ndarray = field(repr=False)
     _d: np.ndarray = field(repr=False)
-    _shift: float = field(repr=False)
     _solved: _perron.PerronTriple = field(repr=False)
 
     def __post_init__(self):
@@ -276,7 +276,7 @@ class TiltedFamily:
         means = np.matmul(pi[:, None, :], self.f[:, None])[:, 0, 0].tolist()
         return [TiltedPoint(theta=float(theta), pi_theta=pi[b],
                             Lambda=shift + math.log(tri.rho), mean=means[b],
-                            _P=self.P, _d=D[b], _shift=shift, _solved=tri)
+                            _P=self.P, _d=D[b], _solved=tri)
                 for b, (theta, tri, shift)
                 in enumerate(zip(thetas, triples, m.tolist()))]
 
@@ -515,8 +515,9 @@ def theta_of_mean(model: MarkovModel, mu: float) -> float:
     if not lo < theta < hi:
         theta = 0.5 * (lo + hi)
     g_t = g(theta)
+    tol = _mean_tol(model, NEWTON_TOL)
     for _ in range(100):
-        if abs(g_t) <= NEWTON_TOL * (1.0 + abs(mu)):
+        if abs(g_t) <= tol:
             break
         lo, hi = (theta, hi) if g_t < 0.0 else (lo, theta)
         slope = fam.derivatives(theta)[1]
@@ -528,11 +529,20 @@ def theta_of_mean(model: MarkovModel, mu: float) -> float:
             theta = 0.5 * (lo + hi)
         g_t = g(theta)
     err = abs(fam.at(theta).mean - mu)
-    if err > 1e-10 * (1.0 + abs(mu)):
+    if err > _mean_tol(model, 1e-10):
         raise ConvergenceError(
             f"family: mean inversion stalled at |Lambda' - mu| = {err:.3e} "
             f"for mu={mu!r}")
     return float(theta)
+
+
+def _mean_tol(model: MarkovModel, rel: float) -> float:
+    """Tolerance on a tilted mean of a nondegenerate family: rel times the
+    span b - a, but no less than the rounding of the computed mean pi @ f,
+    about S ulps of max|f|."""
+    ls = level_sets(model)
+    return max(rel * (ls.b - ls.a),
+               model.n_states * 2.0 ** -52 * max(abs(ls.a), abs(ls.b)))
 
 
 def _hermite_start(fam: TiltedFamily, mu: float, lo: float,
@@ -592,15 +602,15 @@ def rate_function(model: MarkovModel, mu: float, side: str = "upper") -> RatePoi
     mu = float(mu)
     fam = family_of(model)
     pif = fam.stationary_mean
-    tol = MEAN_MATCH_TOL * (1.0 + abs(pif))
     sign = 1.0 if side == "upper" else -1.0
 
     if fam.is_degenerate:
-        if abs(mu - pif) <= tol:
+        if abs(mu - pif) <= MEAN_MATCH_TOL * (1.0 + abs(pif)):
             return RatePoint(mu=mu, theta_mu=0.0, value=0.0)
         return RatePoint(mu=mu, theta_mu=sign * math.inf, value=math.inf)
 
     _assumptions.require(model, side)
+    tol = _mean_tol(model, MEAN_MATCH_TOL)
     if sign * (mu - pif) < -tol:
         raise DomainError(
             f"family: mu={mu!r} is on the wrong side of the stationary "

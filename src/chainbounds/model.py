@@ -136,9 +136,6 @@ class MarkovModel:
         """
         return MarkovModel(self.states, self.P, -self.f, self.q)
 
-    def index_of(self, label: str) -> int:
-        return self.states.index(str(label))
-
 
 @dataclass(frozen=True)
 class LevelSets:

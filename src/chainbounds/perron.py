@@ -14,8 +14,8 @@ ratios (A x)_i / x_i, whose least and greatest values enclose rho(A).  A
 member is done once both of its vectors have an enclosure of relative
 width (max - min) / max, its gap, at most ENCLOSURE * S * 2**-53: a
 componentwise test that does not depend on scale.  Entries with
-x_i = (A x)_i = 0, which arise only through underflow, are skipped; v
-must still be positive.
+x_i = (A x)_i = 0, which arise through underflow or the zero weights of
+a limit matrix, are skipped; v must still be positive.
 
 Every member starts with up to WARM_UP power steps (all-ones start,
 sup-norm normalization), the stack advancing together: one stacked
@@ -39,13 +39,12 @@ Normalization convention for a triple (rho, u, v):
     sum_x u(x) = 1        and        sum_x u(x) v(x) = 1.
 
 The limit matrix of a side keeps the columns of P on the side's extreme
-set of f (the core) and zeroes the rest: [[A, 0], [B, 0]] up to a
-renumbering, with A = P[core, core].  Its triple is assembled from the
-core: rho = rho(A), u is u_A on the core and 0 elsewhere, and v is v_A on
-the core and B v_A / rho(A) off it.  This needs A irreducible and no zero
-row in B, which are the side's assumptions (A1-A2 or A3-A4), so
-``assumptions.require`` gates it.  The assembled triple is checked by the
-same enclosures, the left one on the core, where u is nonzero.
+set of f (the core) and zeroes the rest: it is the member P diag(d) with
+d = 1 on the core and 0 elsewhere, [[A, 0], [B, 0]] up to a renumbering,
+so ``limit_matrix`` is one ``pf_irreducible`` call.  The side's
+assumptions (A1-A2 or A3-A4), which ``assumptions.require`` gates, make
+it irreducible on the core and v positive; u = d * z is zero off the
+core.
 """
 
 import math
@@ -54,8 +53,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import assumptions as _assumptions
-from .errors import ConvergenceError, DomainError
-from .model import MarkovModel, level_sets
+from .errors import ConvergenceError
+from .model import MarkovModel
 
 # Each fixed by measurement: bounds_dense members all meet the enclosure
 # within 13 power steps; sparse chains tilted by |theta| <= 200 needed up
@@ -98,10 +97,6 @@ class PerronTriple:
 def _dot(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     """Entry b is X[b] @ Y[b], by the BLAS call that product makes alone."""
     return np.matmul(X[:, None, :], Y[:, :, None])[:, 0, 0]
-
-
-def _tolerance(n: int) -> float:
-    return ENCLOSURE * n * 2.0 ** -53
 
 
 def _enclosure(Y: np.ndarray, X: np.ndarray):
@@ -149,7 +144,7 @@ def _vectors(P: np.ndarray, D: np.ndarray):
     with errors[b] None where rows b of Z and V hold member b's vectors and
     gap[b] their gap, and otherwise the ConvergenceError it raised."""
     B, n = D.shape
-    tol = _tolerance(n)
+    tol = ENCLOSURE * n * 2.0 ** -53
     PP = np.stack((P, P.T))[:, None]
     X = np.ones((2, B, n))
     out, gap = np.ones((2, B, n)), np.full(B, np.nan)
@@ -212,12 +207,13 @@ def _finish(P: np.ndarray, D: np.ndarray, Z: np.ndarray, V: np.ndarray,
 def pf_stack(P: np.ndarray, D: np.ndarray) -> list:
     """Perron-Frobenius triples of the irreducible matrices P diag(D[b]).
 
-    ``P`` has shape (S, S) and ``D`` shape (B, S).  Entry b of the result
-    is member b's ``PerronTriple``, bit-identical to
-    ``pf_irreducible(P, D[b])``, or the exception that call would raise:
-    every check of D, the iteration and the enclosure and positivity
-    checks apply to each member alone, so one bad row cannot spoil the
-    others.  A P with a negative or non-finite entry fails every member.
+    ``P`` has shape (S, S) and ``D`` shape (B, S).  A non-finite or
+    negative entry in P or in D * colmax(P) raises ValueError for the
+    whole call.  Otherwise entry b of the result is member b's
+    ``PerronTriple``, bit-identical to ``pf_irreducible(P, D[b])``, or the
+    ConvergenceError that call would raise: the iteration and the
+    enclosure and positivity checks apply to each member alone, so one
+    member that fails cannot spoil the others.
     """
     P = np.asarray(P, dtype=np.float64)
     D = np.asarray(D, dtype=np.float64)
@@ -225,40 +221,14 @@ def pf_stack(P: np.ndarray, D: np.ndarray) -> list:
             or D.shape[1] != P.shape[0]:
         raise ValueError("perron: stack must have shape (S, S) with rows "
                          "(B, S)")
-    B, n = D.shape
-    if not np.isfinite(P).all():
-        return [ValueError("perron: matrix entries must be finite")
-                for _ in range(B)]
-    if P.min() < 0.0:
-        return [ValueError("perron: matrix must be nonnegative")
-                for _ in range(B)]
-    out: list = [None] * B
     with np.errstate(invalid="ignore", over="ignore"):
-        finite = np.isfinite(D * P.max(axis=0)).all(axis=1)
-    for i, (ok, low) in enumerate(zip(finite.tolist(), D.min(axis=1).tolist())):
-        if not ok:
-            out[i] = ValueError("perron: matrix entries must be finite")
-        elif low < 0.0:
-            out[i] = ValueError("perron: matrix must be nonnegative")
-    todo = [i for i, res in enumerate(out) if res is None]
-    if n == 1:
-        for i in todo:
-            rho = float(P[0, 0] * D[i, 0])
-            if rho <= 0.0:
-                out[i] = DomainError(
-                    "perron: 1x1 matrix with zero entry is reducible")
-            else:
-                out[i] = PerronTriple(rho=rho, u=np.ones(1), v=np.ones(1),
-                                      gap=0.0)
-        return out
-    if not todo:
-        return out
-    valid = D if len(todo) == B else D[todo]
+        W = D * P.max(axis=0)
+    if not (np.isfinite(P).all() and np.isfinite(W).all()):
+        raise ValueError("perron: matrix entries must be finite")
+    if P.min() < 0.0 or (W < 0.0).any():
+        raise ValueError("perron: matrix must be nonnegative")
     with np.errstate(divide="ignore", invalid="ignore"):
-        results = _finish(P, valid, *_vectors(P, valid))
-    for i, result in zip(todo, results):
-        out[i] = result
-    return out
+        return _finish(P, D, *_vectors(P, D))
 
 
 def pf_irreducible(M: np.ndarray, d: np.ndarray | None = None) -> PerronTriple:
@@ -266,8 +236,8 @@ def pf_irreducible(M: np.ndarray, d: np.ndarray | None = None) -> PerronTriple:
     M diag(d), with d = 1 (M itself) by default.
 
     Irreducibility is the caller's responsibility (`is_irreducible`); the
-    solver also copes with the [[A, 0], [B, 0]] pattern that arises when
-    tilted matrices underflow toward their limit.  Output is deterministic
+    solver also copes with the [[A, 0], [B, 0]] pattern of the limit
+    matrix and of tilts that underflow toward it.  Output is deterministic
     for identical input.  This is ``pf_stack`` on a stack of one.
     """
     M = np.asarray(M, dtype=np.float64)
@@ -289,26 +259,9 @@ def limit_matrix(model: MarkovModel, side: str = "upper"):
     argmax set of f and zeroes the rest; the lower side uses the argmin
     set (equivalently, the construction for -f).  Requires the side's
     positivity assumptions; returns ``(matrix, PerronTriple)``, the triple
-    assembled from the core block as described in the module docstring.
+    of the 0/1-weighted member described in the module docstring.
     """
     _assumptions.require(model, side)
-    ls = level_sets(model)
-    core = list(ls.S_b if side == "upper" else ls.S_a)
-    fringe = [i for i in range(model.n_states) if i not in core]
-    P = model.P
-    Mbar = np.zeros_like(P)
-    Mbar[:, core] = P[:, core]
-    tri = pf_irreducible(P[np.ix_(core, core)])
-    u = np.zeros(model.n_states)
-    v = np.zeros(model.n_states)
-    u[core] = tri.u
-    v[core] = tri.v
-    v[fringe] = P[np.ix_(fringe, core)] @ tri.v / tri.rho
-    with np.errstate(divide="ignore", invalid="ignore"):
-        gap = float(np.maximum(_enclosure(Mbar @ v, v)[1],
-                               _enclosure((Mbar.T @ u)[core], u[core])[1]))
-    tol = _tolerance(model.n_states)
-    if not gap <= tol:
-        raise ConvergenceError(f"perron: assembled enclosure gap {gap:.3e} "
-                               f"exceeds tolerance {tol:.3e}")
-    return Mbar, PerronTriple(rho=tri.rho, u=u, v=v, gap=gap)
+    extreme = model.f.max() if side == "upper" else model.f.min()
+    d = (model.f == extreme).astype(float)
+    return model.P * d, pf_irreducible(model.P, d)

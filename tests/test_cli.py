@@ -332,6 +332,15 @@ class TestUsageAndErrors:
         assert code == 1
         assert "lo:hi:count" in err
 
+    @pytest.mark.parametrize("count", ["0", "-1"])
+    def test_integer_grid_count_below_one(self, write_model, capsys, count):
+        path = write_model(IID_DOC)
+        code, out, err = run_cli(capsys, "ergodic", "--model", path,
+                                 "--theta", "1", "--n", f"1:10:{count}")
+        assert code == 1
+        assert out == ""
+        assert "grid count must be >= 1" in err
+
     def test_interval_needs_two_values(self, write_model, capsys):
         path = write_model(TWO_STATE_DOC)
         code, _, err = run_cli(capsys, "bound", "--model", path,

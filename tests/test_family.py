@@ -340,6 +340,14 @@ class TestRateFunction:
         model = two_cycle()
         assert rate_function(model, 0.0, "upper").value == 0.0
         assert rate_function(model, 0.5, "upper").value == math.inf
+        # constant f = c: b - a = 0, and the rate is 0 at mu = c
+        rng = np.random.default_rng(61)
+        for c in (-1e3, -0.7, 0.0, 1e-9, 0.3, 42.0):
+            chain = random_irreducible_model(rng, int(rng.integers(2, 9)))
+            model = MarkovModel(chain.states, chain.P,
+                                np.full(chain.n_states, c), chain.q)
+            for side in ("upper", "lower"):
+                assert rate_function(model, c, side).value == 0.0
 
     def test_convex_and_vanishing_only_at_mean(self):
         model = two_state(0.25, 0.4)
@@ -429,17 +437,22 @@ class TestDegeneracyAndMeans:
     def test_borderline_chain_rate_is_scale_invariant(self):
         # f = delta * (0, 1, 0.5) has Lambda_delta(theta) = Lambda_1(delta
         # theta), so the rate at mu = 0.7 delta does not depend on delta;
-        # the mean inversion stops at |Lambda' - mu| <= 1e-12, a 1e-3 share
-        # of the scale at delta = 1e-9, and the rate's error is second order
+        # the mean tolerances are relative to the span b - a = delta
         P = [[0.5, 0.3, 0.2], [0.2, 0.5, 0.3], [0.3, 0.2, 0.5]]
         values = []
-        for delta in (1e-9, 1e-7, 1e-5):
+        for delta in (1e-9, 1e-7, 1e-5, 1e-3, 1.0, 1e3):
             model = MarkovModel(("a", "b", "c"), P,
                                 delta * np.array([0.0, 1.0, 0.5]), [1 / 3] * 3)
             assert not detect_degenerate(model)
             values.append(rate_function(model, 0.7 * delta, "upper").value)
         assert values[0] > 0.0
-        assert max(values) - min(values) <= 1e-5 * values[-1]
+        assert max(values) - min(values) <= 1e-12 * values[-1]
+        # f + 1e3 tilts the same chain; its computed means carry ulps of
+        # 1e3, far above 1e-10 (b - a), which the tolerances must admit
+        model = MarkovModel(("a", "b", "c"), P,
+                            1e3 + 1e-5 * np.array([0.0, 1.0, 0.5]), [1 / 3] * 3)
+        value = rate_function(model, 1e3 + 0.7e-5, "upper").value
+        assert abs(value - values[-1]) <= 1e-6 * values[-1]
 
     def test_degeneracy_makes_no_perron_solve(self, stack_sizes):
         for model in (two_cycle(), two_state(0.3, 0.3),

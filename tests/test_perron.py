@@ -129,14 +129,17 @@ class TestStackedSolver:
                 assert same_triple(tri, pf_irreducible(P, d))
 
     def test_a_bad_member_fails_alone(self):
+        # bad input fails the whole call; a member whose solve fails (the
+        # zero row) fails alone, and its neighbours equal their solo solves
         P = np.array([[0.2, 0.8], [0.6, 0.4]])
-        D = np.array([[1.0, np.nan], [1.0, 0.5], [-0.1, 1.0],
-                      [0.0, 0.0], [0.3, 2.0]])
+        D = np.array([[1.0, 0.5], [0.0, 0.0], [0.3, 2.0]])
+        for row, match in (([1.0, np.nan], "finite"),
+                           ([-0.1, 1.0], "nonnegative")):
+            with pytest.raises(ValueError, match=match):
+                pf_stack(P, np.vstack([D, row]))
         out = pf_stack(P, D)
-        assert isinstance(out[0], ValueError) and "finite" in str(out[0])
-        assert isinstance(out[2], ValueError) and "nonnegative" in str(out[2])
-        assert isinstance(out[3], ConvergenceError)
-        for i in (1, 4):
+        assert isinstance(out[1], ConvergenceError)
+        for i in (0, 2):
             assert isinstance(out[i], PerronTriple)
             assert same_triple(out[i], pf_irreducible(P, D[i]))
 
@@ -145,14 +148,18 @@ class TestStackedSolver:
     def test_a_bad_matrix_fails_every_member(self, bad, match):
         P = np.array([[0.2, 0.8], [0.6, 0.4]])
         P[1, 0] = bad
-        out = pf_stack(P, np.ones((3, 2)))
-        assert len(out) == 3
-        assert all(isinstance(e, ValueError) and match in str(e) for e in out)
+        with pytest.raises(ValueError, match=match):
+            pf_stack(P, np.ones((3, 2)))
 
     def test_scalar_members(self):
-        out = pf_stack(np.array([[1.0]]), np.array([[0.37], [0.0], [np.inf]]))
+        # the general path gives rho = P[0, 0] * d exactly; a zero member
+        # fails its solve alone
+        out = pf_stack(np.array([[1.0]]), np.array([[0.37], [0.0]]))
         assert out[0].rho == 0.37
-        assert "reducible" in str(out[1]) and "finite" in str(out[2])
+        assert out[0].u[0] == 1.0 and out[0].v[0] == 1.0
+        assert isinstance(out[1], ConvergenceError)
+        with pytest.raises(ValueError, match="finite"):
+            pf_stack(np.array([[1.0]]), np.array([[0.37], [np.inf]]))
 
     def test_shape_checked(self):
         with pytest.raises(ValueError, match="shape"):
@@ -195,7 +202,8 @@ def positive_draw(k):
 
 
 class TestExtendedSolver:
-    """The core-block solve that ``limit_matrix`` extends to the fringe."""
+    """``limit_matrix``: the member of P with weight 1 on the core (the
+    side's extreme set of f) and 0 elsewhere, solved by ``pf_irreducible``."""
 
     def test_full_core_matches_irreducible(self):
         # constant f: every state is in the argmax set, so the limit
@@ -244,14 +252,31 @@ class TestExtendedSolver:
             triple_invariants(Mbar, tri)
 
     def test_tiny_argmax_selfloop(self):
-        # power iteration on the whole limit matrix does not converge
-        # here; the core solve gives rho = P(c, c) exactly
+        # the core is the state c alone, so u = (0, 0, 1) and the
+        # Rayleigh quotient u'Mv / u'v is rho = P(c, c) exactly
         model = tiny_selfloop_chain()
         Mbar, tri = limit_matrix(model, "upper")
         assert tri.rho == 1e-9
         assert np.array_equal(tri.u, [0.0, 0.0, 1.0])
         assert np.abs(tri.v / [0.25e9, 0.4e9, 1.0] - 1.0).max() <= 1e-12
         triple_invariants(Mbar, tri)
+
+
+def periodic_core_draws(count=20):
+    """Positive chains of 3-8 states whose f-argmax set, two random states,
+    is a 2-cycle: the core keeps no self-loop, so its limit block has the
+    eigenvalues +-rho and power steps on it oscillate."""
+    rng = np.random.default_rng(53)
+    for _ in range(count):
+        n = int(rng.integers(3, 9))
+        core = rng.permutation(n)[:2]
+        P = rng.uniform(0.1, 1.0, (n, n))
+        P[core, core] = 0.0
+        P /= P.sum(axis=1, keepdims=True)
+        f = rng.uniform(-1.0, 0.5, n)
+        f[core] = 1.0
+        yield MarkovModel(tuple(f"s{i}" for i in range(n)), P, f,
+                          np.full(n, 1.0 / n)), tuple(sorted(core.tolist()))
 
 
 class TestLimitMatrix:
@@ -284,6 +309,13 @@ class TestLimitMatrix:
         assert support(tri.u) == (0,)
         assert abs(tri.rho - 0.7) <= 1e-14
         assert np.array_equal(Mbar[:, 1], [0.0, 0.0])
+
+    def test_periodic_core(self):
+        for model, core in periodic_core_draws():
+            Mbar, tri = limit_matrix(model, "upper")
+            assert support(tri.u) == core
+            assert abs(tri.rho - charpoly_spectral_radius(Mbar)) <= 1e-9
+            triple_invariants(Mbar, tri)
 
 
 class TestHardChains:
