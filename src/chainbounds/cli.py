@@ -312,10 +312,11 @@ def run(command: str, model_path: str, params: dict) -> tuple[int, str]:
     try:
         with open(model_path, "rb") as fh:
             raw = fh.read()
-    except OSError as exc:
+        text = raw.decode("utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise ModelFormatError(
             f"model: cannot read {model_path}: {exc}") from exc
-    model = parse_model(raw.decode("utf-8"))
+    model = parse_model(text)
 
     header = {
         "model_sha256": hashlib.sha256(raw).hexdigest(),
@@ -373,8 +374,12 @@ def main(argv=None) -> int:
         return 2
     out = getattr(args, "out", None)
     if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(report)
+        try:
+            with open(out, "w", encoding="utf-8") as fh:
+                fh.write(report)
+        except OSError as exc:
+            print(f"error: cli: cannot write {out}: {exc}", file=sys.stderr)
+            return 1
     else:
         sys.stdout.write(report)
     return status

@@ -24,24 +24,18 @@ the column reweighting P diag(d) of the generator, d = exp(theta*f - m)
 vector as d times a vector of P' diag(d), so states the tilt starves get
 left entries that are small, not noise.
 
-A ``TiltedFamily`` memoizes tilted points and their derivatives by theta,
-so grid sweeps, Newton steps and cross-checks share eigensolves; the
-family itself and the limit-matrix triple of each side are memoized on
-the model (``model.memo``).  ``TiltedFamily.at_many`` solves a batch of
-tilts as one stacked Perron solve against the shared P, and
-``TiltedFamily.derivatives_many`` the derivatives of a batch as one
-stacked linear solve, both with the bytes ``at`` and ``derivatives``
-compute one by one.  ``TiltedFamily.lambda_second_many`` runs both for
-a batch of tilts and the cross-check neighbours of their Lambda'', a
-stencil only this module knows; the constant search makes one such call
-per round and ``spectral_curve`` one.
-``TiltedPoint.triple`` and ``TiltedPoint.P_theta`` are built on first
-read; the derivatives build the tilted chains they need as a stack of
-their own, so the constant search keeps no (S, S) matrix per point.  All
-returned values are immutable.  The limits of Lambda' toward -inf and +inf
-are the least and greatest means of f along a cycle of the graph P > 0
-(Friedland 1986); Karp's recursion gives them without a Perron solve
-(``_cycle_means``), for degeneracy (they coincide) and ``mean_set``.
+A ``TiltedFamily`` memoizes points by theta, each built with its
+derivatives by one stacked Perron solve and one stacked linear solve per
+batch, bit-identical to a batch of one; the family and each side's
+limit-matrix triple are memoized on the model (``model.memo``).  The
+cross-check neighbours of Lambda'' join their tilts' Perron solve as bare
+Lambda values and are never memoized.  ``TiltedPoint.triple`` and
+``P_theta`` are built on first read.  All returned values are immutable.
+
+The limits of Lambda' toward -inf and +inf are the least and greatest
+means of f along a cycle of the graph P > 0 (Friedland 1986); Karp's
+recursion gives them without a Perron solve (``_cycle_means``), for
+degeneracy (they coincide) and ``mean_set``.
 """
 
 import itertools
@@ -97,7 +91,8 @@ class TiltedPoint:
     m = max theta*f, and the solver's triple of P diag(d), whose right
     vector is ``v``.
     ``triple.gap`` is that solve's enclosure gap, a relative width that
-    the shift m does not change.
+    the shift m does not change.  ``_derivatives`` is the point's
+    ``TiltedFamily.derivatives``, None where they are singular.
     """
 
     theta: float
@@ -107,6 +102,7 @@ class TiltedPoint:
     _P: np.ndarray = field(repr=False)
     _d: np.ndarray = field(repr=False)
     _solved: _perron.PerronTriple = field(repr=False)
+    _derivatives: tuple[np.ndarray, float] | None = field(repr=False)
 
     def __post_init__(self):
         self.pi_theta.setflags(write=False)
@@ -128,18 +124,16 @@ class TiltedPoint:
     @cached_property
     def P_theta(self) -> np.ndarray:
         """The tilted stochastic matrix, built on first read."""
-        P_theta = _tilted_chains([self])[0]
+        P_theta = _tilted_chains(self._P, self._d[None], self.v[None],
+                                 np.array([self._solved.rho]))[0]
         P_theta.setflags(write=False)
         return P_theta
 
 
-def _tilted_chains(points: list) -> np.ndarray:
-    """P_theta = P diag(d) v(y) / (rho v(x)) of each point, as a stack;
-    entry b does not depend on the other points."""
-    P = points[0]._P
-    D = np.array([p._d for p in points])
-    V = np.array([p.v for p in points])
-    rho = np.array([p._solved.rho for p in points])
+def _tilted_chains(P: np.ndarray, D: np.ndarray, V: np.ndarray,
+                   rho: np.ndarray) -> np.ndarray:
+    """P_theta = P diag(d) v(y) / (rho v(x)) for each row d, v and rho of
+    D, V and rho, as a stack; entry b does not depend on the other rows."""
     P_theta = (P * D[:, None, :]) * (V[:, None, :] / (rho[:, None, None] * V[:, :, None]))
     # the row sums are the right Collatz-Wielandt ratios over rho: scrub
     # their roundoff so tilted chains are themselves valid generators
@@ -221,36 +215,49 @@ class TiltedFamily:
     def __init__(self, model: MarkovModel):
         self.P, self.f = model.P, model.f
         self._points: dict[float, TiltedPoint] = {}
-        self._derivatives: dict[float, tuple[np.ndarray, float]] = {}
 
     def at(self, theta: float) -> TiltedPoint:
         return memo(self._points, float(theta), self._compute)
 
-    def at_many(self, thetas) -> None:
-        """Memoize the points of ``thetas`` from one stacked Perron solve.
+    def _compute(self, theta: float) -> TiltedPoint:
+        point = self._solve([theta])[0]
+        if isinstance(point, Exception):
+            raise point
+        return point
 
-        Thetas already memoized are skipped, and nothing is solved when
-        all are; the rest are solved as one stack against the shared P
-        (``perron.pf_stack``) and published together, each point
-        bit-identical to ``at(theta)`` on a fresh family.  A point whose
-        tilt or solve fails is not published, so ``at(theta)`` raises its
-        error alone.
+    def at_many(self, thetas) -> None:
+        """Memoize the points of ``thetas`` from one stacked solve.
+
+        Thetas already memoized are skipped; the rest are solved together
+        (``_solve``), each point bit-identical to ``at(theta)`` on a fresh
+        family.  A point whose tilt or solve fails is not published, so
+        ``at(theta)`` raises its error alone.
         """
-        todo = np.array([t for t in dict.fromkeys(map(float, thetas))
-                         if t not in self._points])
-        if not todo.size:
-            return
-        D, m = self._weights(todo)
-        finite = np.isfinite(m)
-        todo, D, m = todo[finite], D[finite], m[finite]
-        triples = _perron.pf_stack(self.P, D)
-        solved = [i for i, tri in enumerate(triples)
-                  if isinstance(tri, _perron.PerronTriple)]
-        if not solved:
-            return
-        points = self._assemble(todo[solved], D[solved], m[solved],
-                                [triples[i] for i in solved])
-        publish(self._points, {p.theta: p for p in points})
+        todo = [t for t in dict.fromkeys(map(float, thetas))
+                if t not in self._points]
+        if todo:
+            self._solve(todo)
+
+    def _solve(self, thetas: list, neighbours: list = ()) -> list:
+        """The published point of each of ``thetas``, then the bare Lambda
+        of each of ``neighbours``, or the error its tilt or solve raised;
+        one ``perron.pf_stack`` for all, entries bit-identical to solo."""
+        tilts = np.array([*thetas, *neighbours], dtype=np.float64)
+        D, m = self._weights(tilts)
+        out = [DomainError(f"family: theta={t!r} overflows theta*f")
+               for t in tilts.tolist()]
+        finite = np.flatnonzero(np.isfinite(m))
+        # a solved member is (triple, Lambda) until its point is built
+        for i, tri in zip(finite.tolist(), _perron.pf_stack(self.P, D[finite])):
+            out[i] = tri if isinstance(tri, Exception) else (
+                tri, m[i].item() + math.log(tri.rho))
+        built = [i for i, x in enumerate(out[:len(thetas)]) if isinstance(x, tuple)]
+        if built:
+            points = self._assemble(tilts[built], D[built], [out[i] for i in built])
+            publish(self._points, {p.theta: p for p in points})
+            for i, point in zip(built, points):
+                out[i] = point
+        return [x[1] if isinstance(x, tuple) else x for x in out]
 
     def _weights(self, thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Rows d = exp(theta*f - m) and the shifts m = max theta*f; m is
@@ -260,25 +267,27 @@ class TiltedFamily:
             m = expo.max(axis=1)
             return np.exp(expo - m[:, None]), m
 
-    def _compute(self, theta: float) -> TiltedPoint:
-        D, m = self._weights(np.array([theta]))
-        if not math.isfinite(m[0]):
-            raise DomainError(f"family: theta={theta!r} overflows theta*f")
-        tri = _perron.pf_irreducible(self.P, D[0])
-        return self._assemble([theta], D, m, [tri])[0]
-
-    def _assemble(self, thetas, D: np.ndarray, m: np.ndarray,
-                  triples: list) -> list[TiltedPoint]:
-        """Points from the weight rows of P and their Perron triples."""
+    def _assemble(self, thetas: np.ndarray, D: np.ndarray,
+                  solved: list) -> list[TiltedPoint]:
+        """Points from the weight rows of P and their (Perron triple,
+        Lambda) pairs, with the derivatives of all from one stacked linear
+        solve (``_fundamental``)."""
         D.setflags(write=False)
-        pi = np.array([tri.u for tri in triples]) * np.array(
-            [tri.v for tri in triples])
-        means = np.matmul(pi[:, None, :], self.f[:, None])[:, 0, 0].tolist()
-        return [TiltedPoint(theta=float(theta), pi_theta=pi[b],
-                            Lambda=shift + math.log(tri.rho), mean=means[b],
-                            _P=self.P, _d=D[b], _solved=tri)
-                for b, (theta, tri, shift)
-                in enumerate(zip(thetas, triples, m.tolist()))]
+        V = np.array([tri.v for tri, _ in solved])
+        pi = np.array([tri.u for tri, _ in solved]) * V
+        means = np.matmul(pi[:, None, :], self.f[:, None])[:, 0, 0]
+        P_theta = _tilted_chains(self.P, D, V, np.array([tri.rho for tri, _ in solved]))
+        fc = self.f - means[:, None]
+        rhs = np.stack((np.matmul(P_theta, fc[:, :, None])[:, :, 0], fc), axis=2)
+        # A = I - P_theta + 1 pi', built in the stack's own memory
+        A = np.subtract(np.eye(self.f.size), P_theta, out=P_theta)
+        A += pi[:, None, :]
+        derived = _fundamental(A, rhs, pi, fc)
+        return [TiltedPoint(theta=theta, pi_theta=pi[b], Lambda=Lambda,
+                            mean=mean, _P=self.P, _d=D[b], _solved=tri,
+                            _derivatives=derived[b])
+                for b, (theta, mean, (tri, Lambda))
+                in enumerate(zip(thetas.tolist(), means.tolist(), solved))]
 
     @property
     def stationary_mean(self) -> float:
@@ -292,104 +301,90 @@ class TiltedFamily:
     @cached_property
     def is_degenerate(self) -> bool:
         lo, hi = self.cycle_means
-        return hi - lo <= DEGENERACY_TOL * (1.0 + float(np.abs(self.f).max()))
+        return hi - lo <= _mean_tol(self.f, DEGENERACY_TOL)
 
     def derivatives(self, theta: float) -> tuple[np.ndarray, float]:
-        """(w, Lambda'') from one solve with Z = (I - P_theta + 1 pi')^-1.
+        """(w, Lambda'') of the point at theta, by Z = (I - P_theta + 1 pi')^-1.
 
         w = Z P_theta fc, fc = f - Lambda', is d log v / d theta up to a
         constant that cancels from every eigenvector ratio, and Lambda'' =
-        2 pi(fc Z fc) - pi(fc^2).  Memoized; ``lambda_second`` checks it.
-        A singular I - P_theta + 1 pi' (seen on sparse chains once the tilt
-        has underflowed part of the chain) raises ``ConvergenceError``.
+        2 pi(fc Z fc) - pi(fc^2); ``lambda_second`` checks it.  A singular
+        I - P_theta + 1 pi' (seen on sparse chains once the tilt has
+        underflowed part of the chain) raises ``ConvergenceError``.
         """
-        return memo(self._derivatives, float(theta), self._derive)
-
-    def derivatives_many(self, thetas) -> None:
-        """Memoize ``derivatives`` of the memoized points among ``thetas``
-        from one stacked linear solve, bit-identical to the solo ones.
-
-        Thetas without a memoized point are skipped, so ``derivatives``
-        raises their solve's error alone; a singular slice fails the whole
-        stacked solve, so then nothing is memoized and each ``derivatives``
-        call solves alone, the singular ones raising.
-        """
-        todo = [t for t in dict.fromkeys(map(float, thetas))
-                if t in self._points and t not in self._derivatives]
-        try:
-            stacked = self._derive_stack([self._points[t] for t in todo])
-        except np.linalg.LinAlgError:
-            return
-        publish(self._derivatives, dict(zip(todo, stacked)))
-
-    def _derive(self, theta: float) -> tuple[np.ndarray, float]:
         point = self.at(theta)
-        try:
-            return self._derive_stack([point])[0]
-        except np.linalg.LinAlgError as exc:
+        if point._derivatives is None:
             raise ConvergenceError(
-                f"family: I - P_theta + 1 pi' is singular at theta={theta!r}; "
-                "Lambda'' and d log v / d theta are unavailable there") from exc
+                f"family: I - P_theta + 1 pi' is singular at "
+                f"theta={point.theta!r}; Lambda'' and d log v / d theta are "
+                "unavailable there")
+        return point._derivatives
 
-    def _derive_stack(self, points: list) -> list[tuple[np.ndarray, float]]:
-        """``derivatives`` of each point; LAPACK runs once per slice of the
-        stacked solve, so an entry does not depend on the rest."""
-        if not points:
-            return []
-        P_theta = _tilted_chains(points)
-        pi = np.array([p.pi_theta for p in points])
-        fc = self.f - np.array([p.mean for p in points])[:, None]
-        rhs = np.stack((np.matmul(P_theta, fc[:, :, None])[:, :, 0], fc), axis=2)
-        # A = I - P_theta + 1 pi', built in the stack's own memory
-        A = np.subtract(np.eye(self.f.size), P_theta, out=P_theta)
-        A += pi[:, None, :]
-        sol = np.linalg.solve(A, rhs)
-        sol.setflags(write=False)
-        curvature = (2.0 * np.matmul(pi[:, None, :], (fc * sol[:, :, 1])[:, :, None])
-                     - np.matmul(pi[:, None, :], (fc * fc)[:, :, None]))
-        return list(zip(sol[:, :, 0], curvature[:, 0, 0].tolist()))
-
-    def lambda_second(self, theta: float, h: float | None = None) -> float:
+    def lambda_second(self, theta: float) -> float:
         """Lambda''(theta) by the fundamental matrix (``derivatives``).
 
         Every value is cross-checked against the quadratic difference
         (Lambda(theta+h) - 2 Lambda(theta) + Lambda(theta-h)) / h^2 at step
-        ``h`` (default 5e-4*(1+|theta|); second differences of an O(1)
-        function below ~1e-3 drown in roundoff at double precision).
-        Disagreement raises instead of returning silently.
+        h = 5e-4*(1+|theta|) (second differences of an O(1) function below
+        ~1e-3 drown in roundoff at double precision).  Disagreement raises
+        instead of returning silently.
         """
-        theta = float(theta)
-        h, lo, hi = _stencil(theta, h)
-        if h <= 0.0:
-            raise DomainError("family: finite-difference step must be positive")
-        value = self.derivatives(theta)[1]
-        fd2 = (self.at(hi).Lambda - 2.0 * self.at(theta).Lambda
-               + self.at(lo).Lambda) / (h * h)
-        tol = max(1e-6, 1e-3 * abs(value))
-        if abs(value - fd2) > tol:
-            raise CrossCheckError(
-                f"family: Lambda'' routes disagree at theta={theta!r}: "
-                f"fundamental matrix {value!r} vs quadratic difference {fd2!r} "
-                f"(tolerance {tol:.1e})")
-        return value
+        return self.lambda_second_many([theta])[0]
 
     def lambda_second_many(self, thetas) -> list[float]:
-        """``lambda_second`` at each of ``thetas``, in order, at the default
-        step: the tilts and their cross-check neighbours are solved as one
-        stacked Perron solve (``at_many``) and the tilts' derivatives as one
-        stacked linear solve (``derivatives_many``).  The first failure
-        raises what a loop of ``lambda_second`` raises."""
+        """``lambda_second`` at each of ``thetas``, in order, from one
+        ``_solve`` of the new tilts and every cross-check neighbour.  The
+        first failure raises, in the order of a loop: the tilt's solve, a
+        singular derivative, then the solves at theta + h and theta - h."""
         thetas = [float(t) for t in thetas]
-        self.at_many([s for t in thetas for s in (t, *_stencil(t)[1:])])
-        self.derivatives_many(thetas)
-        return [self.lambda_second(t) for t in thetas]
+        todo = [t for t in dict.fromkeys(thetas) if t not in self._points]
+        near = list(dict.fromkeys(s for t in thetas for s in _stencil(t)[1:]))
+        solved = self._solve(todo, near)
+        centres, Lambda = dict(zip(todo, solved)), dict(zip(near, solved[len(todo):]))
+        values = []
+        for theta in thetas:
+            if theta not in self._points:
+                raise centres[theta]
+            value = self.derivatives(theta)[1]
+            h, lo, hi = _stencil(theta)
+            for s in (hi, lo):
+                if isinstance(Lambda[s], Exception):
+                    raise Lambda[s]
+            fd2 = (Lambda[hi] - 2.0 * self._points[theta].Lambda
+                   + Lambda[lo]) / (h * h)
+            tol = max(1e-6, 1e-3 * abs(value))
+            if abs(value - fd2) > tol:
+                raise CrossCheckError(
+                    f"family: Lambda'' routes disagree at theta={theta!r}: "
+                    f"fundamental matrix {value!r} vs quadratic difference "
+                    f"{fd2!r} (tolerance {tol:.1e})")
+            values.append(value)
+        return values
 
 
-def _stencil(theta: float, h: float | None = None) -> tuple[float, float, float]:
-    """(h, theta - h, theta + h): the step of the Lambda'' cross-check at
-    theta (default 5e-4*(1+|theta|)) and the neighbours it solves."""
-    if h is None:
-        h = CROSS_CHECK_STEP * (1.0 + abs(theta))
+def _fundamental(A: np.ndarray, rhs: np.ndarray, pi: np.ndarray,
+                 fc: np.ndarray) -> list:
+    """(w, Lambda'') of each slice of A = I - P_theta + 1 pi', or None where
+    A is singular.  LAPACK runs once per slice, so an entry does not depend
+    on the rest; numpy fails the whole stack on one singular slice, and
+    then each slice is solved alone."""
+    try:
+        sol = np.linalg.solve(A, rhs)
+    except np.linalg.LinAlgError:
+        if len(A) == 1:
+            return [None]
+        return [d for b in range(len(A))
+                for d in _fundamental(*(x[b:b + 1] for x in (A, rhs, pi, fc)))]
+    sol.setflags(write=False)
+    curvature = (2.0 * np.matmul(pi[:, None, :], (fc * sol[:, :, 1])[:, :, None])
+                 - np.matmul(pi[:, None, :], (fc * fc)[:, :, None]))
+    return list(zip(sol[:, :, 0], curvature[:, 0, 0].tolist()))
+
+
+def _stencil(theta: float) -> tuple[float, float, float]:
+    """(h, theta - h, theta + h): the step 5e-4*(1+|theta|) of the Lambda''
+    cross-check at theta and the neighbours it solves."""
+    h = CROSS_CHECK_STEP * (1.0 + abs(theta))
     return h, theta - h, theta + h
 
 
@@ -449,10 +444,9 @@ def lambda_prime(point: TiltedPoint) -> float:
     return point.mean
 
 
-def lambda_second(model: MarkovModel, theta: float,
-                  h: float | None = None) -> float:
+def lambda_second(model: MarkovModel, theta: float) -> float:
     """Lambda''(theta); see ``TiltedFamily.lambda_second``."""
-    return family_of(model).lambda_second(theta, h)
+    return family_of(model).lambda_second(theta)
 
 
 def theta_of_mean(model: MarkovModel, mu: float) -> float:
@@ -504,7 +498,7 @@ def theta_of_mean(model: MarkovModel, mu: float) -> float:
     extension = (sign * GRID_EXTENT * 2.0 ** k for k in range(1, 58))
     last = None
     for theta in itertools.chain(grid, extension):    # up to |theta| = 2**60
-        if sign * ((fam._points.get(theta) or fam.at(theta)).mean - mu) >= 0.0:
+        if sign * (fam.at(theta).mean - mu) >= 0.0:
             break
         last = theta
     else:
@@ -515,7 +509,7 @@ def theta_of_mean(model: MarkovModel, mu: float) -> float:
     if not lo < theta < hi:
         theta = 0.5 * (lo + hi)
     g_t = g(theta)
-    tol = _mean_tol(model, NEWTON_TOL)
+    tol = _mean_tol(model.f, NEWTON_TOL)
     for _ in range(100):
         if abs(g_t) <= tol:
             break
@@ -529,28 +523,26 @@ def theta_of_mean(model: MarkovModel, mu: float) -> float:
             theta = 0.5 * (lo + hi)
         g_t = g(theta)
     err = abs(fam.at(theta).mean - mu)
-    if err > _mean_tol(model, 1e-10):
+    if err > _mean_tol(model.f, 1e-10):
         raise ConvergenceError(
             f"family: mean inversion stalled at |Lambda' - mu| = {err:.3e} "
             f"for mu={mu!r}")
     return float(theta)
 
 
-def _mean_tol(model: MarkovModel, rel: float) -> float:
-    """Tolerance on a tilted mean of a nondegenerate family: rel times the
-    span b - a, but no less than the rounding of the computed mean pi @ f,
-    about S ulps of max|f|."""
-    ls = level_sets(model)
-    return max(rel * (ls.b - ls.a),
-               model.n_states * 2.0 ** -52 * max(abs(ls.a), abs(ls.b)))
+def _mean_tol(f: np.ndarray, rel: float) -> float:
+    """Tolerance on a mean of f: rel times the span max f - min f, but no
+    less than the rounding of a computed mean pi @ f, about S ulps of
+    max|f|, so constant f still matches its own mean."""
+    return max(rel * float(f.max() - f.min()),
+               f.size * 2.0 ** -52 * float(np.abs(f).max()))
 
 
 def _hermite_start(fam: TiltedFamily, mu: float, lo: float,
                    hi: float) -> float:
     """The cubic Hermite interpolant at mu of the inverse mean map theta(mu)
     through the memoized bracket ends lo < hi, with slopes 1 / Lambda''
-    from one stacked derivative solve; NaN if an end has no derivative."""
-    fam.derivatives_many((lo, hi))
+    from their points; NaN if an end has no derivative."""
     try:
         c_lo, c_hi = fam.derivatives(lo)[1], fam.derivatives(hi)[1]
     except ConvergenceError:
@@ -604,13 +596,13 @@ def rate_function(model: MarkovModel, mu: float, side: str = "upper") -> RatePoi
     pif = fam.stationary_mean
     sign = 1.0 if side == "upper" else -1.0
 
+    tol = _mean_tol(model.f, MEAN_MATCH_TOL)
     if fam.is_degenerate:
-        if abs(mu - pif) <= MEAN_MATCH_TOL * (1.0 + abs(pif)):
+        if abs(mu - pif) <= tol:
             return RatePoint(mu=mu, theta_mu=0.0, value=0.0)
         return RatePoint(mu=mu, theta_mu=sign * math.inf, value=math.inf)
 
     _assumptions.require(model, side)
-    tol = _mean_tol(model, MEAN_MATCH_TOL)
     if sign * (mu - pif) < -tol:
         raise DomainError(
             f"family: mu={mu!r} is on the wrong side of the stationary "
@@ -641,7 +633,8 @@ def detect_degenerate(model: MarkovModel) -> bool:
 
     Decided without a Perron solve: the family is constant iff f has one
     mean along every cycle of the graph P > 0, i.e. the least and greatest
-    cycle means differ by at most DEGENERACY_TOL * (1 + max|f|).
+    cycle means differ by at most DEGENERACY_TOL times the span of f, or by
+    the rounding of a mean of f where that is larger (``_mean_tol``).
     """
     return family_of(model).is_degenerate
 

@@ -193,7 +193,7 @@ def load_model(path) -> MarkovModel:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ModelFormatError(f"model: cannot read {path}: {exc}") from exc
     return parse_model(text)
 

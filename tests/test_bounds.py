@@ -7,6 +7,7 @@ import weakref
 import numpy as np
 import pytest
 
+import chainbounds.perron as perron_module
 from chainbounds import (AssumptionError, ChainboundsError, DomainError,
                          MarkovModel, TiltedFamily, chernoff_bound, constants,
                          ergodic_gap, family_of, hoeffding_bound, level_sets,
@@ -73,9 +74,9 @@ class TestConstants:
             c = constants(model, side)
             fam = family_of(model)
             sign = 1.0 if side == "upper" else -1.0
-            # every tilt the search solved, its guard tilts included
-            solved = [t for t in list(fam._points)
-                      if sign * t >= 0.0 and t in fam._derivatives]
+            # every tilt the search solved, its guard tilts included: the
+            # memo holds no cross-check neighbour
+            solved = [t for t in list(fam._points) if sign * t >= 0.0]
             assert solved
             for theta in solved:
                 v = fam.at(theta).v
@@ -336,10 +337,16 @@ def test_constants_do_not_depend_on_batching(monkeypatch):
         return out
 
     baseline = outcomes(models)
-    # no stacked solve at all: every point and derivative is solved alone
-    monkeypatch.setattr(TiltedFamily, "at_many", lambda self, thetas: None)
-    monkeypatch.setattr(TiltedFamily, "derivatives_many",
-                        lambda self, thetas: None)
+    # no stacked solve at all: every Perron member and every point's
+    # derivative solve runs alone
+    pf_stack, assemble = perron_module.pf_stack, TiltedFamily._assemble
+    monkeypatch.setattr(perron_module, "pf_stack", lambda P, D: [
+        out for d in D for out in pf_stack(P, d[None])])
+    monkeypatch.setattr(
+        TiltedFamily, "_assemble", lambda self, thetas, D, solved: [
+            point for b in range(len(solved))
+            for point in assemble(self, thetas[b:b + 1], D[b:b + 1],
+                                  solved[b:b + 1])])
     fresh = [MarkovModel(m.states, m.P, m.f, m.q) for m in models]
     assert outcomes(fresh) == baseline
 

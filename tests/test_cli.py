@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 import chainbounds.family as family_module
-from chainbounds import (__version__, lambda_n_exact, load_model,
-                         two_sided_bound)
+from chainbounds import (ModelFormatError, __version__, lambda_n_exact,
+                         load_model, two_sided_bound)
 from chainbounds.cli import main
 from chainbounds.sim import ergodic_checks
 from conftest import random_irreducible_model
@@ -301,6 +301,24 @@ class TestReports:
 
 
 class TestUsageAndErrors:
+    def test_model_that_is_not_utf8(self, tmp_path, capsys):
+        path = tmp_path / "latin1.yaml"
+        path.write_bytes(TWO_STATE_DOC.replace("s0", "s\xe9").encode("latin-1"))
+        code, _, err = run_cli(capsys, "validate", "--model", str(path))
+        assert code == 1
+        assert err.startswith("error: model: cannot read ")
+        with pytest.raises(ModelFormatError, match="cannot read"):
+            load_model(path)
+
+    @pytest.mark.parametrize("target", [".", "missing/report.txt"])
+    def test_unwritable_out(self, write_model, tmp_path, capsys, target):
+        path = write_model(TWO_STATE_DOC)
+        out = str(tmp_path / target)
+        code, stdout, err = run_cli(capsys, "validate", "--model", path,
+                                    "--out", out)
+        assert (code, stdout) == (1, "")
+        assert err.startswith(f"error: cli: cannot write {out}: ")
+
     def test_missing_required_flag(self, write_model, capsys):
         path = write_model(TWO_STATE_DOC)
         code, _, err = run_cli(capsys, "bound", "--model", path, "--n", "10")
@@ -384,7 +402,7 @@ class TestUsageAndErrors:
         assert run_cli(capsys, "spectrum", "--model", path,
                        "--theta", theta)[0] == 0
         monkeypatch.setattr(family_module, "_tilted_chains",
-                            lambda points: np.array([np.eye(11)] * len(points)))
+                            lambda P, D, V, rho: np.array([np.eye(11)] * len(D)))
         code, _, err = run_cli(capsys, "spectrum", "--model", path,
                                "--theta", theta)
         assert code == 2

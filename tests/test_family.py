@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -146,10 +147,6 @@ class TestDerivatives:
                        + tilt(model, theta - h).Lambda) / h**2
                 assert abs(value - fd2) <= max(1e-6, 1e-3 * abs(value))
 
-    def test_rejects_nonpositive_step(self):
-        with pytest.raises(DomainError):
-            lambda_second(two_state(), 0.0, h=0.0)
-
     @pytest.mark.parametrize("make", [random_positive_model,
                                       random_irreducible_model])
     def test_fundamental_matrix_matches_finite_difference_oracle(self, make):
@@ -175,7 +172,8 @@ class TestDerivatives:
         model = two_state(0.2, 0.45)
         fam = family_of(model)
         w, value = fam.derivatives(0.7)
-        monkeypatch.setitem(fam._derivatives, 0.7, (w, 1.01 * value))
+        wrong = dataclasses.replace(fam.at(0.7), _derivatives=(w, 1.01 * value))
+        monkeypatch.setitem(fam._points, 0.7, wrong)
         with pytest.raises(CrossCheckError):
             lambda_second(model, 0.7)
 
@@ -348,6 +346,17 @@ class TestRateFunction:
                                 np.full(chain.n_states, c), chain.q)
             for side in ("upper", "lower"):
                 assert rate_function(model, c, side).value == 0.0
+        # the same with a large offset, and the swap chain shifted by it:
+        # the tolerance on the mean is the rounding of pi @ f, not of 1 + c
+        for c in (1e5, -3e7, 1e12):
+            model = MarkovModel(("a", "b"), [[0.6, 0.4], [0.2, 0.8]],
+                                [c, c], [0.5, 0.5])
+            swap = MarkovModel(("a", "b"), [[0.0, 1.0], [1.0, 0.0]],
+                               [c, c + 1.0], [0.5, 0.5])
+            for side in ("upper", "lower"):
+                assert rate_function(model, c, side).value == 0.0
+                assert rate_function(swap, c + 0.5, side).value == 0.0
+            assert rate_function(swap, c + 0.6, "upper").value == math.inf
 
     def test_convex_and_vanishing_only_at_mean(self):
         model = two_state(0.25, 0.4)
@@ -368,6 +377,24 @@ class TestDegeneracyAndMeans:
         model = MarkovModel(("a", "b"), [[0.6, 0.4], [0.2, 0.8]],
                             [2.0, 2.0], [0.5, 0.5])
         assert detect_degenerate(model)
+
+    def test_degeneracy_does_not_depend_on_an_offset(self):
+        # f + c tilts the same chains as f: a spread of 1e-5 in f stays
+        # nondegenerate beside an offset of 1e5
+        P = [[0.5, 0.3, 0.2], [0.2, 0.5, 0.3], [0.3, 0.2, 0.5]]
+        rates = []
+        for c in (0.0, 1e5, -1e5, 1e3):
+            model = MarkovModel(("a", "b", "c"), P,
+                                c + 1e-5 * np.array([0.0, 1.0, 0.5]),
+                                np.full(3, 1.0 / 3.0))
+            assert not detect_degenerate(model)
+            rates.append(rate_function(model, c + 0.7e-5, "upper").value)
+        # theta * mu - Lambda cancels about 1e-5 of the rate at c = 1e5
+        assert rates[0] > 0.07
+        assert max(abs(r - rates[0]) for r in rates) <= 1e-4 * rates[0]
+        swap = MarkovModel(("a", "b"), [[0.0, 1.0], [1.0, 0.0]],
+                           [1e5, 1e5 + 1.0], [0.5, 0.5])
+        assert detect_degenerate(swap)
 
     def test_generic_chain_not_degenerate(self):
         # quadratic oracle confirms curvature at zero for p + q != 1
@@ -489,14 +516,15 @@ class TestSpectralCurve:
 
 
 def outcome(fam, theta):
-    """The point's fields as bytes, or the error ``fam.at`` raises."""
+    """The point's fields and derivatives as bytes, or the error
+    ``fam.at`` raises."""
     try:
         p = fam.at(theta)
     except (ConvergenceError, DomainError) as exc:
         return type(exc), str(exc)
     return tuple(np.asarray(x).tobytes() for x in (
         p.triple.rho, p.triple.u, p.triple.v, p.triple.gap, p.P_theta,
-        p.pi_theta, p.Lambda, p.mean))
+        p.pi_theta, p.Lambda, p.mean)) + (derivative_outcome(fam, theta),)
 
 
 @st.composite
@@ -555,23 +583,6 @@ class TestStackedPoints:
     @settings(max_examples=40, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
     @given(model=chains(), thetas=theta_sets())
-    def test_derivatives_many_equals_solo_derivatives(self, model, thetas):
-        fam = TiltedFamily(model)
-        fam.at_many(thetas)
-        fam.derivatives_many(thetas)
-        stacked = set(fam._derivatives)
-        solo = {theta: derivative_outcome(TiltedFamily(model), theta)
-                for theta in thetas}
-        # a singular slice leaves every derivative to its solo solve
-        if not any(out[0] is ConvergenceError and "singular" in out[1]
-                   for out in solo.values()):
-            assert stacked == set(fam._points)
-        for theta in thetas:
-            assert derivative_outcome(fam, theta) == solo[theta]
-
-    @settings(max_examples=40, deadline=None,
-              suppress_health_check=[HealthCheck.too_slow])
-    @given(model=chains(), thetas=theta_sets())
     def test_lambda_second_many_equals_solo_values(self, model, thetas):
         assert (curvature_outcome(TiltedFamily(model).lambda_second_many,
                                   thetas)
@@ -581,35 +592,40 @@ class TestStackedPoints:
 
     def test_a_singular_slice_fails_alone(self, monkeypatch):
         # with the identity in place of P_1, I - P_1 + 1 pi' is the
-        # rank-one 1 pi', which fails numpy's whole stacked solve
+        # rank-one 1 pi', which fails numpy's whole stacked solve; the
+        # weights are all 1 at theta = 0 only
         chains = family_module._tilted_chains
 
-        def identity_at_one(points):
-            out = chains(points)
-            out[[p.theta == 1.0 for p in points]] = np.eye(2)
+        def identity_at_one(P, D, V, rho):
+            out = chains(P, D, V, rho)
+            out[(D != 1.0).any(axis=1)] = np.eye(2)
             return out
 
         monkeypatch.setattr(family_module, "_tilted_chains", identity_at_one)
         model = random_positive_model(np.random.default_rng(47), 2)
         fam = TiltedFamily(model)
         fam.at_many([0.0, 1.0])
-        fam.derivatives_many([0.0, 1.0])
         assert derivative_outcome(fam, 0.0) == derivative_outcome(
             TiltedFamily(model), 0.0)
         with pytest.raises(ConvergenceError, match="singular at theta=1.0"):
             fam.derivatives(1.0)
+        assert fam.at(1.0) is fam._points[1.0]
+        assert outcome(fam, 1.0) == outcome(TiltedFamily(model), 1.0)
 
-    def test_cross_check_neighbours_never_build_P_theta(self):
+    def test_cross_check_neighbours_are_never_memoized(self):
         model = random_positive_model(np.random.default_rng(48), 10)
-        constants(model, "upper")
+        c = constants(model, "upper")
         fam = family_of(model)
-        centres = set(fam._derivatives)
-        neighbours = [p for t, p in fam._points.items() if t not in centres]
-        assert len(neighbours) >= len(centres) > 0
+        assert len(fam._points) == c.grid_summary.n_points
+        grid = np.linspace(-4.0, 4.0, 17)
+        fresh = MarkovModel(model.states, model.P, model.f, model.q)
+        spectral_curve(fresh, grid)
+        assert set(family_of(fresh)._points) == set(grid.tolist())
+        points = list(fam._points.values())
         assert not any("P_theta" in p.__dict__ or "triple" in p.__dict__
-                       for p in neighbours)
+                       for p in points)
         # built on read, with the bytes of the eager formula
-        point = neighbours[len(neighbours) // 2]
+        point = points[len(points) // 2]
         expo = point.theta * model.f
         d = np.exp(expo - expo.max())
         solved = perron_module.pf_irreducible(model.P, d)
