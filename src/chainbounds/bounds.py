@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import family as _family
-from .errors import DomainError
+from .errors import DomainError, _count
 from .model import MarkovModel, level_sets, memo
 
 REFINE_ROUNDS = 12
@@ -250,8 +250,7 @@ def chernoff_bound(model: MarkovModel, n: int, mu: float,
     The report also carries both Hoeffding relaxations so the ordering
     invariant is visible at every call site.
     """
-    if n < 1:
-        raise DomainError(f"bounds: n must be at least 1, got {n!r}")
+    n = _count(n, 1, "bounds: n must be at least 1, got {!r}")
     consts = constants(model, side)
     rate_point = _family.rate_function(model, mu, side)
     pif = _family.family_of(model).stationary_mean
@@ -261,7 +260,7 @@ def chernoff_bound(model: MarkovModel, n: int, mu: float,
     span = ls.b - ls.a + 2.0 * consts.K * consts.L
     exp_range = 2.0 * _quadratic_exponent(dev, span * span)
     return BoundReport(
-        n=int(n),
+        n=n,
         mu=float(mu),
         side=side,
         rate=rate_point.value,
@@ -282,8 +281,7 @@ def two_sided_bound(model: MarkovModel, n: int, interval) -> float:
     of the convex rate function sits at the endpoint nearest the
     stationary mean, and is zero when the interval contains it.
     """
-    if n < 1:
-        raise DomainError(f"bounds: n must be at least 1, got {n!r}")
+    n = _count(n, 1, "bounds: n must be at least 1, got {!r}")
     lo, hi = (float(interval[0]), float(interval[1]))
     if not (lo <= hi):
         raise DomainError(f"bounds: empty interval [{lo!r}, {hi!r}]")
@@ -302,7 +300,6 @@ def two_sided_bound(model: MarkovModel, n: int, interval) -> float:
 
 def ergodic_gap(model: MarkovModel, n: int) -> float:
     """Uniform bound log(K)/n on |Lambda_n - Lambda| over all tilts."""
-    if n < 1:
-        raise DomainError(f"bounds: n must be at least 1, got {n!r}")
+    n = _count(n, 1, "bounds: n must be at least 1, got {!r}")
     K = max(constants(model, "upper").K, constants(model, "lower").K)
     return math.log(K) / n

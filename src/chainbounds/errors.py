@@ -5,6 +5,8 @@ The CLI maps the subclasses onto exit codes: model/assumption/domain
 problems are exit 1, numerical failures are exit 2.
 """
 
+import operator
+
 
 class ChainboundsError(Exception):
     """Base class for all errors raised by chainbounds."""
@@ -36,3 +38,17 @@ class ConvergenceError(ChainboundsError):
 
 class CrossCheckError(ChainboundsError):
     """Two independent routes to the same quantity disagree."""
+
+
+def _count(value, least: int, message: str) -> int:
+    """``value`` as an int, if it is an integer (a Python or numpy one, by
+    ``operator.index``: no float or string) of at least ``least``; else
+    DomainError(message.format(value))."""
+    try:
+        value = operator.index(value)
+    except TypeError:
+        pass
+    else:
+        if value >= least:
+            return value
+    raise DomainError(message.format(value))

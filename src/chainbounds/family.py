@@ -29,7 +29,8 @@ derivatives by one stacked Perron solve and one stacked linear solve per
 batch, bit-identical to a batch of one; the family and each side's
 limit-matrix triple are memoized on the model (``model.memo``).  The
 cross-check neighbours of Lambda'' join their tilts' Perron solve as bare
-Lambda values and are never memoized.  ``TiltedPoint.triple`` and
+Lambda values and are never memoized.  The solver hands back the stack as
+arrays, a point keeps its rows of them, and ``TiltedPoint.triple`` and
 ``P_theta`` are built on first read.  All returned values are immutable.
 
 The limits of Lambda' toward -inf and +inf are the least and greatest
@@ -53,8 +54,7 @@ from .model import MarkovModel, level_sets, memo, publish
 GRID_SPACING = 0.25        # the initial tilt grid {0, 0.25, ..., 8} of a half-line,
 GRID_EXTENT = 8.0          # shared by the constant search and mean inversion
 CROSS_CHECK_STEP = 5e-4    # step of the mandatory quadratic-difference check
-DEGENERACY_TOL = 1e-10
-MEAN_MATCH_TOL = 1e-10
+MEAN_TOL = 1e-10           # on a mean of f over (b - a): degeneracy, rate 0, inversion
 NEWTON_TOL = 1e-12         # on |Lambda' - mu| / (b - a) or step / max(1, |theta|)
 
 __all__ = [
@@ -83,15 +83,15 @@ __all__ = [
 class TiltedPoint:
     """One member of the family: parameter, spectral objects, and chain.
 
-    ``triple`` is the Perron triple of the reweighted (untilted-scale)
-    matrix; its ``rho`` equals exp(Lambda) and may overflow to inf for
-    extreme theta, in which case ``Lambda`` remains the reliable field.
-    ``triple`` and ``P_theta`` are built on first read from the remaining
-    fields: the generator, the weights d = exp(theta*f - m) with
-    m = max theta*f, and the solver's triple of P diag(d), whose right
-    vector is ``v``.
-    ``triple.gap`` is that solve's enclosure gap, a relative width that
-    the shift m does not change.  ``_derivatives`` is the point's
+    ``v``, ``_u``, ``_rho`` and ``_gap`` are the point's rows of the
+    ``perron.pf_stack`` of P diag(d), with the weights
+    d = exp(theta*f - m) and m = max theta*f: the right and left vectors,
+    the shifted root exp(Lambda - m) and the enclosure gap, a relative
+    width that the shift m does not change.  ``triple`` and ``P_theta``
+    are built from them on first read.  ``triple`` is the Perron triple of
+    the reweighted (untilted-scale) matrix; its ``rho`` equals exp(Lambda)
+    and may overflow to inf for extreme theta, in which case ``Lambda``
+    remains the reliable field.  ``_derivatives`` is the point's
     ``TiltedFamily.derivatives``, None where they are singular.
     """
 
@@ -99,19 +99,16 @@ class TiltedPoint:
     pi_theta: np.ndarray
     Lambda: float
     mean: float
+    v: np.ndarray = field(repr=False)
+    _u: np.ndarray = field(repr=False)
+    _rho: float = field(repr=False)
+    _gap: float = field(repr=False)
     _P: np.ndarray = field(repr=False)
     _d: np.ndarray = field(repr=False)
-    _solved: _perron.PerronTriple = field(repr=False)
     _derivatives: tuple[np.ndarray, float] | None = field(repr=False)
 
     def __post_init__(self):
         self.pi_theta.setflags(write=False)
-
-    @property
-    def v(self) -> np.ndarray:
-        """The right Perron vector ``triple.v``, read without building
-        ``triple``."""
-        return self._solved.v
 
     @cached_property
     def triple(self) -> _perron.PerronTriple:
@@ -119,13 +116,13 @@ class TiltedPoint:
         read."""
         return _perron.PerronTriple(
             rho=math.exp(self.Lambda) if self.Lambda < 709.0 else math.inf,
-            u=self._solved.u, v=self._solved.v, gap=self._solved.gap)
+            u=self._u, v=self.v, gap=self._gap)
 
     @cached_property
     def P_theta(self) -> np.ndarray:
         """The tilted stochastic matrix, built on first read."""
         P_theta = _tilted_chains(self._P, self._d[None], self.v[None],
-                                 np.array([self._solved.rho]))[0]
+                                 np.array([self._rho]))[0]
         P_theta.setflags(write=False)
         return P_theta
 
@@ -244,20 +241,25 @@ class TiltedFamily:
         one ``perron.pf_stack`` for all, entries bit-identical to solo."""
         tilts = np.array([*thetas, *neighbours], dtype=np.float64)
         D, m = self._weights(tilts)
-        out = [DomainError(f"family: theta={t!r} overflows theta*f")
-               for t in tilts.tolist()]
-        finite = np.flatnonzero(np.isfinite(m))
-        # a solved member is (triple, Lambda) until its point is built
-        for i, tri in zip(finite.tolist(), _perron.pf_stack(self.P, D[finite])):
-            out[i] = tri if isinstance(tri, Exception) else (
-                tri, m[i].item() + math.log(tri.rho))
-        built = [i for i, x in enumerate(out[:len(thetas)]) if isinstance(x, tuple)]
+        finite = np.isfinite(m)
+        out = [None if ok else
+               DomainError(f"family: theta={t!r} overflows theta*f")
+               for t, ok in zip(tilts.tolist(), finite.tolist())]
+        rows = np.flatnonzero(finite)          # the tilt of each stack member
+        rho, U, V, gap, errors = _perron.pf_stack(self.P, D[rows])
+        for k, i in enumerate(rows.tolist()):
+            out[i] = (m[i].item() + math.log(rho[k]) if errors[k] is None
+                      else errors[k])
+        built = [k for k, i in enumerate(rows.tolist())
+                 if i < len(thetas) and errors[k] is None]
         if built:
-            points = self._assemble(tilts[built], D[built], [out[i] for i in built])
+            at = rows[built].tolist()
+            points = self._assemble(tilts[at], D[at], [out[i] for i in at],
+                                    rho[built], U[built], V[built], gap[built])
             publish(self._points, {p.theta: p for p in points})
-            for i, point in zip(built, points):
+            for i, point in zip(at, points):
                 out[i] = point
-        return [x[1] if isinstance(x, tuple) else x for x in out]
+        return out
 
     def _weights(self, thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Rows d = exp(theta*f - m) and the shifts m = max theta*f; m is
@@ -267,27 +269,29 @@ class TiltedFamily:
             m = expo.max(axis=1)
             return np.exp(expo - m[:, None]), m
 
-    def _assemble(self, thetas: np.ndarray, D: np.ndarray,
-                  solved: list) -> list[TiltedPoint]:
-        """Points from the weight rows of P and their (Perron triple,
-        Lambda) pairs, with the derivatives of all from one stacked linear
-        solve (``_fundamental``)."""
-        D.setflags(write=False)
-        V = np.array([tri.v for tri, _ in solved])
-        pi = np.array([tri.u for tri, _ in solved]) * V
+    def _assemble(self, thetas: np.ndarray, D: np.ndarray, Lambda: list,
+                  rho: np.ndarray, U: np.ndarray, V: np.ndarray,
+                  gap: np.ndarray) -> list[TiltedPoint]:
+        """Points from the weight rows of P, their Lambda and their rows of
+        ``perron.pf_stack``, with the derivatives of all from one stacked
+        linear solve (``_fundamental``)."""
+        for x in (D, U, V):
+            x.setflags(write=False)
+        pi = U * V
         means = np.matmul(pi[:, None, :], self.f[:, None])[:, 0, 0]
-        P_theta = _tilted_chains(self.P, D, V, np.array([tri.rho for tri, _ in solved]))
+        P_theta = _tilted_chains(self.P, D, V, rho)
         fc = self.f - means[:, None]
         rhs = np.stack((np.matmul(P_theta, fc[:, :, None])[:, :, 0], fc), axis=2)
         # A = I - P_theta + 1 pi', built in the stack's own memory
         A = np.subtract(np.eye(self.f.size), P_theta, out=P_theta)
         A += pi[:, None, :]
         derived = _fundamental(A, rhs, pi, fc)
-        return [TiltedPoint(theta=theta, pi_theta=pi[b], Lambda=Lambda,
-                            mean=mean, _P=self.P, _d=D[b], _solved=tri,
-                            _derivatives=derived[b])
-                for b, (theta, mean, (tri, Lambda))
-                in enumerate(zip(thetas.tolist(), means.tolist(), solved))]
+        return [TiltedPoint(theta=theta, pi_theta=pi[b], Lambda=lam, mean=mean,
+                            v=V[b], _u=U[b], _rho=r, _gap=g, _P=self.P,
+                            _d=D[b], _derivatives=derived[b])
+                for b, (theta, lam, mean, r, g) in enumerate(zip(
+                    thetas.tolist(), Lambda, means.tolist(), rho.tolist(),
+                    gap.tolist()))]
 
     @property
     def stationary_mean(self) -> float:
@@ -301,7 +305,7 @@ class TiltedFamily:
     @cached_property
     def is_degenerate(self) -> bool:
         lo, hi = self.cycle_means
-        return hi - lo <= _mean_tol(self.f, DEGENERACY_TOL)
+        return hi - lo <= _mean_tol(self.f, MEAN_TOL)
 
     def derivatives(self, theta: float) -> tuple[np.ndarray, float]:
         """(w, Lambda'') of the point at theta, by Z = (I - P_theta + 1 pi')^-1.
@@ -523,7 +527,7 @@ def theta_of_mean(model: MarkovModel, mu: float) -> float:
             theta = 0.5 * (lo + hi)
         g_t = g(theta)
     err = abs(fam.at(theta).mean - mu)
-    if err > _mean_tol(model.f, 1e-10):
+    if err > _mean_tol(model.f, MEAN_TOL):
         raise ConvergenceError(
             f"family: mean inversion stalled at |Lambda' - mu| = {err:.3e} "
             f"for mu={mu!r}")
@@ -596,7 +600,7 @@ def rate_function(model: MarkovModel, mu: float, side: str = "upper") -> RatePoi
     pif = fam.stationary_mean
     sign = 1.0 if side == "upper" else -1.0
 
-    tol = _mean_tol(model.f, MEAN_MATCH_TOL)
+    tol = _mean_tol(model.f, MEAN_TOL)
     if fam.is_degenerate:
         if abs(mu - pif) <= tol:
             return RatePoint(mu=mu, theta_mu=0.0, value=0.0)
@@ -633,7 +637,7 @@ def detect_degenerate(model: MarkovModel) -> bool:
 
     Decided without a Perron solve: the family is constant iff f has one
     mean along every cycle of the graph P > 0, i.e. the least and greatest
-    cycle means differ by at most DEGENERACY_TOL times the span of f, or by
+    cycle means differ by at most MEAN_TOL times the span of f, or by
     the rounding of a mean of f where that is larger (``_mean_tol``).
     """
     return family_of(model).is_degenerate

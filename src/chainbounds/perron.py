@@ -2,10 +2,12 @@
 
 Matrices come in factored form: one shared nonnegative P and rows D, and
 member b of the family is M_b = P diag(D[b]), the shape of every tilt of
-one chain.  ``pf_irreducible`` is the stack of one, with D = 1 for a
-general matrix.  The right vector v is the Perron vector of M = P diag(d);
-the left one is taken in factored form, u = d * z with z the Perron
-vector of P' diag(d), since then M' u = diag(d) P' diag(d) z = rho u.
+one chain.  ``pf_stack`` returns the stack as arrays, row b for member b;
+``pf_irreducible`` is the stack of one, with D = 1 for a general matrix,
+returned as a ``PerronTriple``.  The right vector v is the Perron vector
+of M = P diag(d); the left one is taken in factored form, u = d * z with
+z the Perron vector of P' diag(d), since then
+M' u = diag(d) P' diag(d) z = rho u.
 Where a tilt starves a state (d tiny) z stays well scaled, while the
 entries of u itself would be noise.
 
@@ -47,7 +49,6 @@ it irreducible on the core and v positive; u = d * z is zero off the
 core.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -87,11 +88,6 @@ class PerronTriple:
         v.setflags(write=False)
         object.__setattr__(self, "u", u)
         object.__setattr__(self, "v", v)
-
-    @property
-    def pi(self) -> np.ndarray:
-        """Stationary vector of the normalized chain: pi = u * v."""
-        return self.u * self.v
 
 
 def _dot(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
@@ -178,42 +174,19 @@ def _vectors(P: np.ndarray, D: np.ndarray):
     return out[1], out[0], gap, errors
 
 
-def _finish(P: np.ndarray, D: np.ndarray, Z: np.ndarray, V: np.ndarray,
-            gap: np.ndarray, errors: list) -> list:
-    """Apply the normalization convention to each member; entry b is its
-    PerronTriple or the ConvergenceError of a failed member or check.
-    Values of failed members are computed but unused."""
-    U = D * Z
-    U /= U.sum(axis=1)[:, None]
-    uv = _dot(U, V)
-    rho = _dot(U, np.matmul(P, (D * V)[:, :, None])[:, :, 0]) / uv
-    V = V / uv[:, None]
-    positive = (V.min(axis=1) > 0.0).tolist()
-    out = []
-    for b, (r, g) in enumerate(zip(rho.tolist(), gap.tolist())):
-        if errors[b] is not None:
-            out.append(errors[b])
-        elif not math.isfinite(r) or r <= 0.0:
-            out.append(ConvergenceError(
-                f"perron: iteration produced a non-positive eigenvalue ({r!r})"))
-        elif not positive[b]:
-            out.append(ConvergenceError(
-                "perron: right eigenvector lost strict positivity"))
-        else:
-            out.append(PerronTriple(rho=r, u=U[b], v=V[b], gap=g))
-    return out
-
-
-def pf_stack(P: np.ndarray, D: np.ndarray) -> list:
+def pf_stack(P: np.ndarray, D: np.ndarray) -> tuple:
     """Perron-Frobenius triples of the irreducible matrices P diag(D[b]).
 
     ``P`` has shape (S, S) and ``D`` shape (B, S).  A non-finite or
     negative entry in P or in D * colmax(P) raises ValueError for the
-    whole call.  Otherwise entry b of the result is member b's
-    ``PerronTriple``, bit-identical to ``pf_irreducible(P, D[b])``, or the
-    ConvergenceError that call would raise: the iteration and the
-    enclosure and positivity checks apply to each member alone, so one
-    member that fails cannot spoil the others.
+    whole call.  Otherwise the result is the stack (rho, U, V, gap,
+    errors): read-only arrays whose entry or row b is member b's triple in
+    the convention above, and a list whose entry b is None, or the
+    ConvergenceError of a member whose iteration or its eigenvalue or
+    positivity check failed; that member's rows hold unused values.  The
+    iteration and the checks apply to each member alone, so a row is
+    bit-identical to ``pf_irreducible(P, D[b])`` and one member that fails
+    cannot spoil the others.
     """
     P = np.asarray(P, dtype=np.float64)
     D = np.asarray(D, dtype=np.float64)
@@ -228,7 +201,23 @@ def pf_stack(P: np.ndarray, D: np.ndarray) -> list:
     if P.min() < 0.0 or (W < 0.0).any():
         raise ValueError("perron: matrix must be nonnegative")
     with np.errstate(divide="ignore", invalid="ignore"):
-        return _finish(P, D, *_vectors(P, D))
+        Z, V, gap, errors = _vectors(P, D)
+        U = D * Z
+        U /= U.sum(axis=1)[:, None]
+        uv = _dot(U, V)
+        rho = _dot(U, np.matmul(P, (D * V)[:, :, None])[:, :, 0]) / uv
+        V = V / uv[:, None]
+        root_ok = (rho > 0.0) & (rho < np.inf)
+        checked = root_ok & (V.min(axis=1) > 0.0)
+    for b in np.flatnonzero(~checked).tolist():
+        if errors[b] is None:
+            errors[b] = ConvergenceError(
+                "perron: iteration produced a non-positive eigenvalue "
+                f"({rho[b].item()!r})" if not root_ok[b] else
+                "perron: right eigenvector lost strict positivity")
+    for x in (rho, U, V, gap):
+        x.setflags(write=False)
+    return rho, U, V, gap, errors
 
 
 def pf_irreducible(M: np.ndarray, d: np.ndarray | None = None) -> PerronTriple:
@@ -246,10 +235,10 @@ def pf_irreducible(M: np.ndarray, d: np.ndarray | None = None) -> PerronTriple:
     d = np.ones(M.shape[0]) if d is None else np.asarray(d, dtype=np.float64)
     if d.shape != M.shape[:1]:
         raise ValueError("perron: weights must have one entry per column")
-    result = pf_stack(M, d[None])[0]
-    if isinstance(result, Exception):
-        raise result
-    return result
+    rho, U, V, gap, errors = pf_stack(M, d[None])
+    if errors[0] is not None:
+        raise errors[0]
+    return PerronTriple(rho=rho[0].item(), u=U[0], v=V[0], gap=gap[0].item())
 
 
 def limit_matrix(model: MarkovModel, side: str = "upper"):

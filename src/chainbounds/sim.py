@@ -32,7 +32,7 @@ import numpy as np
 
 from . import bounds as _bounds
 from . import family as _family
-from .errors import DomainError
+from .errors import DomainError, _count
 from .model import MarkovModel, memo
 
 CONFIDENCE = 0.95
@@ -198,13 +198,6 @@ def _philox_rows(first: int, rows: int, count: int) -> np.ndarray:
     return np.right_shift(out, 11, out=out).view(np.int64)
 
 
-def _check_seed(seed) -> int:
-    seed = int(seed)
-    if seed < 0:
-        raise DomainError(f"sim: seed must be nonnegative, got {seed!r}")
-    return seed
-
-
 def _path(model: MarkovModel, m: np.ndarray) -> np.ndarray:
     """States X_0, ..., X_n driven by the integer draws m (length n + 1)."""
     sp = _sampler(model)
@@ -219,12 +212,12 @@ def sample_trajectory(model: MarkovModel, n: int, rng) -> np.ndarray:
     be multiples of 2**-53, as every numpy bit generator's are; otherwise
     this raises DomainError rather than sample them inexactly.
     """
-    if n < 0:
-        raise DomainError(f"sim: trajectory length must be >= 0, got {n!r}")
+    n = _count(n, 0, "sim: trajectory length must be >= 0, got {!r}")
     if isinstance(rng, np.random.Generator):
         m = _exact_integers(rng.random(n + 1))
     else:
-        m = _philox_rows(_check_seed(rng), 1, n + 1)[0]
+        seed = _count(rng, 0, "sim: seed must be nonnegative, got {!r}")
+        m = _philox_rows(seed, 1, n + 1)[0]
     return _path(model, m)
 
 
@@ -252,11 +245,9 @@ def empirical_tail(model: MarkovModel, n: int, mu: float, side: str,
     """
     if side not in ("upper", "lower"):
         raise DomainError(f"sim: side must be 'upper' or 'lower', got {side!r}")
-    if trials < 1:
-        raise DomainError(f"sim: trials must be >= 1, got {trials!r}")
-    if n < 1:
-        raise DomainError(f"sim: n must be >= 1, got {n!r}")
-    seed = _check_seed(seed)
+    trials = _count(trials, 1, "sim: trials must be >= 1, got {!r}")
+    n = _count(n, 1, "sim: n must be >= 1, got {!r}")
+    seed = _count(seed, 0, "sim: seed must be nonnegative, got {!r}")
     mu = float(mu)
     sp = _sampler(model)
     f_at = model.f[sp.state]
@@ -276,7 +267,7 @@ def empirical_tail(model: MarkovModel, n: int, mu: float, side: str,
         else:
             hits += int(np.count_nonzero(means <= mu))
     low, high = _clopper_pearson(hits, trials, CONFIDENCE)
-    return TailEstimate(n=int(n), mu=mu, side=side, trials=int(trials),
+    return TailEstimate(n=n, mu=mu, side=side, trials=trials,
                         hits=hits, p_hat=hits / trials, ci_low=low,
                         ci_high=high, seed=seed)
 
@@ -306,8 +297,7 @@ def lambda_n_exact(model: MarkovModel, theta: float, n: int) -> float:
     Uses q' M^n 1 for the shifted tilted matrix M, rescaling by the sup
     norm each step and accumulating the scale in log space.
     """
-    if n < 1:
-        raise DomainError(f"sim: n must be >= 1, got {n!r}")
+    n = _count(n, 1, "sim: n must be >= 1, got {!r}")
     return _lambda_n_sweep(model, theta, (n,))[0]
 
 

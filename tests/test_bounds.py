@@ -141,8 +141,16 @@ class TestChernoff:
             chernoff_bound(two_state(0.3, 0.3), 10, 0.2, "upper")
 
     def test_n_validated(self):
-        with pytest.raises(DomainError):
-            chernoff_bound(two_state(0.3, 0.3), 0, 0.7, "upper")
+        model = two_state(0.3, 0.4)
+        # a count is an integer: floats, NaN, inf and strings fail alike
+        for n in (0, 1.5, math.inf, math.nan, "5"):
+            with pytest.raises(DomainError, match="n must be at least 1"):
+                chernoff_bound(model, n, 0.7, "upper")
+        with pytest.raises(DomainError, match="n must be at least 1"):
+            ergodic_gap(model, math.nan)
+        with pytest.raises(DomainError, match="n must be at least 1"):
+            two_sided_bound(model, math.nan, (0.6, 0.8))
+        assert chernoff_bound(model, np.int64(3), 0.7).n == 3
 
 
 class TestHoeffding:
@@ -340,15 +348,36 @@ def test_constants_do_not_depend_on_batching(monkeypatch):
     # no stacked solve at all: every Perron member and every point's
     # derivative solve runs alone
     pf_stack, assemble = perron_module.pf_stack, TiltedFamily._assemble
-    monkeypatch.setattr(perron_module, "pf_stack", lambda P, D: [
-        out for d in D for out in pf_stack(P, d[None])])
+
+    def solo_stacks(P, D):
+        solo = [pf_stack(P, d[None]) for d in D]
+        return (*(np.concatenate([s[j] for s in solo]) for j in range(4)),
+                [error for s in solo for error in s[4]])
+
+    monkeypatch.setattr(perron_module, "pf_stack", solo_stacks)
     monkeypatch.setattr(
-        TiltedFamily, "_assemble", lambda self, thetas, D, solved: [
-            point for b in range(len(solved))
-            for point in assemble(self, thetas[b:b + 1], D[b:b + 1],
-                                  solved[b:b + 1])])
+        TiltedFamily, "_assemble", lambda self, thetas, *rows: [
+            point for b in range(len(thetas))
+            for point in assemble(self, thetas[b:b + 1],
+                                  *(x[b:b + 1] for x in rows))])
     fresh = [MarkovModel(m.states, m.P, m.f, m.q) for m in models]
     assert outcomes(fresh) == baseline
+
+
+def test_constants_build_one_perron_triple(monkeypatch):
+    # the grid's stacked solves stay arrays; the one triple is the limit
+    # matrix's
+    built = []
+    post_init = perron_module.PerronTriple.__post_init__
+
+    def counted(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(perron_module.PerronTriple, "__post_init__", counted)
+    model = random_positive_model(np.random.default_rng(48), 10)
+    assert constants(model, "upper").grid_summary.n_points > 1
+    assert len(built) == 1
 
 
 def test_hoeffding_bound_is_the_chernoff_report():

@@ -1,4 +1,5 @@
 import math
+import re
 import time
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 from chainbounds import (AssumptionError, ConvergenceError, MarkovModel,
                          TiltedFamily, constants, limit_matrix,
                          pf_irreducible)
-from chainbounds.perron import PerronTriple, pf_stack
+from chainbounds.perron import pf_stack
 from conftest import (birth_death, iid_model, no_selfloop_top,
                       random_irreducible_model, random_positive_model,
                       two_cycle, two_state)
@@ -110,10 +111,13 @@ class TestIrreducibleSolver:
             assert abs(ratio - (2 * tri.rho - e)) <= 1e-9 * max(1.0, ratio)
 
 
-def same_triple(a, b):
-    return (a.rho == b.rho and a.gap == b.gap
-            and a.u.tobytes() == b.u.tobytes()
-            and a.v.tobytes() == b.v.tobytes())
+def same_member(stack, b, tri):
+    """Member b of a ``pf_stack`` result is solved and equals the triple
+    byte for byte."""
+    rho, U, V, gap, errors = stack
+    return (errors[b] is None and rho[b] == tri.rho and gap[b] == tri.gap
+            and U[b].tobytes() == tri.u.tobytes()
+            and V[b].tobytes() == tri.v.tobytes())
 
 
 class TestStackedSolver:
@@ -125,8 +129,10 @@ class TestStackedSolver:
             P = rng.uniform(0.0, 1.0, (n, n))
             D = rng.uniform(0.0, 1.0, (7, n))
             D[3] *= 1e-200
-            for d, tri in zip(D, pf_stack(P, D)):
-                assert same_triple(tri, pf_irreducible(P, d))
+            stack = pf_stack(P, D)
+            assert not any(x.flags.writeable for x in stack[:4])
+            for b, d in enumerate(D):
+                assert same_member(stack, b, pf_irreducible(P, d))
 
     def test_a_bad_member_fails_alone(self):
         # bad input fails the whole call; a member whose solve fails (the
@@ -137,11 +143,13 @@ class TestStackedSolver:
                            ([-0.1, 1.0], "nonnegative")):
             with pytest.raises(ValueError, match=match):
                 pf_stack(P, np.vstack([D, row]))
-        out = pf_stack(P, D)
-        assert isinstance(out[1], ConvergenceError)
+        stack = pf_stack(P, D)
+        error = stack[4][1]
+        assert isinstance(error, ConvergenceError)
+        with pytest.raises(ConvergenceError, match=re.escape(str(error))):
+            pf_irreducible(P, D[1])
         for i in (0, 2):
-            assert isinstance(out[i], PerronTriple)
-            assert same_triple(out[i], pf_irreducible(P, D[i]))
+            assert same_member(stack, i, pf_irreducible(P, D[i]))
 
     @pytest.mark.parametrize("bad, match", [(np.nan, "finite"),
                                             (-0.1, "nonnegative")])
@@ -154,10 +162,11 @@ class TestStackedSolver:
     def test_scalar_members(self):
         # the general path gives rho = P[0, 0] * d exactly; a zero member
         # fails its solve alone
-        out = pf_stack(np.array([[1.0]]), np.array([[0.37], [0.0]]))
-        assert out[0].rho == 0.37
-        assert out[0].u[0] == 1.0 and out[0].v[0] == 1.0
-        assert isinstance(out[1], ConvergenceError)
+        rho, U, V, _, errors = pf_stack(np.array([[1.0]]),
+                                        np.array([[0.37], [0.0]]))
+        assert errors[0] is None and rho[0] == 0.37
+        assert U[0, 0] == 1.0 and V[0, 0] == 1.0
+        assert isinstance(errors[1], ConvergenceError)
         with pytest.raises(ValueError, match="finite"):
             pf_stack(np.array([[1.0]]), np.array([[0.37], [np.inf]]))
 

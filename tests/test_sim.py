@@ -122,6 +122,13 @@ class TestEmpiricalTail:
             empirical_tail(model, 10, 0.5, "upper", 0)
         with pytest.raises(DomainError):
             empirical_tail(model, 10, 0.5, "upper", 10, seed=-4)
+        # counts and seeds are integers: no truncated float, no string
+        for n, trials, seed in ((2.5, 10, 0), (10, 2.5, 0), (10, 10, 2.5),
+                                (10, 10, "3")):
+            with pytest.raises(DomainError, match="must be"):
+                empirical_tail(model, n, 0.5, "upper", trials, seed=seed)
+        with pytest.raises(DomainError, match="n must be >= 1"):
+            lambda_n_exact(model, 0.5, 2.5)
 
     def test_chunking_does_not_change_results(self, monkeypatch):
         import chainbounds.sim as sim_module
