@@ -38,7 +38,7 @@ from . import family as _family
 from . import sim as _sim
 from .errors import (AssumptionError, ChainboundsError, DomainError,
                      ModelFormatError)
-from .model import parse_model
+from .model import _read, parse_model
 
 GRID_COMMANDS = ("spectrum", "rate", "ergodic")
 
@@ -309,13 +309,7 @@ def run(command: str, model_path: str, params: dict) -> tuple[int, str]:
         raise DomainError(
             "cli: csv format is only available for "
             + ", ".join(GRID_COMMANDS))
-    try:
-        with open(model_path, "rb") as fh:
-            raw = fh.read()
-        text = raw.decode("utf-8")
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ModelFormatError(
-            f"model: cannot read {model_path}: {exc}") from exc
+    raw, text = _read(model_path)
     model = parse_model(text)
 
     header = {

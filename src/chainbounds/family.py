@@ -22,16 +22,17 @@ the column reweighting P diag(d) of the generator, d = exp(theta*f - m)
 <= 1, and it is never formed: the Perron solver takes P and d
 (``perron.pf_irreducible``, ``perron.pf_stack``) and returns the left
 vector as d times a vector of P' diag(d), so states the tilt starves get
-left entries that are small, not noise.
+left entries that are small, not noise.  ``_weights`` alone forms d and
+m, for ``sim`` too, and rejects a theta that is not finite or overflows.
 
 A ``TiltedFamily`` memoizes points by theta, each built with its
 derivatives by one stacked Perron solve and one stacked linear solve per
 batch, bit-identical to a batch of one; the family and each side's
 limit-matrix triple are memoized on the model (``model.memo``).  The
 cross-check neighbours of Lambda'' join their tilts' Perron solve as bare
-Lambda values and are never memoized.  The solver hands back the stack as
-arrays, a point keeps its rows of them, and ``TiltedPoint.triple`` and
-``P_theta`` are built on first read.  All returned values are immutable.
+Lambda values and are never memoized.  A point keeps read-only views of
+its stack rows and builds ``P_theta`` on first read; all returned values
+are immutable.
 
 The limits of Lambda' toward -inf and +inf are the least and greatest
 means of f along a cycle of the graph P > 0 (Friedland 1986); Karp's
@@ -83,15 +84,14 @@ __all__ = [
 class TiltedPoint:
     """One member of the family: parameter, spectral objects, and chain.
 
-    ``v``, ``_u``, ``_rho`` and ``_gap`` are the point's rows of the
-    ``perron.pf_stack`` of P diag(d), with the weights
-    d = exp(theta*f - m) and m = max theta*f: the right and left vectors,
-    the shifted root exp(Lambda - m) and the enclosure gap, a relative
-    width that the shift m does not change.  ``triple`` and ``P_theta``
-    are built from them on first read.  ``triple`` is the Perron triple of
-    the reweighted (untilted-scale) matrix; its ``rho`` equals exp(Lambda)
-    and may overflow to inf for extreme theta, in which case ``Lambda``
-    remains the reliable field.  ``_derivatives`` is the point's
+    ``v``, ``u`` and ``gap`` are the point's rows of the ``perron.pf_stack``
+    of P diag(d), with the weights d = exp(theta*f - m) and m = max theta*f
+    (``_weights``): the right and left Perron vectors, normalized to
+    sum(u) = 1 and u @ v = 1, and the relative width of the eigenvalue
+    enclosure, which the shift m does not change.  The Perron root is
+    exp(Lambda); ``_rho`` is the solver's shifted root exp(Lambda - m),
+    from which ``P_theta`` is built on first read.  Every array is a
+    read-only view of the stack.  ``_derivatives`` is the point's
     ``TiltedFamily.derivatives``, None where they are singular.
     """
 
@@ -100,23 +100,12 @@ class TiltedPoint:
     Lambda: float
     mean: float
     v: np.ndarray = field(repr=False)
-    _u: np.ndarray = field(repr=False)
+    u: np.ndarray = field(repr=False)
+    gap: float = field(repr=False)
     _rho: float = field(repr=False)
-    _gap: float = field(repr=False)
     _P: np.ndarray = field(repr=False)
     _d: np.ndarray = field(repr=False)
     _derivatives: tuple[np.ndarray, float] | None = field(repr=False)
-
-    def __post_init__(self):
-        self.pi_theta.setflags(write=False)
-
-    @cached_property
-    def triple(self) -> _perron.PerronTriple:
-        """The Perron triple of the untilted-scale matrix, built on first
-        read."""
-        return _perron.PerronTriple(
-            rho=math.exp(self.Lambda) if self.Lambda < 709.0 else math.inf,
-            u=self._u, v=self.v, gap=self._gap)
 
     @cached_property
     def P_theta(self) -> np.ndarray:
@@ -127,11 +116,29 @@ class TiltedPoint:
         return P_theta
 
 
+def _weights(f: np.ndarray,
+             thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray, list]:
+    """The weight rows d = exp(theta*f - m) of the tilts ``thetas``, their
+    shifts m = max theta*f, and per tilt None or the DomainError that makes
+    its row unusable: a theta that is not finite, or a theta*f that
+    overflows.  Both leave m not finite; no other tilt does."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        expo = np.multiply.outer(thetas, f)
+        m = expo.max(axis=1)
+        D = np.exp(expo - m[:, None])
+    errors = [None if math.isfinite(shift) else DomainError(
+                  f"family: theta={t!r} overflows theta*f" if math.isfinite(t)
+                  else f"family: theta must be finite, got {t!r}")
+              for t, shift in zip(thetas.tolist(), m.tolist())]
+    return D, m, errors
+
+
 def _tilted_chains(P: np.ndarray, D: np.ndarray, V: np.ndarray,
                    rho: np.ndarray) -> np.ndarray:
     """P_theta = P diag(d) v(y) / (rho v(x)) for each row d, v and rho of
-    D, V and rho, as a stack; entry b does not depend on the other rows."""
-    P_theta = (P * D[:, None, :]) * (V[:, None, :] / (rho[:, None, None] * V[:, :, None]))
+    D, V and rho, as a stack; entry b does not depend on the other rows.
+    d v and rho v come first: v(y) / v(x) alone can overflow."""
+    P_theta = (P * (D * V)[:, None, :]) / (rho[:, None] * V)[:, :, None]
     # the row sums are the right Collatz-Wielandt ratios over rho: scrub
     # their roundoff so tilted chains are themselves valid generators
     P_theta /= P_theta.sum(axis=2, keepdims=True)
@@ -240,20 +247,16 @@ class TiltedFamily:
         of each of ``neighbours``, or the error its tilt or solve raised;
         one ``perron.pf_stack`` for all, entries bit-identical to solo."""
         tilts = np.array([*thetas, *neighbours], dtype=np.float64)
-        D, m = self._weights(tilts)
-        finite = np.isfinite(m)
-        out = [None if ok else
-               DomainError(f"family: theta={t!r} overflows theta*f")
-               for t, ok in zip(tilts.tolist(), finite.tolist())]
-        rows = np.flatnonzero(finite)          # the tilt of each stack member
+        D, m, out = _weights(self.f, tilts)
+        rows = [i for i, error in enumerate(out) if error is None]
         rho, U, V, gap, errors = _perron.pf_stack(self.P, D[rows])
-        for k, i in enumerate(rows.tolist()):
+        for k, i in enumerate(rows):           # i is the tilt of member k
             out[i] = (m[i].item() + math.log(rho[k]) if errors[k] is None
                       else errors[k])
-        built = [k for k, i in enumerate(rows.tolist())
+        built = [k for k, i in enumerate(rows)
                  if i < len(thetas) and errors[k] is None]
         if built:
-            at = rows[built].tolist()
+            at = [rows[k] for k in built]
             points = self._assemble(tilts[at], D[at], [out[i] for i in at],
                                     rho[built], U[built], V[built], gap[built])
             publish(self._points, {p.theta: p for p in points})
@@ -261,23 +264,15 @@ class TiltedFamily:
                 out[i] = point
         return out
 
-    def _weights(self, thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Rows d = exp(theta*f - m) and the shifts m = max theta*f; m is
-        not finite, and its row not usable, where theta*f overflows."""
-        with np.errstate(over="ignore", invalid="ignore"):
-            expo = np.multiply.outer(thetas, self.f)
-            m = expo.max(axis=1)
-            return np.exp(expo - m[:, None]), m
-
     def _assemble(self, thetas: np.ndarray, D: np.ndarray, Lambda: list,
                   rho: np.ndarray, U: np.ndarray, V: np.ndarray,
                   gap: np.ndarray) -> list[TiltedPoint]:
         """Points from the weight rows of P, their Lambda and their rows of
         ``perron.pf_stack``, with the derivatives of all from one stacked
         linear solve (``_fundamental``)."""
-        for x in (D, U, V):
-            x.setflags(write=False)
         pi = U * V
+        for x in (D, U, V, pi):
+            x.setflags(write=False)
         means = np.matmul(pi[:, None, :], self.f[:, None])[:, 0, 0]
         P_theta = _tilted_chains(self.P, D, V, rho)
         fc = self.f - means[:, None]
@@ -287,7 +282,7 @@ class TiltedFamily:
         A += pi[:, None, :]
         derived = _fundamental(A, rhs, pi, fc)
         return [TiltedPoint(theta=theta, pi_theta=pi[b], Lambda=lam, mean=mean,
-                            v=V[b], _u=U[b], _rho=r, _gap=g, _P=self.P,
+                            v=V[b], u=U[b], gap=g, _rho=r, _P=self.P,
                             _d=D[b], _derivatives=derived[b])
                 for b, (theta, lam, mean, r, g) in enumerate(zip(
                     thetas.tolist(), Lambda, means.tolist(), rho.tolist(),
@@ -357,7 +352,7 @@ class TiltedFamily:
             fd2 = (Lambda[hi] - 2.0 * self._points[theta].Lambda
                    + Lambda[lo]) / (h * h)
             tol = max(1e-6, 1e-3 * abs(value))
-            if abs(value - fd2) > tol:
+            if not abs(value - fd2) <= tol:
                 raise CrossCheckError(
                     f"family: Lambda'' routes disagree at theta={theta!r}: "
                     f"fundamental matrix {value!r} vs quadratic difference "
@@ -438,8 +433,6 @@ def tilt(model: MarkovModel, theta: float) -> TiltedPoint:
     ``tilt(model, 0)`` reproduces the generator: P_0 = P, Lambda = 0,
     v = 1 and pi_0 the stationary law of P.
     """
-    if not math.isfinite(theta):
-        raise DomainError(f"family: theta must be finite, got {theta!r}")
     return family_of(model).at(theta)
 
 

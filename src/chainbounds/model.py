@@ -188,14 +188,20 @@ def parse_model(text: str) -> MarkovModel:
     return MarkovModel(tuple(str(s) for s in states), doc["P"], doc["f"], q)
 
 
-def load_model(path) -> MarkovModel:
-    """Load and validate a model file; labels keep their input order."""
+def _read(path) -> tuple[bytes, str]:
+    """The bytes of a model file and their UTF-8 text, or ModelFormatError
+    if the file cannot be read or decoded."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
+        with open(path, "rb") as fh:
+            raw = fh.read()
+        return raw, raw.decode("utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise ModelFormatError(f"model: cannot read {path}: {exc}") from exc
-    return parse_model(text)
+
+
+def load_model(path) -> MarkovModel:
+    """Load and validate a model file; labels keep their input order."""
+    return parse_model(_read(path)[1])
 
 
 def _reachable(adj: np.ndarray, start: int) -> np.ndarray:

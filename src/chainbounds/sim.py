@@ -21,8 +21,9 @@ full comparison against the row.
 
 ``lambda_n_exact`` evaluates the n-step scaled log moment generating
 function by n vector-matrix products against the shifted tilted matrix
-with per-step sup-norm rescaling, so it is exact up to roundoff for any
-theta and n in scope, with no sampling and no overflow.
+P diag(d) (``family._weights``) with per-step sup-norm rescaling, so it
+is exact up to roundoff for any theta and n in scope, with no sampling
+and no overflow.
 """
 
 import math
@@ -242,6 +243,7 @@ def empirical_tail(model: MarkovModel, n: int, mu: float, side: str,
     chunks but each trial consumes exactly the stream of
     ``sample_trajectory(model, n, seed + t)``, so single trajectories can
     be replayed.  The interval is an exact Clopper-Pearson 95% interval.
+    A NaN mu, which no mean reaches, raises DomainError.
     """
     if side not in ("upper", "lower"):
         raise DomainError(f"sim: side must be 'upper' or 'lower', got {side!r}")
@@ -249,6 +251,8 @@ def empirical_tail(model: MarkovModel, n: int, mu: float, side: str,
     n = _count(n, 1, "sim: n must be >= 1, got {!r}")
     seed = _count(seed, 0, "sim: seed must be nonnegative, got {!r}")
     mu = float(mu)
+    if math.isnan(mu):
+        raise DomainError("sim: mu must be a number, got nan")
     sp = _sampler(model)
     f_at = model.f[sp.state]
     # n + 1 draws per trial plus the walk's per-trial vectors
@@ -274,10 +278,10 @@ def empirical_tail(model: MarkovModel, n: int, mu: float, side: str,
 
 def _lambda_n_sweep(model: MarkovModel, theta: float, ns) -> list[float]:
     """Lambda_n for every n in ns from one prefix sweep of q' M^k 1."""
-    theta = float(theta)
-    expo = theta * model.f
-    m = float(expo.max())
-    T = model.P * np.exp(expo - m)[None, :]
+    D, m, errors = _family._weights(model.f, np.array([float(theta)]))
+    if errors[0] is not None:
+        raise errors[0]
+    T, m = model.P * D, float(m[0])
     w = model.q.copy()
     log_scale = 0.0
     want, found = set(ns), {}
@@ -295,7 +299,8 @@ def lambda_n_exact(model: MarkovModel, theta: float, n: int) -> float:
     """(1/n) log E_q exp(theta * sum_{k=1}^n f(X_k)), computed exactly.
 
     Uses q' M^n 1 for the shifted tilted matrix M, rescaling by the sup
-    norm each step and accumulating the scale in log space.
+    norm each step and accumulating the scale in log space.  A theta that
+    is not finite, or whose theta*f overflows, raises DomainError.
     """
     n = _count(n, 1, "sim: n must be >= 1, got {!r}")
     return _lambda_n_sweep(model, theta, (n,))[0]

@@ -30,10 +30,10 @@ def test_01_closed_form_spectral_radius_oracle():
     model = no_selfloop_top()
     for theta in (0.0, 0.5, 1.0, 2.0, 5.0):
         point = tilt(model, theta)
-        rho = point.triple.rho
+        rho = math.exp(point.Lambda)
         expected = chain_no_selfloop_rho(theta)
         assert abs(rho - expected) <= 1e-10 * expected
-        v = point.triple.v
+        v = point.v
         assert abs(v[0] / v[1] - rho * math.exp(theta)) <= 1e-9
     done(1, "tilted spectral radius and eigenvector ratio match closed forms")
 
@@ -42,9 +42,9 @@ def test_02_degenerate_family_closed_forms():
     model = two_cycle()
     for theta in (-1.0, 0.0, 0.5, 1.0, 2.0, 5.0):
         point = tilt(model, theta)
-        assert abs(point.triple.rho - 1.0) <= 1e-12
+        assert abs(math.exp(point.Lambda) - 1.0) <= 1e-12
         expected = two_cycle_right_eigvec(theta)
-        assert np.abs(point.triple.v - expected).max() <= 1e-10
+        assert np.abs(point.v - expected).max() <= 1e-10
     assert detect_degenerate(model)
     done(2, "swap chain: unit spectral radius, closed-form v, degeneracy")
 

@@ -90,7 +90,7 @@ class TestConstants:
         from chainbounds import lambda_second
         fam = family_of(model)
         for theta in np.linspace(0.0, 6.0, 25):
-            v = fam.at(theta).triple.v
+            v = fam.at(theta).v
             assert v.max() / v.min() <= c.K + 1e-9
             assert lambda_second(model, theta) <= c.sigma2 + 1e-9
 

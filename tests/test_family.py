@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import math
 
@@ -36,7 +37,7 @@ class TestTilt:
             point = tilt(model, 0.0)
             assert abs(point.Lambda) <= 1e-12
             assert np.abs(point.P_theta - model.P).max() <= 1e-11
-            assert np.abs(point.triple.v - 1.0).max() <= 1e-10
+            assert np.abs(point.v - 1.0).max() <= 1e-10
 
     def test_degenerate_family_never_moves(self):
         model = two_cycle()
@@ -57,15 +58,15 @@ class TestTilt:
             model = random_irreducible_model(rng, int(rng.integers(2, 6)))
             theta = float(rng.uniform(-2, 2))
             point = tilt(model, theta)
-            tri = point.triple
+            v = point.v
             # defining formula, entrywise
             direct = model.P * np.exp(theta * model.f)[None, :]
-            expected = direct * tri.v[None, :] / (tri.rho * tri.v[:, None])
+            expected = direct * v[None, :] / (math.exp(point.Lambda) * v[:, None])
             assert np.abs(point.P_theta - expected).max() <= 1e-11
             assert np.abs(point.P_theta.sum(axis=1) - 1.0).max() <= 1e-10
             assert np.abs(point.pi_theta @ point.P_theta
                           - point.pi_theta).max() <= 1e-10
-            assert np.abs(point.pi_theta - tri.u * tri.v).max() <= 1e-11
+            assert np.abs(point.pi_theta - point.u * v).max() <= 1e-11
 
     def test_composition(self):
         rng = np.random.default_rng(14)
@@ -95,8 +96,14 @@ class TestTilt:
                     assert lam[mid] <= (lam[t1] + lam[t2]) / 2 + 1e-10
 
     def test_nonfinite_theta_rejected(self):
-        with pytest.raises(DomainError):
-            tilt(two_state(), math.inf)
+        model = two_state(0.3, 0.4)
+        for theta in (math.nan, math.inf, -math.inf):
+            for call in (lambda: tilt(model, theta),
+                         lambda: kl_rate(model, 0.0, theta),
+                         lambda: kl_rate(model, theta, 0.0),
+                         lambda: spectral_curve(model, [0.0, theta])):
+                with pytest.raises(DomainError, match="must be finite"):
+                    call()
 
 
 class TestDerivatives:
@@ -158,7 +165,7 @@ class TestDerivatives:
             fam = family_of(model)
             for theta in (-3.0, -0.8, 0.0, 0.8, 3.0):
                 h = 1e-5 * (1 + abs(theta))
-                v = tilt(model, theta).triple.v
+                v = tilt(model, theta).v
                 w = fam.derivatives(theta)[0]
                 dratio = (v[None, :] / v[:, None]) * (w[None, :] - w[:, None])
                 want = ratio_derivative_fd(model.P, model.f, theta, h)
@@ -172,10 +179,48 @@ class TestDerivatives:
         model = two_state(0.2, 0.45)
         fam = family_of(model)
         w, value = fam.derivatives(0.7)
-        wrong = dataclasses.replace(fam.at(0.7), _derivatives=(w, 1.01 * value))
-        monkeypatch.setitem(fam._points, 0.7, wrong)
-        with pytest.raises(CrossCheckError):
-            lambda_second(model, 0.7)
+        point = fam.at(0.7)
+        for bad in (1.01 * value, math.nan):
+            wrong = dataclasses.replace(point, _derivatives=(w, bad))
+            monkeypatch.setitem(fam._points, 0.7, wrong)
+            with pytest.raises(CrossCheckError):
+                lambda_second(model, 0.7)
+
+    def test_extreme_sparse_tilt_keeps_lambda_second_finite(self):
+        # the second draw of the sweep below: 6 states at theta = -483.12,
+        # where a ratio v(y) / v(x) overflows though no entry of P_theta does
+        model, theta = sparse_extreme_draws(2)[-1]
+        assert model.n_states == 6 and round(theta, 2) == -483.12
+        assert math.isfinite(lambda_second(model, theta))
+        assert np.isfinite(tilt(model, theta).P_theta).all()
+
+    def test_sparse_extreme_tilts_fail_only_with_typed_errors(self):
+        # each Lambda'' is finite and cross-checked, or one of the solver's
+        # ConvergenceErrors; a numpy warning would fail the suite
+        failures = ("enclosure gap", "Collatz-Wielandt ratios are not finite",
+                    "right eigenvector lost strict positivity")
+        outcomes = collections.Counter()
+        for model, theta in sparse_extreme_draws(60):
+            try:
+                value = lambda_second(model, theta)
+            except ConvergenceError as exc:
+                outcomes[next(f for f in failures if f in str(exc))] += 1
+            else:
+                assert math.isfinite(value)
+                outcomes["finite"] += 1
+        assert outcomes == {"finite": 51, failures[0]: 5, failures[1]: 2,
+                            failures[2]: 2}
+
+
+def sparse_extreme_draws(count):
+    """``count`` sparse chains of 2 to 12 states, each with a tilt drawn
+    from [-500, 500]."""
+    rng = np.random.default_rng(11)
+    draws = []
+    for _ in range(count):
+        model = random_irreducible_model(rng, int(rng.integers(2, 13)))
+        draws.append((model, float(rng.uniform(-500.0, 500.0))))
+    return draws
 
 
 def probe_means(model):
@@ -523,8 +568,8 @@ def outcome(fam, theta):
     except (ConvergenceError, DomainError) as exc:
         return type(exc), str(exc)
     return tuple(np.asarray(x).tobytes() for x in (
-        p.triple.rho, p.triple.u, p.triple.v, p.triple.gap, p.P_theta,
-        p.pi_theta, p.Lambda, p.mean)) + (derivative_outcome(fam, theta),)
+        p.u, p.v, p.gap, p.P_theta, p.pi_theta, p.Lambda, p.mean)) + (
+            derivative_outcome(fam, theta),)
 
 
 @st.composite
@@ -622,20 +667,18 @@ class TestStackedPoints:
         spectral_curve(fresh, grid)
         assert set(family_of(fresh)._points) == set(grid.tolist())
         points = list(fam._points.values())
-        assert not any("P_theta" in p.__dict__ or "triple" in p.__dict__
-                       for p in points)
-        # built on read, with the bytes of the eager formula
+        assert not any("P_theta" in p.__dict__ for p in points)
+        # built on read, with the bytes of the product-first formula
         point = points[len(points) // 2]
         expo = point.theta * model.f
         d = np.exp(expo - expo.max())
         solved = perron_module.pf_irreducible(model.P, d)
         rho = solved.rho
-        v = point.triple.v
-        eager = model.P * d[None, :] * (v[None, :] / (rho * v[:, None]))
+        v = point.v
+        eager = (model.P * (d * v)[None, :]) / (rho * v)[:, None]
         eager /= eager.sum(axis=1, keepdims=True)
         assert point.P_theta.tobytes() == eager.tobytes()
-        assert point.triple.rho == math.exp(point.Lambda)
-        assert point.triple.gap == solved.gap
+        assert point.gap == solved.gap
 
 
 def curvature_outcome(lambda_seconds, thetas):

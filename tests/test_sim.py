@@ -129,6 +129,9 @@ class TestEmpiricalTail:
                 empirical_tail(model, n, 0.5, "upper", trials, seed=seed)
         with pytest.raises(DomainError, match="n must be >= 1"):
             lambda_n_exact(model, 0.5, 2.5)
+        # no mean reaches NaN, so it is refused rather than counted as 0 hits
+        with pytest.raises(DomainError, match="mu must be a number"):
+            empirical_tail(model, 10, math.nan, "upper", 10)
 
     def test_chunking_does_not_change_results(self, monkeypatch):
         import chainbounds.sim as sim_module
@@ -309,6 +312,14 @@ class TestExactGrowthRate:
                 exact = exact_scaled_log_mgf(model, theta, n)
                 assert abs(lambda_n_exact(model, theta, n) - exact) <= 1e-12
 
+    def test_nonfinite_theta_rejected(self):
+        model = two_state(0.3, 0.4)
+        for theta in (math.nan, math.inf, -math.inf):
+            with pytest.raises(DomainError, match="must be finite"):
+                lambda_n_exact(model, theta, 5)
+            with pytest.raises(DomainError, match="must be finite"):
+                sim.ergodic_checks(model, theta, (1, 5))
+
     def test_extreme_tilt_no_overflow(self):
         model = two_state(0.3, 0.3)
         value = lambda_n_exact(model, 400.0, 50)
@@ -319,7 +330,7 @@ class TestExactGrowthRate:
         for _ in range(5):
             model = random_positive_model(rng, 3)
             theta = float(rng.uniform(-2, 2))
-            v = tilt(model, theta).triple.v
+            v = tilt(model, theta).v
             lam = tilt(model, theta).Lambda
             ratios = v[None, :] / v[:, None]
             for n in (1, 4, 20):
