@@ -14,8 +14,8 @@ from .errors import (AssumptionError, ChainboundsError, ConvergenceError,
                      CrossCheckError, DomainError, ModelFormatError)
 from .family import (MeanSet, RatePoint, SpectralCurve, TiltedFamily,
                      TiltedPoint, detect_degenerate, family_of, kl_rate,
-                     kl_rate_direct, lambda_prime, lambda_second, mean_set,
-                     rate_function, spectral_curve, theta_of_mean, tilt)
+                     lambda_prime, lambda_second, mean_set, rate_function,
+                     spectral_curve, theta_of_mean, tilt)
 from .model import (LevelSets, MarkovModel, is_irreducible, level_sets,
                     load_model, parse_model)
 from .perron import PerronTriple, limit_matrix, pf_irreducible
@@ -31,7 +31,7 @@ __all__ = [
     "AssumptionReport", "Violation", "validate",
     "TiltedPoint", "TiltedFamily", "SpectralCurve", "MeanSet", "RatePoint",
     "family_of", "tilt", "lambda_prime", "lambda_second", "theta_of_mean",
-    "kl_rate", "kl_rate_direct", "rate_function", "detect_degenerate",
+    "kl_rate", "rate_function", "detect_degenerate",
     "mean_set", "spectral_curve",
     "GridSummary", "BoundConstants", "BoundReport", "constants",
     "chernoff_bound", "hoeffding_bound", "two_sided_bound", "ergodic_gap",

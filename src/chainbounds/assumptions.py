@@ -6,6 +6,8 @@ irreducible (A1) and every other state to reach that set in one step
 for the argmin set.  ``validate`` checks all four and names witnesses
 for whatever fails, so the CLI can explain exactly why a bound is not
 available for a given chain; ``require`` gates one tail on its pair.
+The lower tail of f is the upper tail of -f: ``_sign`` alone reads a
+side, as the sign of f it tilts toward; other modules pass sides along.
 """
 
 from dataclasses import dataclass
@@ -111,13 +113,19 @@ def _validate(model: MarkovModel) -> AssumptionReport:
     )
 
 
-def require(model: MarkovModel, side: str) -> None:
-    """Raise AssumptionError with the side's violations unless A1-A2
-    (upper) or A3-A4 (lower) hold."""
-    ids = SIDE_ASSUMPTIONS.get(side)
-    if ids is None:
+def _sign(side) -> float:
+    """1.0 for "upper", -1.0 for "lower"; any other side raises DomainError."""
+    if side not in ("upper", "lower"):
         raise DomainError(
             f"assumptions: side must be 'upper' or 'lower', got {side!r}")
+    return 1.0 if side == "upper" else -1.0
+
+
+def require(model: MarkovModel, side: str) -> None:
+    """Raise AssumptionError with the side's violations unless A1-A2
+    (upper) or A3-A4 (lower) hold, after ``_sign`` reads the side."""
+    _sign(side)
+    ids = SIDE_ASSUMPTIONS[side]
     report = validate(model)
     bad = [v for v in report.violations if v.assumption in ids]
     if bad:

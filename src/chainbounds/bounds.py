@@ -32,6 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import assumptions as _assumptions
 from . import family as _family
 from .errors import DomainError, _count
 from .model import MarkovModel, level_sets, memo
@@ -135,8 +136,9 @@ class BoundReport:
 def constants(model: MarkovModel, side: str = "upper") -> BoundConstants:
     """Compute (K, L, sigma2, rho_inf) for one tail, with diagnostics.
 
-    Results are memoized per model instance and side.
+    Results are memoized per model instance and side; the side is read first.
     """
+    _assumptions._sign(side)
     return memo(model._derived, ("constants", side),
                 lambda _: _compute_constants(model, side))
 
@@ -144,7 +146,7 @@ def constants(model: MarkovModel, side: str = "upper") -> BoundConstants:
 def _compute_constants(model: MarkovModel, side: str) -> BoundConstants:
     # the limit matrix requires the side's assumptions, so it gates first
     limit_triple = _family.limit_triple(model, side)
-    sign = 1.0 if side == "upper" else -1.0
+    sign = _assumptions._sign(side)
     fam = _family.family_of(model)
     v_inf = limit_triple.v
     K_limit = float(v_inf.max() / v_inf.min())

@@ -72,7 +72,6 @@ __all__ = [
     "lambda_second",
     "theta_of_mean",
     "kl_rate",
-    "kl_rate_direct",
     "rate_function",
     "detect_degenerate",
     "mean_set",
@@ -276,11 +275,10 @@ class TiltedFamily:
         means = np.matmul(pi[:, None, :], self.f[:, None])[:, 0, 0]
         P_theta = _tilted_chains(self.P, D, V, rho)
         fc = self.f - means[:, None]
-        rhs = np.stack((np.matmul(P_theta, fc[:, :, None])[:, :, 0], fc), axis=2)
         # A = I - P_theta + 1 pi', built in the stack's own memory
         A = np.subtract(np.eye(self.f.size), P_theta, out=P_theta)
         A += pi[:, None, :]
-        derived = _fundamental(A, rhs, pi, fc)
+        derived = _fundamental(A, pi, fc)
         return [TiltedPoint(theta=theta, pi_theta=pi[b], Lambda=lam, mean=mean,
                             v=V[b], u=U[b], gap=g, _rho=r, _P=self.P,
                             _d=D[b], _derivatives=derived[b])
@@ -305,9 +303,10 @@ class TiltedFamily:
     def derivatives(self, theta: float) -> tuple[np.ndarray, float]:
         """(w, Lambda'') of the point at theta, by Z = (I - P_theta + 1 pi')^-1.
 
-        w = Z P_theta fc, fc = f - Lambda', is d log v / d theta up to a
-        constant that cancels from every eigenvector ratio, and Lambda'' =
-        2 pi(fc Z fc) - pi(fc^2); ``lambda_second`` checks it.  A singular
+        With fc = f - Lambda' and x = Z fc, w = x - fc (= Z P_theta fc, as
+        Z P_theta = Z + 1 pi' - I and pi(fc) = 0) is d log v / d theta up to
+        a constant that cancels from every eigenvector ratio, and Lambda'' =
+        2 pi(fc x) - pi(fc^2); ``lambda_second`` checks it.  A singular
         I - P_theta + 1 pi' (seen on sparse chains once the tilt has
         underflowed part of the chain) raises ``ConvergenceError``.
         """
@@ -361,23 +360,23 @@ class TiltedFamily:
         return values
 
 
-def _fundamental(A: np.ndarray, rhs: np.ndarray, pi: np.ndarray,
-                 fc: np.ndarray) -> list:
-    """(w, Lambda'') of each slice of A = I - P_theta + 1 pi', or None where
-    A is singular.  LAPACK runs once per slice, so an entry does not depend
-    on the rest; numpy fails the whole stack on one singular slice, and
-    then each slice is solved alone."""
+def _fundamental(A: np.ndarray, pi: np.ndarray, fc: np.ndarray) -> list:
+    """(w, Lambda'') of each slice of A = I - P_theta + 1 pi' from x = A^-1 fc
+    (``derivatives``), or None where A is singular.  LAPACK runs once per
+    slice, so an entry does not depend on the rest; numpy fails the whole
+    stack on one singular slice, and then each slice is solved alone."""
     try:
-        sol = np.linalg.solve(A, rhs)
+        x = np.linalg.solve(A, fc[:, :, None])[:, :, 0]
     except np.linalg.LinAlgError:
         if len(A) == 1:
             return [None]
         return [d for b in range(len(A))
-                for d in _fundamental(*(x[b:b + 1] for x in (A, rhs, pi, fc)))]
-    sol.setflags(write=False)
-    curvature = (2.0 * np.matmul(pi[:, None, :], (fc * sol[:, :, 1])[:, :, None])
+                for d in _fundamental(*(y[b:b + 1] for y in (A, pi, fc)))]
+    w = x - fc
+    w.setflags(write=False)
+    curvature = (2.0 * np.matmul(pi[:, None, :], (fc * x)[:, :, None])
                  - np.matmul(pi[:, None, :], (fc * fc)[:, :, None]))
-    return list(zip(sol[:, :, 0], curvature[:, 0, 0].tolist()))
+    return list(zip(w, curvature[:, 0, 0].tolist()))
 
 
 def _stencil(theta: float) -> tuple[float, float, float]:
@@ -422,7 +421,8 @@ def family_of(model: MarkovModel) -> TiltedFamily:
 
 def limit_triple(model: MarkovModel, side: str) -> _perron.PerronTriple:
     """Perron triple of the side's limit matrix (``perron.limit_matrix``),
-    memoized per model instance and side."""
+    memoized per model instance and side; the side is read first."""
+    _assumptions._sign(side)
     return memo(model._derived, ("limit", side),
                 lambda _: _perron.limit_matrix(model, side)[1])
 
@@ -562,20 +562,6 @@ def kl_rate(model: MarkovModel, theta1: float, theta2: float) -> float:
     return p2.Lambda - p1.Lambda - p1.mean * (float(theta2) - float(theta1))
 
 
-def kl_rate_direct(model: MarkovModel, theta1: float, theta2: float) -> float:
-    """The same rate as ``kl_rate`` by direct summation over transitions.
-
-    Computes sum pi_1(x) P_1(x,y) log(P_1(x,y)/P_2(x,y)); the two routes
-    must agree, which the test suite asserts on random families.
-    """
-    fam = family_of(model)
-    p1, p2 = fam.at(theta1), fam.at(theta2)
-    mask = model.P > 0.0
-    w = (p1.pi_theta[:, None] * p1.P_theta)[mask]
-    return float((w * (np.log(p1.P_theta[mask])
-                       - np.log(p2.P_theta[mask]))).sum())
-
-
 def rate_function(model: MarkovModel, mu: float, side: str = "upper") -> RatePoint:
     """Large deviations rate Lambda*(mu) for the requested tail.
 
@@ -586,12 +572,10 @@ def rate_function(model: MarkovModel, mu: float, side: str = "upper") -> RatePoi
     and the upper assumptions; the lower side is symmetric.  A degenerate
     family has rate 0 at its stationary mean and +inf elsewhere.
     """
-    if side not in ("upper", "lower"):
-        raise DomainError(f"family: side must be 'upper' or 'lower', got {side!r}")
+    sign = _assumptions._sign(side)
     mu = float(mu)
     fam = family_of(model)
     pif = fam.stationary_mean
-    sign = 1.0 if side == "upper" else -1.0
 
     tol = _mean_tol(model.f, MEAN_TOL)
     if fam.is_degenerate:
@@ -608,7 +592,7 @@ def rate_function(model: MarkovModel, mu: float, side: str = "upper") -> RatePoi
         return RatePoint(mu=mu, theta_mu=0.0, value=0.0)
 
     ls = level_sets(model)
-    extreme = ls.b if side == "upper" else ls.a
+    extreme = ls.b if sign > 0.0 else ls.a
     if sign * (mu - extreme) > 0.0:
         return RatePoint(mu=mu, theta_mu=sign * math.inf, value=math.inf)
     if mu == extreme:

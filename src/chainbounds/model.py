@@ -104,21 +104,21 @@ class MarkovModel:
         if bad.size:
             x, y = bad[0]
             raise ModelFormatError(
-                f"model: P[{x}][{y}] = {P[x, y]!r} is negative")
+                f"model: P[{x}][{y}] = {P[x, y].item()!r} is negative")
         rows = P.sum(axis=1)
         off = np.abs(rows - 1.0)
         if off.max() > ROW_SUM_TOL:
             x = int(off.argmax())
             raise ModelFormatError(
                 f"model: row {x} of P is not stochastic "
-                f"(sums to {rows[x]!r}, tolerance {ROW_SUM_TOL})")
+                f"(sums to {rows[x].item()!r}, tolerance {ROW_SUM_TOL})")
         if np.any(q < 0.0):
-            x = int(np.argwhere(q < 0.0)[0])
+            x = int(np.flatnonzero(q < 0.0)[0])
             raise ModelFormatError(
-                f"model: q[{x}] = {q[x]!r} is negative")
+                f"model: q[{x}] = {q[x].item()!r} is negative")
         if abs(q.sum() - 1.0) > PROB_SUM_TOL:
             raise ModelFormatError(
-                f"model: q sums to {q.sum()!r}, not 1 "
+                f"model: q sums to {q.sum().item()!r}, not 1 "
                 f"(tolerance {PROB_SUM_TOL})")
         object.__setattr__(self, "states", states)
         object.__setattr__(self, "P", P)

@@ -227,15 +227,11 @@ def pf_irreducible(M: np.ndarray, d: np.ndarray | None = None) -> PerronTriple:
     Irreducibility is the caller's responsibility (`is_irreducible`); the
     solver also copes with the [[A, 0], [B, 0]] pattern of the limit
     matrix and of tilts that underflow toward it.  Output is deterministic
-    for identical input.  This is ``pf_stack`` on a stack of one.
+    for identical input.  This is ``pf_stack`` on a stack of one, whose
+    gate alone checks the shapes of M and d.
     """
-    M = np.asarray(M, dtype=np.float64)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise ValueError("perron: matrix must be square")
-    d = np.ones(M.shape[0]) if d is None else np.asarray(d, dtype=np.float64)
-    if d.shape != M.shape[:1]:
-        raise ValueError("perron: weights must have one entry per column")
-    rho, U, V, gap, errors = pf_stack(M, d[None])
+    d = np.ones(np.shape(M)[-1:]) if d is None else d
+    rho, U, V, gap, errors = pf_stack(M, [d])
     if errors[0] is not None:
         raise errors[0]
     return PerronTriple(rho=rho[0].item(), u=U[0], v=V[0], gap=gap[0].item())
@@ -251,6 +247,6 @@ def limit_matrix(model: MarkovModel, side: str = "upper"):
     of the 0/1-weighted member described in the module docstring.
     """
     _assumptions.require(model, side)
-    extreme = model.f.max() if side == "upper" else model.f.min()
-    d = (model.f == extreme).astype(float)
+    g = _assumptions._sign(side) * model.f
+    d = (g == g.max()).astype(float)
     return model.P * d, pf_irreducible(model.P, d)

@@ -31,6 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import assumptions as _assumptions
 from . import bounds as _bounds
 from . import family as _family
 from .errors import DomainError, _count
@@ -245,8 +246,7 @@ def empirical_tail(model: MarkovModel, n: int, mu: float, side: str,
     be replayed.  The interval is an exact Clopper-Pearson 95% interval.
     A NaN mu, which no mean reaches, raises DomainError.
     """
-    if side not in ("upper", "lower"):
-        raise DomainError(f"sim: side must be 'upper' or 'lower', got {side!r}")
+    sign = _assumptions._sign(side)
     trials = _count(trials, 1, "sim: trials must be >= 1, got {!r}")
     n = _count(n, 1, "sim: n must be >= 1, got {!r}")
     seed = _count(seed, 0, "sim: seed must be nonnegative, got {!r}")
@@ -265,11 +265,8 @@ def empirical_tail(model: MarkovModel, n: int, mu: float, side: str,
         sums = np.zeros(block)
         for pos in walk:
             sums += f_at.take(pos)
-        means = sums / n
-        if side == "upper":
-            hits += int(np.count_nonzero(means >= mu))
-        else:
-            hits += int(np.count_nonzero(means <= mu))
+        # negation is exact, so on the lower side this is sums / n <= mu
+        hits += int(np.count_nonzero(sign * (sums / n) >= sign * mu))
     low, high = _clopper_pearson(hits, trials, CONFIDENCE)
     return TailEstimate(n=n, mu=mu, side=side, trials=trials,
                         hits=hits, p_hat=hits / trials, ci_low=low,
@@ -291,7 +288,8 @@ def _lambda_n_sweep(model: MarkovModel, theta: float, ns) -> list[float]:
         log_scale += math.log(s)
         w /= s
         if k in want:
-            found[k] = (log_scale + math.log(float(w.sum())) + k * m) / k
+            # divided before m is added: k * m alone can overflow
+            found[k] = (log_scale + math.log(float(w.sum()))) / k + m
     return [found[n] for n in ns]
 
 

@@ -118,19 +118,38 @@ def ratio_derivative_fd(P, f, theta: float, h: float) -> np.ndarray:
     return (ratios(theta + h) - ratios(theta - h)) / (2.0 * h)
 
 
+def _tilted_chain(P, f, theta):
+    """(pi_theta, P_theta, v) of the tilted chain by ``_tilted_perron``:
+    its stationary law u * v, its matrix P diag(e^{theta f}) v(y) / (rho
+    v(x)) and the right Perron vector v."""
+    rho, u, v = _tilted_perron(P, f, theta)
+    expo = theta * np.asarray(f, dtype=np.float64)
+    M = np.asarray(P, dtype=np.float64) * np.exp(expo - expo.max())[None, :]
+    return u * v, M * v[None, :] / (rho * v[:, None]), v
+
+
 def lambda_second_pair_variance(P, f, theta: float, h: float) -> float:
     """Lambda''(theta) as the variance of f(y) + d/dtheta log(v(y)/v(x))
     under the stationary pair law pi_theta(x) P_theta(x, y), with the ratio
     derivative by central differences at step h."""
-    rho, u, v = _tilted_perron(P, f, theta)
-    expo = theta * np.asarray(f, dtype=np.float64)
-    M = np.asarray(P, dtype=np.float64) * np.exp(expo - expo.max())[None, :]
-    P_theta = M * v[None, :] / (rho * v[:, None])
+    pi, P_theta, v = _tilted_chain(P, f, theta)
     g = np.asarray(f)[None, :] + ratio_derivative_fd(P, f, theta, h) \
         * v[:, None] / v[None, :]
-    weights = (u * v)[:, None] * P_theta
+    weights = pi[:, None] * P_theta
     mean = float((weights * g).sum())
     return float((weights * (g - mean) ** 2).sum())
+
+
+def kl_rate_direct(P, f, theta1: float, theta2: float) -> float:
+    """Relative entropy rate of the tilted chain at theta1 from the one at
+    theta2 by direct summation over the transitions of P,
+    sum pi_1(x) P_1(x, y) log(P_1(x, y) / P_2(x, y)), with both chains from
+    dense eigendecompositions (``_tilted_chain``)."""
+    pi1, P1, _ = _tilted_chain(P, f, theta1)
+    P2 = _tilted_chain(P, f, theta2)[1]
+    mask = np.asarray(P) > 0.0
+    w = (pi1[:, None] * P1)[mask]
+    return float((w * (np.log(P1[mask]) - np.log(P2[mask]))).sum())
 
 
 def simple_cycle_means(P, f) -> tuple[float, float]:

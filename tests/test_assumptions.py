@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
 
-from chainbounds import AssumptionError, DomainError, MarkovModel, validate
+from chainbounds import (AssumptionError, DomainError, MarkovModel,
+                         chernoff_bound, constants, empirical_tail,
+                         limit_matrix, rate_function, validate)
 from chainbounds.assumptions import require
+from chainbounds.family import limit_triple
 from conftest import (birth_death, no_selfloop_top, random_positive_model,
-                      two_cycle)
+                      two_cycle, two_state)
 
 
 def test_positive_matrix_all_hold():
@@ -97,6 +100,26 @@ def test_require_raises_the_side_violations():
     require(model, "lower")
     with pytest.raises(DomainError):
         require(model, "sideways")
+
+
+@pytest.mark.parametrize("side", ["sideways", ["upper"], None],
+                         ids=["sideways", "list", "none"])
+def test_every_side_is_read_by_one_gate(side):
+    model = two_state(0.3, 0.4)
+    calls = (lambda: require(model, side),
+             lambda: limit_matrix(model, side),
+             lambda: limit_triple(model, side),
+             lambda: rate_function(model, 0.5, side),
+             lambda: constants(model, side),
+             lambda: chernoff_bound(model, 10, 0.5, side),
+             lambda: empirical_tail(model, 10, 0.5, side, 10))
+    for call in calls:
+        with pytest.raises(DomainError) as exc:
+            call()
+        assert str(exc.value) == (
+            f"assumptions: side must be 'upper' or 'lower', got {side!r}")
+    # a side that cannot be read never reaches the model's memo
+    assert not any(isinstance(key, tuple) for key in model._derived)
 
 
 def test_report_is_memoized_per_model():

@@ -359,6 +359,27 @@ class TestUsageAndErrors:
         assert out == ""
         assert "grid count must be >= 1" in err
 
+    @pytest.mark.parametrize("argv, message", [
+        (["bound", "--mu", "0.7", "--n", "2.5"],
+         "cli: --n expects an integer, got '2.5'"),
+        (["spectrum", "--theta=0:1:0"], "cli: grid count must be >= 1, got 0"),
+        (["ergodic", "--theta", "1", "--n", "5:3"], "cli: empty range '5:3'"),
+        (["ergodic", "--theta", "1", "--n", "1:2:3:4"],
+         "cli: cannot parse integer grid '1:2:3:4'"),
+        (["bound", "--mu", "0.7", "--n", "10", "--interval", "0.9,0.2"],
+         "bounds: empty interval [0.9, 0.2]"),
+    ])
+    def test_bad_option_values(self, write_model, capsys, argv, message):
+        path = write_model(TWO_STATE_DOC)
+        code, out, err = run_cli(capsys, argv[0], "--model", path, *argv[1:])
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+
+    def test_negative_q_is_a_model_error(self, write_model, capsys):
+        path = write_model(TWO_STATE_DOC.replace("[0.5, 0.5]", "[1.5, -0.5]"))
+        code, out, err = run_cli(capsys, "validate", "--model", path)
+        assert (code, out, err) == (
+            1, "", "error: model: q[1] = -0.5 is negative\n")
+
     def test_interval_needs_two_values(self, write_model, capsys):
         path = write_model(TWO_STATE_DOC)
         code, _, err = run_cli(capsys, "bound", "--model", path,

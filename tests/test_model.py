@@ -35,7 +35,14 @@ class TestParsing:
 
     def test_negative_entry_names_position(self):
         doc = "states: [a, b]\nP: [[1.2, -0.2], [0.5, 0.5]]\nf: [0, 1]\n"
-        with pytest.raises(ModelFormatError, match=r"P\[0\]\[1\]"):
+        with pytest.raises(ModelFormatError,
+                           match=r"^model: P\[0\]\[1\] = -0\.2 is negative$"):
+            parse_model(doc)
+
+    def test_negative_q_names_position(self):
+        doc = "states: [a, b]\nP: [[0.5, 0.5], [0.5, 0.5]]\nf: [0, 1]\nq: [1.5, -0.5]\n"
+        with pytest.raises(ModelFormatError,
+                           match=r"^model: q\[1\] = -0\.5 is negative$"):
             parse_model(doc)
 
     def test_dimension_mismatch(self):
@@ -66,6 +73,28 @@ class TestParsing:
         with pytest.raises(ModelFormatError, match="q sums"):
             parse_model(doc)
 
+    @pytest.mark.parametrize("states, P, f, q, message", [
+        ((), np.zeros((0, 0)), [], [], "at least one state is required"),
+        (("a", "b"), np.full((2, 2), 0.5), [0.0, 1.0], [1.0], "q has length"),
+        (("a", "b"), np.full((2, 2), 0.5), ["x", 1.0], [0.5, 0.5],
+         "f is not numeric"),
+        (("a", "b"), np.full((2, 2), 0.5), [0.0, np.inf], [0.5, 0.5],
+         "f contains non-finite entries"),
+        (("a", "b"), [[0.5, np.nan], [0.5, 0.5]], [0.0, 1.0], [0.5, 0.5],
+         "P contains non-finite entries"),
+    ])
+    def test_constructor_gates(self, states, P, f, q, message):
+        with pytest.raises(ModelFormatError, match=f"^model: {message}"):
+            MarkovModel(states, P, f, q)
+
+    @pytest.mark.parametrize("doc, message", [
+        ("- a\n- b\n", "document must be a mapping"),
+        ("states: []\nP: []\nf: []\n", "states must be a nonempty list"),
+    ])
+    def test_document_shape_gates(self, doc, message):
+        with pytest.raises(ModelFormatError, match=f"^model: {message}$"):
+            parse_model(doc)
+
     def test_json_document_accepted(self):
         doc = '{"states": ["a", "b"], "P": [[0.5, 0.5], [1, 0]], "f": [0, 1]}'
         model = parse_model(doc)
@@ -90,6 +119,10 @@ class TestIrreducibility:
     def test_one_state(self):
         assert is_irreducible(np.array([[0.3]]))
         assert not is_irreducible(np.array([[0.0]]))
+
+    def test_non_square_rejected(self):
+        with pytest.raises(ValueError, match="must be square"):
+            is_irreducible(np.ones((2, 3)))
 
     def test_lower_triangular_false(self):
         assert not is_irreducible(np.array([[1.0, 0.0], [0.5, 0.5]]))

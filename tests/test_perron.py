@@ -96,6 +96,17 @@ class TestIrreducibleSolver:
         with pytest.raises(ValueError, match="finite"):
             pf_irreducible(M)
 
+    @pytest.mark.parametrize("M, d", [
+        (np.ones((2, 3)), None),
+        (np.ones(3), None),
+        (np.full((2, 2), 0.5), np.ones(3)),
+        (np.full((2, 2), 0.5), np.ones((2, 2))),
+    ])
+    def test_shapes_checked_by_the_stack_gate(self, M, d):
+        with pytest.raises(ValueError, match=r"^perron: stack must have shape "
+                           r"\(S, S\) with rows \(B, S\)$"):
+            pf_irreducible(M, d)
+
     def test_birth_death_closed_form(self):
         # radical coefficient -5 checked against a dense eigensolver;
         # with it the formula gives rho(0) = 1 as it must

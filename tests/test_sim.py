@@ -325,6 +325,11 @@ class TestExactGrowthRate:
         value = lambda_n_exact(model, 400.0, 50)
         assert math.isfinite(value)
 
+    def test_huge_finite_tilt_stays_finite(self):
+        # theta * f fits a double, n * max(theta * f) does not
+        assert lambda_n_exact(two_state(0.3, 0.4), 1e308, 5) == \
+            pytest.approx(1e308, rel=1e-15)
+
     def test_eigenvector_ratio_sandwich(self):
         rng = np.random.default_rng(34)
         for _ in range(5):
