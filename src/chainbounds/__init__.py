@@ -9,13 +9,12 @@ or simulate the resulting tail bounds.
 
 from .assumptions import AssumptionReport, Violation, validate
 from .bounds import (BoundConstants, BoundReport, GridSummary, chernoff_bound,
-                     constants, ergodic_gap, hoeffding_bound, two_sided_bound)
+                     constants, ergodic_gap, two_sided_bound)
 from .errors import (AssumptionError, ChainboundsError, ConvergenceError,
                      CrossCheckError, DomainError, ModelFormatError)
 from .family import (MeanSet, RatePoint, SpectralCurve, TiltedFamily,
-                     TiltedPoint, detect_degenerate, family_of, kl_rate,
-                     lambda_prime, lambda_second, mean_set, rate_function,
-                     spectral_curve, theta_of_mean, tilt)
+                     TiltedPoint, family_of, kl_rate, mean_set,
+                     rate_function, spectral_curve, theta_of_mean, tilt)
 from .model import (LevelSets, MarkovModel, is_irreducible, level_sets,
                     load_model, parse_model)
 from .perron import PerronTriple, limit_matrix, pf_irreducible
@@ -30,11 +29,10 @@ __all__ = [
     "PerronTriple", "pf_irreducible", "limit_matrix",
     "AssumptionReport", "Violation", "validate",
     "TiltedPoint", "TiltedFamily", "SpectralCurve", "MeanSet", "RatePoint",
-    "family_of", "tilt", "lambda_prime", "lambda_second", "theta_of_mean",
-    "kl_rate", "rate_function", "detect_degenerate",
+    "family_of", "tilt", "theta_of_mean", "kl_rate", "rate_function",
     "mean_set", "spectral_curve",
     "GridSummary", "BoundConstants", "BoundReport", "constants",
-    "chernoff_bound", "hoeffding_bound", "two_sided_bound", "ergodic_gap",
+    "chernoff_bound", "two_sided_bound", "ergodic_gap",
     "TailEstimate", "ErgodicCheck", "sample_trajectory", "empirical_tail",
     "lambda_n_exact", "ergodic_check",
     "ChainboundsError", "ModelFormatError", "AssumptionError", "DomainError",

@@ -48,7 +48,6 @@ __all__ = [
     "BoundReport",
     "constants",
     "chernoff_bound",
-    "hoeffding_bound",
     "two_sided_bound",
     "ergodic_gap",
 ]
@@ -90,9 +89,9 @@ class BoundConstants:
     grid_summary: GridSummary
 
     def __post_init__(self):
-        if self.K < 1.0 - 1e-9:
+        if not self.K >= 1.0 - 1e-9:
             raise DomainError(f"bounds: K={self.K!r} below 1")
-        if self.L < 0.0 or self.sigma2 < 0.0:
+        if not (self.L >= 0.0 and self.sigma2 >= 0.0):
             raise DomainError("bounds: L and sigma2 must be nonnegative")
 
 
@@ -231,9 +230,10 @@ def _compute_constants(model: MarkovModel, side: str) -> BoundConstants:
         converged=converged,
         tail_guard_passed=tail_ok,
     )
-    return BoundConstants(side=side, K=max(K, 1.0), L=max(L, 0.0),
-                          sigma2=max(sigma2, 0.0), rho_inf=rho_inf,
-                          grid_summary=summary)
+    # each ratio stack holds v(x)/v(x) = 1 and L is a maximum of absolute
+    # values, so only sigma2 can round below 0 (a Lambda'' of -3.5e-18)
+    return BoundConstants(side=side, K=K, L=L, sigma2=max(sigma2, 0.0),
+                          rho_inf=rho_inf, grid_summary=summary)
 
 
 def _quadratic_exponent(dev: float, scale: float) -> float:
@@ -270,10 +270,6 @@ def chernoff_bound(model: MarkovModel, n: int, mu: float,
         hoeffding_sigma=consts.K * math.exp(-n * exp_sigma),
         hoeffding_range=consts.K * math.exp(-n * exp_range),
     )
-
-
-# the same report carries the sub-Gaussian relaxations
-hoeffding_bound = chernoff_bound
 
 
 def two_sided_bound(model: MarkovModel, n: int, interval) -> float:

@@ -68,12 +68,9 @@ __all__ = [
     "half_line_grid",
     "limit_triple",
     "tilt",
-    "lambda_prime",
-    "lambda_second",
     "theta_of_mean",
     "kl_rate",
     "rate_function",
-    "detect_degenerate",
     "mean_set",
     "spectral_curve",
 ]
@@ -161,16 +158,16 @@ class SpectralCurve:
                 raise DomainError(f"family: {name} is not aligned with the grid")
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
-        if np.any(np.diff(grid) <= 0.0):
+        if not np.all(np.diff(grid) > 0.0):
             raise DomainError("family: theta grid must be strictly increasing")
         grid.setflags(write=False)
         object.__setattr__(self, "grid", grid)
-        if np.any(np.diff(self.Lambda1) < -1e-12):
+        if not np.all(np.diff(self.Lambda1) >= -1e-12):
             raise DomainError("family: Lambda' must be nondecreasing in theta")
-        if np.any(self.Lambda2 < -1e-10):
+        if not np.all(self.Lambda2 >= -1e-10):
             raise DomainError("family: Lambda'' must be nonnegative")
         at0 = np.flatnonzero(grid == 0.0)
-        if at0.size and abs(self.Lambda[at0[0]]) > 1e-12:
+        if at0.size and not abs(self.Lambda[at0[0]]) <= 1e-12:
             raise DomainError("family: Lambda(0) must vanish")
 
 
@@ -202,9 +199,9 @@ class RatePoint:
     value: float
 
     def __post_init__(self):
-        if self.value < 0.0:
+        if not self.value >= 0.0:
             raise DomainError(
-                f"family: rate value {self.value!r} is negative")
+                f"family: rate value {self.value!r} must be nonnegative")
 
 
 class TiltedFamily:
@@ -297,6 +294,9 @@ class TiltedFamily:
 
     @cached_property
     def is_degenerate(self) -> bool:
+        """True iff tilting never moves the chain (constant family): f has
+        one mean along every cycle of P > 0, so the ``cycle_means`` differ
+        by at most ``_mean_tol``.  Decided without a Perron solve."""
         lo, hi = self.cycle_means
         return hi - lo <= _mean_tol(self.f, MEAN_TOL)
 
@@ -434,16 +434,6 @@ def tilt(model: MarkovModel, theta: float) -> TiltedPoint:
     v = 1 and pi_0 the stationary law of P.
     """
     return family_of(model).at(theta)
-
-
-def lambda_prime(point: TiltedPoint) -> float:
-    """Lambda'(theta): the mean of f under the tilted stationary law."""
-    return point.mean
-
-
-def lambda_second(model: MarkovModel, theta: float) -> float:
-    """Lambda''(theta); see ``TiltedFamily.lambda_second``."""
-    return family_of(model).lambda_second(theta)
 
 
 def theta_of_mean(model: MarkovModel, mu: float) -> float:
@@ -607,17 +597,6 @@ def rate_function(model: MarkovModel, mu: float, side: str = "upper") -> RatePoi
                 f"family: conjugate value {value!r} went negative at mu={mu!r}")
         value = 0.0
     return RatePoint(mu=mu, theta_mu=theta, value=value)
-
-
-def detect_degenerate(model: MarkovModel) -> bool:
-    """True iff tilting never moves the chain (constant family).
-
-    Decided without a Perron solve: the family is constant iff f has one
-    mean along every cycle of the graph P > 0, i.e. the least and greatest
-    cycle means differ by at most MEAN_TOL times the span of f, or by
-    the rounding of a mean of f where that is larger (``_mean_tol``).
-    """
-    return family_of(model).is_degenerate
 
 
 def mean_set(model: MarkovModel) -> MeanSet:

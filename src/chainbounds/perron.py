@@ -107,7 +107,7 @@ def _enclosure(Y: np.ndarray, X: np.ndarray):
 def _noda(A: np.ndarray, x: np.ndarray, tol: float):
     """Noda steps on A from x until its gap is at most tol: (x, gap).
     Raises ConvergenceError when the cap is reached, the ratios are not
-    finite or a shift is singular.
+    finite or a shift and the next float above it are both singular.
 
     Each step solves in the coordinates of s = x (1 where x is 0):
     w = s * (sigma I - S^-1 A S)^-1 (x / s) is (sigma I - A)^-1 x, and as
@@ -124,12 +124,18 @@ def _noda(A: np.ndarray, x: np.ndarray, tol: float):
             raise ConvergenceError(
                 "perron: Collatz-Wielandt ratios are not finite")
         s = np.where(x > 0.0, x, 1.0)
-        try:
-            w = s * np.abs(np.linalg.solve(sigma * eye - A * s / s[:, None],
-                                           x / s))
-        except np.linalg.LinAlgError:
+        B = A * s / s[:, None]
+        # sigma >= rho, so a singular shift is the root itself: the step
+        # is retried once just above it
+        for shift in (sigma, np.nextafter(sigma, np.inf)):
+            try:
+                w = s * np.abs(np.linalg.solve(shift * eye - B, x / s))
+                break
+            except np.linalg.LinAlgError:
+                pass
+        else:
             raise ConvergenceError(
-                f"perron: Noda shift {sigma!r} is singular") from None
+                f"perron: Noda shift {sigma.item()!r} is singular")
         x = w / w.max()
     raise ConvergenceError(f"perron: enclosure gap {gap:.3e} exceeds "
                            f"tolerance {tol:.3e} after {NODA_CAP} Noda steps")

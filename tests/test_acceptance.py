@@ -9,9 +9,8 @@ import math
 
 import numpy as np
 
-from chainbounds import (constants, detect_degenerate, empirical_tail,
-                         hoeffding_bound, kl_rate, lambda_n_exact,
-                         lambda_prime, lambda_second, level_sets,
+from chainbounds import (chernoff_bound, constants, empirical_tail,
+                         family_of, kl_rate, lambda_n_exact, level_sets,
                          rate_function, tilt, two_sided_bound, validate)
 from conftest import (birth_death, iid_model, no_selfloop_top,
                       random_irreducible_model, random_positive_model,
@@ -45,7 +44,7 @@ def test_02_degenerate_family_closed_forms():
         assert abs(math.exp(point.Lambda) - 1.0) <= 1e-12
         expected = two_cycle_right_eigvec(theta)
         assert np.abs(point.v - expected).max() <= 1e-10
-    assert detect_degenerate(model)
+    assert family_of(model).is_degenerate
     done(2, "swap chain: unit spectral radius, closed-form v, degeneracy")
 
 
@@ -91,10 +90,10 @@ def test_06_derivative_cross_checks():
         for theta in (-2.0, -1.0, 0.0, 1.0, 2.0):
             h = 1e-3 * (1.0 + abs(theta))
             lam = lambda t: tilt(model, t).Lambda
-            d1 = lambda_prime(tilt(model, theta))
+            d1 = tilt(model, theta).mean
             fd1 = (lam(theta + h) - lam(theta - h)) / (2 * h)
             assert abs(d1 - fd1) <= max(1e-6, 1e-3 * abs(d1))
-            d2 = lambda_second(model, theta)
+            d2 = family_of(model).lambda_second(theta)
             fd2 = (lam(theta + h) - 2 * lam(theta) + lam(theta - h)) / h**2
             assert abs(d2 - fd2) <= max(1e-6, 1e-3 * abs(d2))
     done(6, "variance and mean formulas agree with quadratic differences")
@@ -135,7 +134,7 @@ def test_08_uniform_finite_n_growth_gap():
 def test_09_monte_carlo_consistency():
     model = two_state(0.3, 0.3)
     for mu in (0.6, 0.7, 0.8):
-        report = hoeffding_bound(model, 50, mu, "upper")
+        report = chernoff_bound(model, 50, mu, "upper")
         estimate = empirical_tail(model, 50, mu, "upper",
                                   trials=100_000, seed=20_250)
         assert estimate.ci_low <= report.chernoff

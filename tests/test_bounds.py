@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import math
 import sys
@@ -10,7 +11,7 @@ import pytest
 import chainbounds.perron as perron_module
 from chainbounds import (AssumptionError, ChainboundsError, DomainError,
                          MarkovModel, TiltedFamily, chernoff_bound, constants,
-                         ergodic_gap, family_of, hoeffding_bound, level_sets,
+                         ergodic_gap, family_of, level_sets,
                          rate_function, tilt, two_sided_bound, validate)
 from conftest import (iid_model, random_irreducible_model,
                       random_positive_model, two_cycle, two_state)
@@ -87,12 +88,11 @@ class TestConstants:
                 assert fam.lambda_second(theta) <= c.sigma2
         model = cases[0][0]
         c = constants(model, "upper")
-        from chainbounds import lambda_second
         fam = family_of(model)
         for theta in np.linspace(0.0, 6.0, 25):
             v = fam.at(theta).v
             assert v.max() / v.min() <= c.K + 1e-9
-            assert lambda_second(model, theta) <= c.sigma2 + 1e-9
+            assert fam.lambda_second(theta) <= c.sigma2 + 1e-9
 
     def test_diagnostics_present(self):
         gs = constants(two_state(0.3, 0.3), "upper").grid_summary
@@ -100,6 +100,12 @@ class TestConstants:
         assert gs.tail_guard_passed
         assert gs.n_points > 30
         assert gs.theta_max >= 16.0
+
+    @pytest.mark.parametrize("name", ["K", "L", "sigma2"])
+    def test_nan_constant_rejected(self, name):
+        consts = constants(two_state(0.3, 0.3), "upper")
+        with pytest.raises(DomainError):
+            dataclasses.replace(consts, **{name: math.nan})
 
 
 class TestChernoff:
@@ -156,7 +162,7 @@ class TestChernoff:
 class TestHoeffding:
     def test_at_stationary_mean_both_forms_equal_prefactor(self):
         model = two_state(0.3, 0.3)
-        report = hoeffding_bound(model, 30, 0.5, "upper")
+        report = chernoff_bound(model, 30, 0.5, "upper")
         K = constants(model, "upper").K
         assert report.hoeffding_sigma == K
         assert report.hoeffding_range == K
@@ -168,13 +174,13 @@ class TestHoeffding:
             pif = tilt(model, 0.0).mean
             b = level_sets(model).b
             mu = pif + 0.7 * (b - pif)
-            report = hoeffding_bound(model, 20, mu, "upper")
+            report = chernoff_bound(model, 20, mu, "upper")
             assert report.chernoff <= report.hoeffding_sigma + 1e-12
             assert report.hoeffding_sigma <= report.hoeffding_range + 1e-12
 
     def test_iid_range_form_approaches_classical_envelope(self):
         model = iid_model(0.3)
-        report = hoeffding_bound(model, 50, 0.7, "upper")
+        report = chernoff_bound(model, 50, 0.7, "upper")
         classical = math.exp(-2 * 50 * (0.7 - 0.3) ** 2)
         assert abs(report.hoeffding_range - classical) <= 1e-4 * classical
 
@@ -220,7 +226,7 @@ class TestDegenerateChains:
         c = constants(model, "upper")
         assert abs(c.K - 1.0) <= 1e-9
         assert c.L <= 1e-12 and c.sigma2 <= 1e-12
-        report = hoeffding_bound(model, 10, 2.0, "upper")
+        report = chernoff_bound(model, 10, 2.0, "upper")
         assert abs(report.hoeffding_sigma - c.K) <= 1e-12
         assert abs(report.hoeffding_range - c.K) <= 1e-12
 
@@ -379,6 +385,3 @@ def test_constants_build_one_perron_triple(monkeypatch):
     assert constants(model, "upper").grid_summary.n_points > 1
     assert len(built) == 1
 
-
-def test_hoeffding_bound_is_the_chernoff_report():
-    assert hoeffding_bound is chernoff_bound

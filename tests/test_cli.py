@@ -249,7 +249,7 @@ class TestReports:
         model = load_model(path)
         for spec, ns in (("5,10,20", [5, 10, 20]),
                          ("1:100:7", [1, 18, 34, 50, 67, 84, 100]),
-                         ("1:5:9", [1, 2, 3, 4, 5])):
+                         ("1:5:9", [1, 2, 3, 4, 5]), ("25", [25])):
             code, out, _ = run_cli(capsys, "ergodic", "--model", path,
                                    "--theta", "0.5", "--n", spec,
                                    "--format", "machine")

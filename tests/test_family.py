@@ -10,10 +10,10 @@ from hypothesis import strategies as st
 import chainbounds.family as family_module
 import chainbounds.perron as perron_module
 from chainbounds import (ConvergenceError, CrossCheckError, DomainError,
-                         MarkovModel, TiltedFamily, constants,
-                         detect_degenerate, family_of, kl_rate, lambda_prime,
-                         lambda_second, level_sets, mean_set, rate_function,
-                         spectral_curve, theta_of_mean, tilt, validate)
+                         MarkovModel, SpectralCurve, TiltedFamily, constants,
+                         family_of, kl_rate, level_sets, mean_set,
+                         rate_function, spectral_curve, theta_of_mean, tilt,
+                         validate)
 from conftest import (iid_model, no_selfloop_top, random_irreducible_model,
                       random_positive_model, two_cycle, two_state)
 from oracles import (bernoulli_rate, kl_rate_direct,
@@ -108,19 +108,19 @@ class TestTilt:
 class TestDerivatives:
     def test_lambda_prime_at_zero_is_stationary_mean(self):
         model = two_state(0.3, 0.3)
-        assert abs(lambda_prime(tilt(model, 0.0)) - 0.5) <= 1e-12
+        assert abs(tilt(model, 0.0).mean - 0.5) <= 1e-12
 
     def test_degenerate_mean_never_moves(self):
         model = two_cycle()
         for theta in (-2.0, 0.0, 1.5):
-            assert abs(lambda_prime(tilt(model, theta))) <= 1e-10
+            assert abs(tilt(model, theta).mean) <= 1e-10
 
     def test_prime_matches_central_difference_with_richardson(self):
         rng = np.random.default_rng(16)
         for _ in range(5):
             model = random_positive_model(rng, 4)
             theta = float(rng.uniform(-1, 1))
-            exact = lambda_prime(tilt(model, theta))
+            exact = tilt(model, theta).mean
 
             def cdiff(h):
                 return (tilt(model, theta + h).Lambda
@@ -134,19 +134,19 @@ class TestDerivatives:
 
     def test_second_derivative_iid_bernoulli(self):
         # tilted family of an IID chain is the Bernoulli exponential family
-        assert abs(lambda_second(iid_model(0.3), 0.0) - 0.21) <= 1e-6
+        assert abs(family_of(iid_model(0.3)).lambda_second(0.0) - 0.21) <= 1e-6
 
     def test_second_derivative_degenerate_vanishes(self):
         model = two_cycle()
         for theta in (-1.0, 0.0, 2.0):
-            assert abs(lambda_second(model, theta)) <= 1e-10
+            assert abs(family_of(model).lambda_second(theta)) <= 1e-10
 
     def test_second_matches_quadratic_difference(self):
         rng = np.random.default_rng(18)
         for _ in range(6):
             model = random_positive_model(rng, int(rng.integers(3, 6)))
             for theta in (-2.0, -1.0, 0.0, 1.0, 2.0):
-                value = lambda_second(model, theta)
+                value = family_of(model).lambda_second(theta)
                 h = 1e-3 * (1 + abs(theta))
                 fd2 = (tilt(model, theta + h).Lambda
                        - 2 * tilt(model, theta).Lambda
@@ -171,7 +171,7 @@ class TestDerivatives:
                 assert np.abs(dratio - want).max() \
                     <= 1e-7 * np.abs(want).max()
                 want2 = lambda_second_pair_variance(model.P, model.f, theta, h)
-                assert abs(lambda_second(model, theta) - want2) \
+                assert abs(fam.lambda_second(theta) - want2) \
                     <= 1e-7 * abs(want2)
 
     def test_cross_check_catches_a_wrong_value(self, monkeypatch):
@@ -183,14 +183,14 @@ class TestDerivatives:
             wrong = dataclasses.replace(point, _derivatives=(w, bad))
             monkeypatch.setitem(fam._points, 0.7, wrong)
             with pytest.raises(CrossCheckError):
-                lambda_second(model, 0.7)
+                fam.lambda_second(0.7)
 
     def test_extreme_sparse_tilt_keeps_lambda_second_finite(self):
         # the second draw of the sweep below: 6 states at theta = -483.12,
         # where a ratio v(y) / v(x) overflows though no entry of P_theta does
         model, theta = sparse_extreme_draws(2)[-1]
         assert model.n_states == 6 and round(theta, 2) == -483.12
-        assert math.isfinite(lambda_second(model, theta))
+        assert math.isfinite(family_of(model).lambda_second(theta))
         assert np.isfinite(tilt(model, theta).P_theta).all()
 
     def test_sparse_extreme_tilts_fail_only_with_typed_errors(self):
@@ -201,7 +201,7 @@ class TestDerivatives:
         outcomes = collections.Counter()
         for model, theta in sparse_extreme_draws(60):
             try:
-                value = lambda_second(model, theta)
+                value = family_of(model).lambda_second(theta)
             except ConvergenceError as exc:
                 outcomes[next(f for f in failures if f in str(exc))] += 1
             else:
@@ -255,7 +255,7 @@ class TestMeanInversion:
         model = two_state(0.3, 0.3)
         for mu in (0.55, 0.7, 0.9, 0.35, 0.12):
             theta = theta_of_mean(model, mu)
-            assert abs(lambda_prime(tilt(model, theta)) - mu) \
+            assert abs(tilt(model, theta).mean - mu) \
                 <= 1e-10 * (1 + abs(mu))
 
     def test_round_trip_at_the_bracket_edges(self):
@@ -264,7 +264,7 @@ class TestMeanInversion:
         ls = level_sets(model)
         for mu in (ls.a + 1e-6 * (ls.b - ls.a), ls.b - 1e-6 * (ls.b - ls.a)):
             theta = theta_of_mean(model, mu)
-            assert abs(lambda_prime(tilt(model, theta)) - mu) \
+            assert abs(tilt(model, theta).mean - mu) \
                 <= 1e-10 * (1 + abs(mu))
 
     def test_boundary_mean_rejected(self):
@@ -412,15 +412,20 @@ class TestRateFunction:
         assert values[0] == 0.0
         assert all(v > 0 for v in values[1:])
 
+    def test_nan_value_rejected(self):
+        point = rate_function(two_state(0.3, 0.3), 0.7, "upper")
+        with pytest.raises(DomainError, match="rate value nan"):
+            dataclasses.replace(point, value=math.nan)
+
 
 class TestDegeneracyAndMeans:
     def test_swap_chain_degenerate(self):
-        assert detect_degenerate(two_cycle())
+        assert family_of(two_cycle()).is_degenerate
 
     def test_constant_observable_degenerate(self):
         model = MarkovModel(("a", "b"), [[0.6, 0.4], [0.2, 0.8]],
                             [2.0, 2.0], [0.5, 0.5])
-        assert detect_degenerate(model)
+        assert family_of(model).is_degenerate
 
     def test_degeneracy_does_not_depend_on_an_offset(self):
         # f + c tilts the same chains as f: a spread of 1e-5 in f stays
@@ -431,14 +436,14 @@ class TestDegeneracyAndMeans:
             model = MarkovModel(("a", "b", "c"), P,
                                 c + 1e-5 * np.array([0.0, 1.0, 0.5]),
                                 np.full(3, 1.0 / 3.0))
-            assert not detect_degenerate(model)
+            assert not family_of(model).is_degenerate
             rates.append(rate_function(model, c + 0.7e-5, "upper").value)
         # theta * mu - Lambda cancels about 1e-5 of the rate at c = 1e5
         assert rates[0] > 0.07
         assert max(abs(r - rates[0]) for r in rates) <= 1e-4 * rates[0]
         swap = MarkovModel(("a", "b"), [[0.0, 1.0], [1.0, 0.0]],
                            [1e5, 1e5 + 1.0], [0.5, 0.5])
-        assert detect_degenerate(swap)
+        assert family_of(swap).is_degenerate
 
     def test_generic_chain_not_degenerate(self):
         # quadratic oracle confirms curvature at zero for p + q != 1
@@ -446,7 +451,7 @@ class TestDegeneracyAndMeans:
         h = 1e-4
         lam = [math.log(two_state_tilted_rho(p, q, t)) for t in (-h, 0.0, h)]
         assert (lam[0] - 2 * lam[1] + lam[2]) / h**2 > 1e-3
-        assert not detect_degenerate(two_state(p, q))
+        assert not family_of(two_state(p, q)).is_degenerate
 
     def test_mean_set_full_interval_under_assumptions(self):
         ms = mean_set(two_state(0.3, 0.3))
@@ -501,7 +506,7 @@ class TestDegeneracyAndMeans:
             f = np.r_[np.full(na, 1.0 + c), np.full(nb, -1.0 + c)]
             model = MarkovModel(tuple(map(str, range(na + nb))), P, f,
                                 np.full(na + nb, 1.0 / (na + nb)))
-            assert detect_degenerate(model)
+            assert family_of(model).is_degenerate
             ms = mean_set(model)
             assert ms.degenerate and abs(ms.stationary_mean - c) <= 1e-12
 
@@ -514,7 +519,7 @@ class TestDegeneracyAndMeans:
         for delta in (1e-9, 1e-7, 1e-5, 1e-3, 1.0, 1e3):
             model = MarkovModel(("a", "b", "c"), P,
                                 delta * np.array([0.0, 1.0, 0.5]), [1 / 3] * 3)
-            assert not detect_degenerate(model)
+            assert not family_of(model).is_degenerate
             values.append(rate_function(model, 0.7 * delta, "upper").value)
         assert values[0] > 0.0
         assert max(values) - min(values) <= 1e-12 * values[-1]
@@ -526,9 +531,10 @@ class TestDegeneracyAndMeans:
         assert abs(value - values[-1]) <= 1e-6 * values[-1]
 
     def test_degeneracy_makes_no_perron_solve(self, stack_sizes):
-        for model in (two_cycle(), two_state(0.3, 0.3),
-                      random_irreducible_model(np.random.default_rng(3), 6)):
-            detect_degenerate(model)
+        flags = [family_of(model).is_degenerate for model in (
+            two_cycle(), two_state(0.3, 0.3),
+            random_irreducible_model(np.random.default_rng(3), 6))]
+        assert flags == [True, False, False]
         assert stack_sizes == []
 
     def test_tilted_means_approach_the_max(self):
@@ -551,12 +557,22 @@ class TestSpectralCurve:
         assert abs(curve.Lambda[at0]) <= 1e-12
 
     def test_alignment_required(self):
-        from chainbounds import SpectralCurve
         with pytest.raises(DomainError):
             SpectralCurve(grid=np.array([0.0, 1.0]),
                           Lambda=np.array([0.0]),
                           Lambda1=np.array([0.0, 0.1]),
                           Lambda2=np.array([0.0, 0.1]))
+
+    @pytest.mark.parametrize("name, index", [
+        ("grid", 1), ("Lambda1", 1), ("Lambda2", 0), ("Lambda", 0)])
+    def test_nan_entry_rejected(self, name, index):
+        # index 0 of Lambda is Lambda(0)
+        curve = spectral_curve(two_state(0.25, 0.4), [0.0, 1.0])
+        fields = {n: np.array(getattr(curve, n))
+                  for n in ("grid", "Lambda", "Lambda1", "Lambda2")}
+        fields[name][index] = math.nan
+        with pytest.raises(DomainError):
+            SpectralCurve(**fields)
 
 
 def outcome(fam, theta):

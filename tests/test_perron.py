@@ -208,6 +208,16 @@ def near_periodic_cycle():
                        [1 / 3, 1 / 3, 1 / 3])
 
 
+def mixed_draw(k):
+    """Draw k (from 0) of chains with 2-13 states from default_rng(2026):
+    a positive chain for even k, a sparse irreducible one for odd k."""
+    rng = np.random.default_rng(2026)
+    for j in range(k + 1):
+        make = random_irreducible_model if j % 2 else random_positive_model
+        model = make(rng, int(rng.integers(2, 14)))
+    return model
+
+
 def positive_draw(k):
     """Draw k (from 0) of positive chains with 2-12 states: P and f uniform
     on [0, 1), rows of P normalized, from default_rng(17)."""
@@ -392,3 +402,23 @@ class TestHardChains:
             M = model.P * np.exp(expo - expo.max())
             dense = math.log(np.abs(np.linalg.eigvals(M)).max()) + expo.max()
             assert abs(Lambda - dense) <= 1e-13 * max(1.0, abs(dense))
+
+    def test_singular_noda_shift_is_the_root(self):
+        # a Noda shift is a Collatz-Wielandt upper bound of rho; on this
+        # dense 6-state chain one lands on rho exactly, and the step retried
+        # just above it solves
+        model, theta = mixed_draw(22), 8.99545
+        assert model.n_states == 6 and (model.P > 0.0).all()
+        Lambda = TiltedFamily(model).at(theta).Lambda
+        dense = math.log(np.abs(np.linalg.eigvals(
+            tilted(model.P, model.f, theta))).max())
+        assert abs(Lambda - dense) <= 1e-12 * max(1.0, abs(dense))
+
+    def test_singular_noda_shift_message(self, monkeypatch):
+        def singular(*args):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(np.linalg, "solve", singular)
+        with pytest.raises(ConvergenceError,
+                           match=r"^perron: Noda shift 0\.\d+ is singular$"):
+            TiltedFamily(mixed_draw(22)).at(8.99545)
