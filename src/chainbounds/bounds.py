@@ -166,13 +166,15 @@ def _compute_constants(model: MarkovModel, side: str) -> BoundConstants:
         s2 = fam.lambda_second_many(thetas)
         V = np.array([fam.at(theta).v for theta in thetas])
         W = np.array([fam.derivatives(theta)[0] for theta in thetas])
+        # division rounds monotonically, so max v / min v is the largest
+        # entry of ``ratio``, which L alone needs
+        K_t = V.max(axis=1) / V.min(axis=1)
         ratio = V[:, None, :] / V[:, :, None]      # [b, x, y] = v(y)/v(x)
         slope = W[:, None, :] - W[:, :, None]
         slope *= ratio
         L_t = np.abs(slope, out=slope).max(axis=(1, 2))
         done = np.concatenate((done, ts))
-        values = np.concatenate(
-            (values, [ratio.max(axis=(1, 2)), L_t, s2]), axis=1)
+        values = np.concatenate((values, [K_t, L_t, s2]), axis=1)
         order = np.argsort(done)
         done, values = done[order], values[:, order]
 
@@ -230,8 +232,8 @@ def _compute_constants(model: MarkovModel, side: str) -> BoundConstants:
         converged=converged,
         tail_guard_passed=tail_ok,
     )
-    # each ratio stack holds v(x)/v(x) = 1 and L is a maximum of absolute
-    # values, so only sigma2 can round below 0 (a Lambda'' of -3.5e-18)
+    # K_t = max v / min v >= 1 and L is a maximum of absolute values, so
+    # only sigma2 can round below 0 (a Lambda'' of -3.5e-18)
     return BoundConstants(side=side, K=K, L=L, sigma2=max(sigma2, 0.0),
                           rho_inf=rho_inf, grid_summary=summary)
 

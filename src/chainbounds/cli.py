@@ -156,7 +156,7 @@ def _render(header: dict, sections: list, fmt: str) -> str:
         return json.dumps(_jsonable(doc), sort_keys=True, indent=2) + "\n"
 
     if fmt == "csv":
-        # run() admits csv only for the grid commands: one table each
+        # the parser offers csv only to the grid commands: one table each
         buf = io.StringIO()
         for key in sorted(header):
             buf.write(f"# {key}={_scalar_header(header[key])}\n")
@@ -304,11 +304,6 @@ def run(command: str, model_path: str, params: dict) -> tuple[int, str]:
     returns it; the parser alone checks the command, the required options
     and the format.
     """
-    fmt = params["format"]
-    if fmt == "csv" and command not in GRID_COMMANDS:
-        raise DomainError(
-            "cli: csv format is only available for "
-            + ", ".join(GRID_COMMANDS))
     raw, text = _read(model_path)
     model = parse_model(text)
 
@@ -320,7 +315,7 @@ def run(command: str, model_path: str, params: dict) -> tuple[int, str]:
                        if v is not None and k != "out"},
     }
     status, sections = _COMMANDS[command](model, params)
-    return status, _render(header, sections, fmt)
+    return status, _render(header, sections, params["format"])
 
 
 def _build_parser() -> _Parser:
@@ -331,8 +326,9 @@ def _build_parser() -> _Parser:
     for name in _COMMANDS:
         p = sub.add_parser(name)
         p.add_argument("--model", required=True, help="path to a model file")
-        p.add_argument("--format", choices=("text", "machine", "csv"),
-                       default="text")
+        formats = ("text", "machine") + (("csv",) if name in GRID_COMMANDS
+                                         else ())
+        p.add_argument("--format", choices=formats, default="text")
         p.add_argument("--out", default=None, help="write the report here")
         if name in ("rate", "constants", "bound", "simulate"):
             p.add_argument("--side", choices=("upper", "lower"),

@@ -450,8 +450,8 @@ def theta_of_mean(model: MarkovModel, mu: float) -> float:
     midpoint whenever a step would leave the bracket.  Stacked and solo
     points are bit-identical, so the result does not depend on what the
     family memoized before.  Requires a nondegenerate family and mu
-    strictly inside the attainable mean range; a mean inside (a, b) but
-    beyond every cycle mean (``mean_set``) is rejected before any solve.
+    strictly inside the attainable mean range (``mean_set``, within
+    [a, b]); any other mu, NaN included, is rejected before any solve.
     """
     fam = family_of(model)
     if fam.is_degenerate:
@@ -459,16 +459,11 @@ def theta_of_mean(model: MarkovModel, mu: float) -> float:
             "family: the family is degenerate; only the stationary mean "
             "is attainable")
     mu = float(mu)
-    ls = level_sets(model)
-    if not (ls.a < mu < ls.b):
-        raise DomainError(
-            f"family: mu={mu!r} is not strictly inside the mean range "
-            f"({ls.a!r}, {ls.b!r})")
     lo, hi = _attainable(model)
     if not lo < mu < hi:
+        where = "above" if mu >= hi else "below" if mu <= lo else "outside"
         raise DomainError(
-            f"family: mu={mu!r} lies {'above' if mu >= hi else 'below'} "
-            f"every attainable mean")
+            f"family: mu={mu!r} lies {where} every attainable mean")
     pif = fam.stationary_mean
     if mu == pif:
         return 0.0
@@ -602,22 +597,27 @@ def rate_function(model: MarkovModel, mu: float, side: str = "upper") -> RatePoi
 def mean_set(model: MarkovModel) -> MeanSet:
     """Attainable tilted means: closure endpoints within [a, b], the
     extreme b (a) where the upper (lower) assumptions hold and otherwise
-    the greatest (least) cycle mean of f (``_cycle_means``)."""
+    the greatest (least) cycle mean of f (``_cycle_means``); a degenerate
+    family's are its stationary mean, clamped into [a, b] as well."""
     fam = family_of(model)
     pif = fam.stationary_mean
     if fam.is_degenerate:
-        return MeanSet(lo=pif, hi=pif, degenerate=True, stationary_mean=pif)
+        ls = level_sets(model)
+        end = min(max(pif, ls.a), ls.b)
+        return MeanSet(lo=end, hi=end, degenerate=True, stationary_mean=pif)
     lo, hi = _attainable(model)
     return MeanSet(lo=lo, hi=hi, degenerate=False, stationary_mean=pif)
 
 
 def _attainable(model: MarkovModel) -> tuple[float, float]:
     """The endpoints of ``mean_set`` of a nondegenerate family, without a
-    Perron solve."""
+    Perron solve.  Karp sums f along a cycle and then divides, which can
+    land an ulp outside [a, b], so the cycle means are clamped into it."""
     ls = level_sets(model)
     report = _assumptions.validate(model)
     lo, hi = family_of(model).cycle_means
-    return (ls.a if report.lower_ok else lo, ls.b if report.upper_ok else hi)
+    return (ls.a if report.lower_ok else max(lo, ls.a),
+            ls.b if report.upper_ok else min(hi, ls.b))
 
 
 def spectral_curve(model: MarkovModel, thetas) -> SpectralCurve:

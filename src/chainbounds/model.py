@@ -28,8 +28,7 @@ import yaml
 
 from .errors import ModelFormatError
 
-ROW_SUM_TOL = 1e-12
-PROB_SUM_TOL = 1e-12
+SUM_TOL = 1e-12    # on |sum - 1| of each row of P and of q
 
 __all__ = [
     "MarkovModel",
@@ -72,7 +71,7 @@ class MarkovModel:
     """Validated finite-state Markov model: labels, P, f and q.
 
     Arrays are coerced to read-only float64 on construction.  Every row of
-    P must sum to 1 within ``ROW_SUM_TOL`` (no silent renormalization: the
+    P must sum to 1 within ``SUM_TOL`` (no silent renormalization: the
     bounds computed downstream are only as valid as the input chain).
     ``_derived`` holds the results memoized on this instance.
     """
@@ -107,19 +106,19 @@ class MarkovModel:
                 f"model: P[{x}][{y}] = {P[x, y].item()!r} is negative")
         rows = P.sum(axis=1)
         off = np.abs(rows - 1.0)
-        if off.max() > ROW_SUM_TOL:
+        if off.max() > SUM_TOL:
             x = int(off.argmax())
             raise ModelFormatError(
                 f"model: row {x} of P is not stochastic "
-                f"(sums to {rows[x].item()!r}, tolerance {ROW_SUM_TOL})")
+                f"(sums to {rows[x].item()!r}, tolerance {SUM_TOL})")
         if np.any(q < 0.0):
             x = int(np.flatnonzero(q < 0.0)[0])
             raise ModelFormatError(
                 f"model: q[{x}] = {q[x].item()!r} is negative")
-        if abs(q.sum() - 1.0) > PROB_SUM_TOL:
+        if abs(q.sum() - 1.0) > SUM_TOL:
             raise ModelFormatError(
                 f"model: q sums to {q.sum().item()!r}, not 1 "
-                f"(tolerance {PROB_SUM_TOL})")
+                f"(tolerance {SUM_TOL})")
         object.__setattr__(self, "states", states)
         object.__setattr__(self, "P", P)
         object.__setattr__(self, "f", f)

@@ -73,21 +73,15 @@ class PerronTriple:
     """Spectral radius with left/right eigenvectors in the convention above.
 
     ``gap`` is the relative width of the solver's Collatz-Wielandt
-    enclosure of ``rho``, the larger of its two vectors' gaps.
+    enclosure of ``rho``, the larger of its two vectors' gaps.  ``u`` and
+    ``v`` are rows of ``pf_stack``'s read-only float64 arrays, as built by
+    ``pf_irreducible``, the only constructor.
     """
 
     rho: float
     u: np.ndarray
     v: np.ndarray
     gap: float
-
-    def __post_init__(self):
-        u = np.asarray(self.u, dtype=np.float64)
-        v = np.asarray(self.v, dtype=np.float64)
-        u.setflags(write=False)
-        v.setflags(write=False)
-        object.__setattr__(self, "u", u)
-        object.__setattr__(self, "v", v)
 
 
 def _dot(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
@@ -206,7 +200,7 @@ def pf_stack(P: np.ndarray, D: np.ndarray) -> tuple:
         raise ValueError("perron: matrix entries must be finite")
     if P.min() < 0.0 or (W < 0.0).any():
         raise ValueError("perron: matrix must be nonnegative")
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         Z, V, gap, errors = _vectors(P, D)
         U = D * Z
         U /= U.sum(axis=1)[:, None]

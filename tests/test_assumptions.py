@@ -29,6 +29,17 @@ def test_missing_selfloop_breaks_block_assumption():
     assert "self-loop" in bad[0].witness
 
 
+def test_reducible_extreme_block_witness():
+    # s0 and s1 both lead only to s2, so P on S_b = {s0, s1} has no cycle
+    model = MarkovModel(("s0", "s1", "s2"),
+                        [[0, 0, 1], [0, 0, 1], [0.5, 0.5, 0]],
+                        [1.0, 1.0, 0.0], [1 / 3, 1 / 3, 1 / 3])
+    bad = [v for v in validate(model).violations if v.assumption == "A1"]
+    assert [v.witness for v in bad] == [
+        "A1: submatrix of P on S_b={s0, s1} is not irreducible"]
+    assert bad[0].states == ("s0", "s1")
+
+
 def test_birth_death_breaks_one_step_reach():
     report = validate(birth_death())
     assert report.a1  # argmax state -1 has a self-loop

@@ -146,6 +146,10 @@ class TestChernoff:
         with pytest.raises(DomainError):
             chernoff_bound(two_state(0.3, 0.3), 10, 0.2, "upper")
 
+    def test_nan_mean_rejected(self):
+        with pytest.raises(DomainError):
+            chernoff_bound(two_state(0.3, 0.4), 10, math.nan, "upper")
+
     def test_n_validated(self):
         model = two_state(0.3, 0.4)
         # a count is an integer: floats, NaN, inf and strings fail alike
@@ -229,6 +233,19 @@ class TestDegenerateChains:
         report = chernoff_bound(model, 10, 2.0, "upper")
         assert abs(report.hoeffding_sigma - c.K) <= 1e-12
         assert abs(report.hoeffding_range - c.K) <= 1e-12
+
+    def test_constant_observable_off_its_mean(self):
+        # sigma2 = L = 0, so both quadratic exponents are x / 0 = inf
+        model = MarkovModel(("a", "b"), [[0.7, 0.3], [0.4, 0.6]],
+                            [0.5, 0.5], [0.5, 0.5])
+        report = chernoff_bound(model, 10, 0.6, "upper")
+        assert report.rate == math.inf
+        assert (report.chernoff, report.hoeffding_sigma,
+                report.hoeffding_range) == (0.0, 0.0, 0.0)
+        at_mean = chernoff_bound(model, 10, 0.5, "upper")
+        assert (at_mean.chernoff, at_mean.hoeffding_sigma,
+                at_mean.hoeffding_range) == (1.0, 1.0, 1.0)
+        assert constants(model, "upper").K == 1.0
 
 
 class TestTwoSidedAndErgodicGap:
@@ -374,13 +391,13 @@ def test_constants_build_one_perron_triple(monkeypatch):
     # the grid's stacked solves stay arrays; the one triple is the limit
     # matrix's
     built = []
-    post_init = perron_module.PerronTriple.__post_init__
+    init = perron_module.PerronTriple.__init__
 
-    def counted(self):
+    def counted(self, *args, **kwargs):
         built.append(self)
-        post_init(self)
+        init(self, *args, **kwargs)
 
-    monkeypatch.setattr(perron_module.PerronTriple, "__post_init__", counted)
+    monkeypatch.setattr(perron_module.PerronTriple, "__init__", counted)
     model = random_positive_model(np.random.default_rng(48), 10)
     assert constants(model, "upper").grid_summary.n_points > 1
     assert len(built) == 1

@@ -215,6 +215,16 @@ class TestReports:
         assert code == 1
         assert "csv" in err
 
+    @pytest.mark.parametrize("command", ["validate", "spectrum", "rate",
+                                         "constants", "bound", "simulate",
+                                         "ergodic"])
+    def test_help_lists_the_formats_offered(self, command, capsys):
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        out = capsys.readouterr().out
+        grid = command in ("spectrum", "rate", "ergodic")
+        assert ("{text,machine,csv}" if grid else "{text,machine}") in out
+
     def test_ergodic_integer_range(self, write_model, capsys):
         path = write_model(IID_DOC)
         code, out, _ = run_cli(capsys, "ergodic", "--model", path,

@@ -314,6 +314,14 @@ class TestMeanInversion:
             theta_of_mean(model, 0.5)
         assert stack_sizes == []
 
+    def test_nan_mean_rejected(self):
+        model = two_state(0.3, 0.4)
+        with pytest.raises(DomainError, match="mu=nan lies outside"):
+            theta_of_mean(model, math.nan)
+        for side in ("upper", "lower"):
+            with pytest.raises(DomainError):
+                rate_function(model, math.nan, side)
+
 
 class TestRelativeEntropyRate:
     def test_same_parameter_is_zero(self):
@@ -463,6 +471,19 @@ class TestDegeneracyAndMeans:
         ms = mean_set(two_cycle())
         assert ms.degenerate
         assert ms.lo == ms.hi == ms.stationary_mean
+
+    @pytest.mark.parametrize("seed", [5, 93, 200])
+    def test_mean_set_endpoints_lie_in_the_range_of_f(self, seed):
+        # f on a 0.1 lattice: Karp's cycle sums land an ulp outside [a, b]
+        # (seeds 5 and 93), and so does the stationary mean of the
+        # degenerate seed 200
+        rng = np.random.default_rng(seed)
+        draw = random_irreducible_model(rng, int(rng.integers(2, 13)))
+        model = MarkovModel(draw.states, draw.P,
+                            np.round(draw.f * 10) / 10 + 0.1, draw.q)
+        ms, ls = mean_set(model), level_sets(model)
+        assert ls.a <= ms.lo <= ms.hi <= ls.b
+        assert ms.degenerate == (seed == 200)
 
     def test_mean_set_estimates_interior_endpoint(self):
         model = MarkovModel(("-1", "1"), [[0.5, 0.5], [1.0, 0.0]],

@@ -414,6 +414,15 @@ class TestHardChains:
             tilted(model.P, model.f, theta))).max())
         assert abs(Lambda - dense) <= 1e-12 * max(1.0, abs(dense))
 
+    def test_overflowing_noda_step_raises_without_warning(self):
+        # f x 1e6 on this 12-state chain: a Noda step overflows A * s / s,
+        # which must end in a typed error, not a RuntimeWarning
+        base = mixed_draw(19)
+        assert base.n_states == 12
+        model = MarkovModel(base.states, base.P, base.f * 1e6, base.q)
+        with pytest.raises(ConvergenceError):
+            TiltedFamily(model).at(-5e-4)
+
     def test_singular_noda_shift_message(self, monkeypatch):
         def singular(*args):
             raise np.linalg.LinAlgError("Singular matrix")
