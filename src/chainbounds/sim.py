@@ -19,6 +19,15 @@ each skipping a run of zero weights at once, finishes the search: O(1)
 work per draw whatever the number of states, with the same states as a
 full comparison against the row.
 
+The interval around a simulated tail is the exact Clopper-Pearson one
+(Clopper and Pearson, 1934): its lower end is the x with
+P(Bin(trials, x) >= hits) = alpha/2 and its upper end the x with
+P(Bin(trials, x) <= hits) = alpha/2.  Each tail is summed outwards from
+its largest term, P(Bin(n, x) = k) in Loader's saddle-point form
+(Loader, "Fast and Accurate Computation of Binomial Probabilities",
+2000), which has no cancellation at any n, and each end is found by
+bracketed Newton steps, using only ``math``.
+
 ``lambda_n_exact`` evaluates the n-step scaled log moment generating
 function by n vector-matrix products against the shifted tilted matrix
 P diag(d) (``family._weights``) with per-step sup-norm rescaling, so it
@@ -34,7 +43,7 @@ import numpy as np
 from . import assumptions as _assumptions
 from . import bounds as _bounds
 from . import family as _family
-from .errors import DomainError, _count
+from .errors import ConvergenceError, DomainError, _count
 from .model import MarkovModel, memo
 
 CONFIDENCE = 0.95
@@ -223,15 +232,100 @@ def sample_trajectory(model: MarkovModel, n: int, rng) -> np.ndarray:
     return _path(model, m)
 
 
-def _clopper_pearson(hits: int, trials: int, confidence: float):
-    # imported here: scipy.special costs the CLI nothing unless it simulates
-    from scipy.special import betaincinv
+_LOG_SQRT_2PI = 0.5 * math.log(2 * math.pi)
 
-    alpha = 1.0 - confidence
-    low = 0.0 if hits == 0 else float(
-        betaincinv(hits, trials - hits + 1, alpha / 2))
-    high = 1.0 if hits == trials else float(
-        betaincinv(hits + 1, trials - hits, 1 - alpha / 2))
+
+def _stirlerr(n: int) -> float:
+    """log(n!) - log(sqrt(2 pi n) (n/e)**n) for an integer n >= 1."""
+    if n <= 15:
+        return (math.lgamma(n + 1.0) - (n + 0.5) * math.log(n) + n
+                - _LOG_SQRT_2PI)
+    nn = float(n) * n
+    return (1 / 12 - (1 / 360 - (1 / 1260 - (1 / 1680 - 1 / (1188 * nn)) / nn)
+                      / nn) / nn) / n
+
+
+def _bd0(x: float, m: float) -> float:
+    """x log(x/m) + m - x, by a series where x is near m (no cancellation)."""
+    d = x - m
+    if abs(d) >= 0.1 * (x + m):
+        return x * math.log(x / m) - d
+    v = d / (x + m)
+    s, term, v2, j = d * v, 2 * x * v, v * v, 3
+    while True:
+        term *= v2
+        nxt = s + term / j
+        if nxt == s:
+            return s
+        s, j = nxt, j + 2
+
+
+def _dbinom(k: int, n: int, p: float, q: float) -> float:
+    """P(Bin(n, p) = k) with q = 1 - p passed separately, by Loader's
+    saddle-point form: a sum of small terms, with no cancellation however
+    large n is."""
+    if k == n:
+        return _dbinom(0, n, q, p)
+    if k == 0:
+        return math.exp(n * (math.log1p(-p) if p < q else math.log(q)))
+    lc = (_stirlerr(n) - _stirlerr(k) - _stirlerr(n - k)
+          - _bd0(k, n * p) - _bd0(n - k, n * q))
+    return math.exp(lc) / math.sqrt(2 * math.pi * k * (n - k) / n)
+
+
+def _binomial_tail(k: int, n: int, x: float, y: float):
+    """P(Bin(n, x) >= k) with y = 1 - x passed separately, and its
+    derivative in x, for an x below k/n: term k is then the largest, the
+    terms fall from it with falling ratios, and the sum stops once the
+    rest is below an ulp of it."""
+    term = total = _dbinom(k, n, x, y)
+    slope, odds = k / x * term, x / y
+    for j in range(k, n):
+        ratio = (n - j) / (j + 1) * odds
+        term *= ratio
+        total += term
+        if term * ratio <= (1.0 - ratio) * total * 2**-53:
+            break
+    return total, slope
+
+
+def _clopper_pearson_bound(k: int, n: int, tail: float, lower: bool):
+    """The x with P(Bin(n, x) >= k) = tail (lower) or with
+    P(Bin(n, x) <= k) = P(Bin(n, 1 - x) >= n - k) = tail, found in x
+    itself (1 - a root in 1 - x would lose x's low digits) by Newton steps
+    inside a bracket whose ends move by the tail's known monotonicity."""
+    p = k / n
+    lo, hi = (0.0, p) if lower else (p, 1.0)
+    spread = 2 * math.sqrt((k + 1) * (n - k + 1) / n) / n
+    x = max(p - spread, p / 2) if lower else min(p + spread, (1 + p) / 2)
+    for _ in range(100):
+        if lower:
+            value, slope = _binomial_tail(k, n, x, 1.0 - x)
+        else:
+            value, slope = _binomial_tail(n - k, n, 1.0 - x, x)
+            slope = -slope           # a tail in 1 - x falls as x rises
+        if (value < tail) == lower:
+            lo = x
+        else:
+            hi = x
+        step = (tail - value) / slope if slope else math.inf
+        if abs(step) <= 2**-50 * x:
+            return x + step
+        x += step
+        if not lo < x < hi:
+            x = 0.5 * (lo + hi)
+            if not lo < x < hi:      # no double left inside the bracket
+                return x
+    raise ConvergenceError(f"sim: Clopper-Pearson bound for {k} of {n} "
+                           "did not converge in 100 steps")
+
+
+def _clopper_pearson(hits: int, trials: int, confidence: float):
+    tail = (1.0 - confidence) / 2
+    low = 0.0 if hits == 0 else _clopper_pearson_bound(
+        hits, trials, tail, lower=True)
+    high = 1.0 if hits == trials else _clopper_pearson_bound(
+        hits, trials, tail, lower=False)
     return low, high
 
 

@@ -2,12 +2,14 @@
 
 Everything here is deliberately computed by a different route than the
 library uses: closed forms, characteristic polynomials, brute-force path
-enumeration, and inverse-CDF replays by plain comparison against each row.
+enumeration, inverse-CDF replays by plain comparison against each row, and
+binomial tails summed in exact rational arithmetic.
 None of it imports chainbounds.
 """
 
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -200,3 +202,12 @@ def replay_tail_hits(model, n: int, mu: float, side: str, trials: int,
         mean = total / n
         hits += mean >= mu if side == "upper" else mean <= mu
     return int(hits)
+
+
+def binomial_tail_exact(n: int, k: int, x: float, at_least: bool) -> Fraction:
+    """P(Bin(n, x) >= k) if at_least, else P(Bin(n, x) <= k), in exact
+    rational arithmetic on the rational value of the double x."""
+    a, d = x.as_integer_ratio()
+    js = range(k, n + 1) if at_least else range(k + 1)
+    return Fraction(sum(math.comb(n, j) * a**j * (d - a)**(n - j)
+                        for j in js), d**n)

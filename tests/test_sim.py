@@ -6,6 +6,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import chainbounds
 import chainbounds.sim as sim
@@ -13,7 +15,8 @@ from chainbounds import (DomainError, MarkovModel, chernoff_bound,
                          empirical_tail, ergodic_check, ergodic_gap,
                          lambda_n_exact, sample_trajectory, tilt)
 from conftest import (iid_model, random_positive_model, two_cycle, two_state)
-from oracles import exact_scaled_log_mgf, inverse_cdf_path, replay_tail_hits
+from oracles import (binomial_tail_exact, exact_scaled_log_mgf,
+                     inverse_cdf_path, replay_tail_hits)
 
 CHAIN10 = Path(__file__).resolve().parents[1] / "bench" / "fixtures" / "chain10.yaml"
 
@@ -285,11 +288,105 @@ class TestGuideTableSampler:
                               timeout=60, check=True)
         assert done.stdout == "False\n"
 
+    def test_simulation_does_not_import_scipy(self):
+        # the Clopper-Pearson interval uses math alone; scipy.special
+        # cost the simulate subcommand about 250 ms and 20 MB to import
+        script = ("import os, sys\n"
+                  "from chainbounds import cli, empirical_tail, load_model\n"
+                  "empirical_tail(load_model(sys.argv[1]), 20, 0.7, 'upper',"
+                  " 500, 3)\n"
+                  "status = cli.main(['simulate', '--model', sys.argv[1],"
+                  " '--n', '20', '--mu', '0.7', '--trials', '500',"
+                  " '--seed', '3', '--out', os.devnull])\n"
+                  "print(status, 'scipy' in sys.modules)\n")
+        env = dict(os.environ, PYTHONPATH=str(
+            Path(chainbounds.__file__).resolve().parents[1]))
+        done = subprocess.run([sys.executable, "-c", script, str(CHAIN10)],
+                              capture_output=True, text=True, env=env,
+                              timeout=60, check=True)
+        assert done.stdout == "0 False\n"
+
     def test_adversarial_chain_hits_match_the_replay(self):
         model = chain_of_rows(ADVERSARIAL_ROWS)
         for n, mu in ((1, 2.5), (7, 2.5), (25, 3.0)):
             est = empirical_tail(model, n, mu, "upper", 60, seed=17)
             assert est.hits == replay_tail_hits(model, n, mu, "upper", 60, 17)
+
+
+ALPHA = 1.0 - sim.CONFIDENCE
+
+
+class TestClopperPearson:
+    """The interval's ends against scipy.stats.beta where scipy is accurate
+    (up to 1e5 trials), and against closed forms, exact rational tails and
+    order properties, which need no scipy, beyond it."""
+
+    @staticmethod
+    def assert_matches_scipy(hits, trials):
+        from scipy.stats import beta
+
+        low, high = np.array([
+            sim._clopper_pearson(int(k), int(n), sim.CONFIDENCE)
+            for k, n in zip(hits, trials)]).T
+        # the ends at 0 and at all hits are 0 and 1 by definition; the
+        # clipped shapes keep scipy away from its invalid a = 0 or b = 0
+        want_low = np.where(hits == 0, 0.0, beta.ppf(
+            ALPHA / 2, np.maximum(hits, 1), trials - hits + 1))
+        want_high = np.where(hits == trials, 1.0, beta.ppf(
+            1 - ALPHA / 2, hits + 1, np.maximum(trials - hits, 1)))
+        np.testing.assert_allclose(low, want_low, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(high, want_high, rtol=1e-12, atol=0)
+
+    def test_every_hit_count_up_to_200_trials_matches_scipy(self):
+        sizes = np.arange(1, 201)
+        trials = np.repeat(sizes, sizes + 1)
+        hits = np.concatenate([np.arange(n + 1) for n in sizes])
+        self.assert_matches_scipy(hits, trials)
+
+    @pytest.mark.parametrize("trials", [2_000, 20_000, 100_000])
+    def test_sampled_hit_counts_match_scipy(self, trials):
+        drawn = np.random.default_rng(trials).choice(trials + 1, 1000,
+                                                     replace=False)
+        hits = np.union1d(drawn, [0, 1, trials - 1, trials])
+        self.assert_matches_scipy(hits, np.full(len(hits), trials))
+
+    @pytest.mark.parametrize("trials", [1, 2, 3, 10, 1_000, 10**5, 10**7,
+                                        10**9])
+    def test_closed_forms_at_no_hits_and_at_all_hits(self, trials):
+        # (1 - high)**n = alpha/2 at 0 hits and low**n = alpha/2 at n hits
+        log_tail = math.log(ALPHA / 2)
+        low, high = sim._clopper_pearson(0, trials, sim.CONFIDENCE)
+        assert low == 0.0
+        assert high == pytest.approx(-math.expm1(log_tail / trials),
+                                     rel=1e-14, abs=0)
+        low, high = sim._clopper_pearson(trials, trials, sim.CONFIDENCE)
+        assert high == 1.0
+        assert low == pytest.approx(math.exp(log_tail / trials),
+                                    rel=1e-14, abs=0)
+
+    def test_ends_solve_their_tail_equations_in_exact_arithmetic(self):
+        for n in range(1, 61):
+            for k in range(n + 1):
+                low, high = sim._clopper_pearson(k, n, sim.CONFIDENCE)
+                if k > 0:
+                    assert float(binomial_tail_exact(n, k, low, True)) == \
+                        pytest.approx(ALPHA / 2, rel=1e-12, abs=0)
+                if k < n:
+                    assert float(binomial_tail_exact(n, k, high, False)) == \
+                        pytest.approx(ALPHA / 2, rel=1e-12, abs=0)
+
+    @settings(max_examples=100, deadline=None)
+    @given(case=st.integers(1, 10**7).flatmap(
+        lambda n: st.tuples(st.integers(0, n), st.just(n))))
+    def test_ends_are_ordered_finite_and_rise_with_hits(self, case):
+        hits, trials = case
+        low, high = sim._clopper_pearson(hits, trials, sim.CONFIDENCE)
+        assert math.isfinite(low) and math.isfinite(high)
+        assert 0.0 <= low <= hits / trials <= high <= 1.0
+        if hits < trials:
+            next_low, next_high = sim._clopper_pearson(hits + 1, trials,
+                                                       sim.CONFIDENCE)
+            assert low <= next_low and high <= next_high
 
 
 class TestExactGrowthRate:
