@@ -4,7 +4,13 @@ Randomness comes from numpy's counter-based Philox generator, which has a
 stable published algorithm, so seeded runs reproduce across platforms.
 Trial t of a simulation uses its own stream keyed by (seed + t); the hit
 count is an associative reduction over trials, so results are identical
-under any chunking or parallel schedule.
+under any chunking or parallel schedule.  Philox is counter-based (Salmon,
+Moraes, Dror and Shaw, "Parallel random numbers: as easy as 1, 2, 3",
+2011): draw k of a stream is addressed by its key and the counter k // 4.
+So a chunk of trials walks its steps a tile at a time, each tile's draws
+made into one reused buffer just before the walk reads them, and peak
+memory is set by DRAW_VALUES (the tile and the walk's per-trial vectors),
+whatever n x trials is.
 
 State sampling is inverse-CDF over the stored row order: the next state
 is the number of cumulative row weights at or below the uniform draw u,
@@ -47,10 +53,12 @@ from .errors import ConvergenceError, DomainError, _count
 from .model import MarkovModel, memo
 
 CONFIDENCE = 0.95
-CHUNK_VALUES = 2**24       # 8-byte values held per chunk of trials
-TILE_VALUES = 2**16        # draws per transposed tile of steps
-WALK_VALUES = 7            # per-trial vectors of a step: tile row, guide,
-                           # position, two table gathers, f gather and sum
+DRAW_VALUES = 2**21        # 8-byte values held at once: trials per chunk
+                           # times (draws per tile + WALK_VALUES)
+TILE_STEPS = 1024          # fewest draws in a tile that ends inside a trial
+WALK_VALUES = 7            # per-trial vectors of a step: shifted draws,
+                           # guide, position, two table gathers, f gather
+                           # and sum
 GUIDE_ENTRIES = 2**22      # guide-table entries per model, at most
 
 __all__ = [
@@ -154,18 +162,14 @@ def _sampler(model: MarkovModel) -> _Sampler:
     return memo(model._derived, "sampler", lambda _: _build_sampler(model))
 
 
-def _walk(sp: _Sampler, m: np.ndarray):
-    """Yield the positions of X_0, ..., X_n of trials with draws m.
-
-    ``m`` is (trials, n + 1) int64, one row per trial.  Steps run over
-    tiles of columns copied out transposed, so each step reads contiguous
-    draws and no second full copy of m is made.
+def _walk(sp: _Sampler, block: int, tiles):
+    """Yield the positions of X_0, ..., X_n of ``block`` trials whose
+    draws come as ``tiles``: (width, block) int64 arrays of consecutive
+    steps, one column per trial, so each step reads a contiguous row.
     """
-    block, steps = m.shape
     guide = np.full(block, sp.first, dtype=np.int64)
-    width = max(1, TILE_VALUES // block)
-    for k0 in range(0, steps, width):
-        for draw in np.ascontiguousarray(m[:, k0:k0 + width].T):
+    for tile in tiles:
+        for draw in tile:
             guide += draw >> sp.shift
             pos = sp.lo.take(guide)
             for _ in range(sp.extra):
@@ -186,33 +190,70 @@ def _exact_integers(u: np.ndarray) -> np.ndarray:
     return m
 
 
-def _philox_rows(first: int, rows: int, count: int) -> np.ndarray:
-    """Row i is m with m * 2**-53 the first ``count`` values of
-    ``Generator(Philox(key=first + i)).random()``, for i < rows.
+def _philox_rows(first: int, start: int, out: np.ndarray) -> np.ndarray:
+    """Fill the (count, rows) uint64 array ``out`` and return it as int64:
+    column i is m with m * 2**-53 the values ``start`` to
+    ``start + count - 1`` of ``Generator(Philox(key=first + i)).random()``.
 
-    One Philox serves every row: its documented ``state`` dict is set to
-    key words ((first + i) mod 2**64, (first + i) >> 64), counter zero and
-    an empty buffer, which is the state ``Philox(key=first + i)`` starts
-    in, at a fraction of the cost of constructing one.  Building it on the
-    largest key lets numpy range-check the keys.
+    One Philox serves every column: its documented ``state`` dict is set to
+    key words ((first + i) mod 2**64, (first + i) >> 64), counter words
+    (start // 4, 0, 0, 0) and an empty buffer, the state
+    ``Philox(key=first + i)`` is in after it has made its first start // 4
+    blocks of four words, at a fraction of the cost of constructing one;
+    the start % 4 words of the next block that precede ``start`` are
+    dropped.  The dict holds lists, which the setter indexes in half the
+    time it takes on the arrays the getter returns.  Building the Philox
+    on the largest key lets numpy range-check the keys.
     """
+    count, rows = out.shape
     bitgen = np.random.Philox(key=first + rows - 1)
-    state = bitgen.state
-    state["state"]["counter"][:] = 0
-    state["buffer_pos"] = 4
-    key = state["state"]["key"]
-    out = np.empty((rows, count), dtype=np.uint64)
+    key = [0, 0]
+    state = {"bit_generator": "Philox",
+             "state": {"counter": [start // 4, 0, 0, 0], "key": key},
+             "buffer": [0, 0, 0, 0], "buffer_pos": 4,
+             "has_uint32": 0, "uinteger": 0}
+    skip = start % 4
     for i in range(rows):
-        key[0], key[1] = (first + i) % 2**64, (first + i) >> 64
+        key[1], key[0] = divmod(first + i, 2**64)
         bitgen.state = state
-        out[i] = bitgen.random_raw(count)
+        if skip:
+            bitgen.random_raw(skip)
+        out[:, i] = bitgen.random_raw(count)
     return np.right_shift(out, 11, out=out).view(np.int64)
 
 
-def _path(model: MarkovModel, m: np.ndarray) -> np.ndarray:
-    """States X_0, ..., X_n driven by the integer draws m (length n + 1)."""
+def _tiling(steps: int, trials: int) -> tuple[int, int]:
+    """(block, width): trials per chunk and draws per tile for ``trials``
+    trials of ``steps`` draws, with block * (width + WALK_VALUES) <=
+    DRAW_VALUES (and block >= 1).
+
+    A trial is one tile if it fits in its share of DRAW_VALUES or in
+    TILE_STEPS.  A longer one is cut into tiles of at least TILE_STEPS
+    draws, since a tile costs each trial about as much as 400 draws
+    beyond its own (setting the state, a call and a copy: 1.6 us on a
+    2-core Xeon).
+    """
+    width = min(steps, max(TILE_STEPS, DRAW_VALUES // trials - WALK_VALUES))
+    return min(trials, max(1, DRAW_VALUES // (width + WALK_VALUES))), width
+
+
+def _philox_tiles(first: int, rows: int, steps: int, width: int):
+    """The first ``steps`` draws of the streams first..first + rows - 1 as
+    ``_philox_rows`` tiles of ``width`` steps (the last may be shorter),
+    each made into one reused buffer just before it is walked."""
+    buffer = np.empty((width, rows), dtype=np.uint64)
+    for start in range(0, steps, width):
+        yield _philox_rows(first, start, buffer[:steps - start])
+
+
+def _path(model: MarkovModel, steps: int, tiles) -> np.ndarray:
+    """States X_0, ..., X_{steps - 1} of one trial whose draws come as
+    (width, 1) tiles."""
     sp = _sampler(model)
-    return sp.state[np.concatenate(list(_walk(sp, m.reshape(1, -1))))]
+    path = np.empty(steps, dtype=np.int64)
+    for k, pos in enumerate(_walk(sp, 1, tiles)):
+        path[k] = pos[0]
+    return sp.state.take(path, out=path)
 
 
 def sample_trajectory(model: MarkovModel, n: int, rng) -> np.ndarray:
@@ -225,11 +266,11 @@ def sample_trajectory(model: MarkovModel, n: int, rng) -> np.ndarray:
     """
     n = _count(n, 0, "sim: trajectory length must be >= 0, got {!r}")
     if isinstance(rng, np.random.Generator):
-        m = _exact_integers(rng.random(n + 1))
+        tiles = (_exact_integers(rng.random(n + 1)).reshape(-1, 1),)
     else:
         seed = _count(rng, 0, "sim: seed must be nonnegative, got {!r}")
-        m = _philox_rows(seed, 1, n + 1)[0]
-    return _path(model, m)
+        tiles = _philox_tiles(seed, 1, n + 1, _tiling(n + 1, 1)[1])
+    return _path(model, n + 1, tiles)
 
 
 _LOG_SQRT_2PI = 0.5 * math.log(2 * math.pi)
@@ -337,7 +378,10 @@ def empirical_tail(model: MarkovModel, n: int, mu: float, side: str,
     The event is closed: ties count as hits.  Trials are vectorized in
     chunks but each trial consumes exactly the stream of
     ``sample_trajectory(model, n, seed + t)``, so single trajectories can
-    be replayed.  The interval is an exact Clopper-Pearson 95% interval.
+    be replayed.  A chunk's draws are made a tile of steps at a time, so
+    peak memory is set by the DRAW_VALUES budget of 8-byte values (16 MB),
+    which holds a tile and the walk's per-trial vectors, whatever
+    n x trials is.  The interval is an exact Clopper-Pearson 95% interval.
     A NaN mu, which no mean reaches, raises DomainError.
     """
     sign = _assumptions._sign(side)
@@ -349,12 +393,12 @@ def empirical_tail(model: MarkovModel, n: int, mu: float, side: str,
         raise DomainError("sim: mu must be a number, got nan")
     sp = _sampler(model)
     f_at = model.f[sp.state]
-    # n + 1 draws per trial plus the walk's per-trial vectors
-    chunk = max(1, CHUNK_VALUES // (n + 1 + WALK_VALUES))
+    chunk, width = _tiling(n + 1, trials)
     hits = 0
     for start in range(0, trials, chunk):
         block = min(chunk, trials - start)
-        walk = _walk(sp, _philox_rows(seed + start, block, n + 1))
+        walk = _walk(sp, block,
+                     _philox_tiles(seed + start, block, n + 1, width))
         next(walk)                 # X_0 adds nothing to the sum
         sums = np.zeros(block)
         for pos in walk:

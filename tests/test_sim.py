@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -51,6 +52,19 @@ class TestTrajectories:
         # stationary law is uniform; crude law-of-large-numbers check
         assert abs(np.mean(path == 1) - 0.5) < 0.02
 
+    def test_path_memory_is_a_few_int64_per_step(self):
+        # positions go into one int64 array, not one small array per step
+        model = two_state(0.3, 0.3)
+        sample_trajectory(model, 5, 1)       # builds the sampler tables
+        n = 20000
+        tracemalloc.start()
+        try:
+            sample_trajectory(model, n, 5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 8 * (n + 1)
+
 
 class TestEmpiricalTail:
     def test_tie_counts_as_hit(self):
@@ -83,15 +97,28 @@ class TestEmpiricalTail:
         assert hits == est.hits
 
     def test_chunk_draws_match_a_philox_per_key(self):
-        # one generator per chunk, its state reset to each trial's key;
-        # the keys carry from the low into the high key word
+        # one generator per tile, its state reset to each trial's key and
+        # to the tile's start, also inside a block of four words; the keys
+        # carry from the low into the high key word
         for first in (0, 2**64 - 3, 2**128 - 7):
-            rows = sim._philox_rows(first, 6, 9)
-            for t, row in enumerate(rows):
-                raw = np.random.Philox(key=first + t).random_raw(9)
-                assert np.array_equal(row, (raw >> 11).view(np.int64))
+            for start in range(10):
+                # part of a buffer, as a shorter last tile is
+                out = np.empty((12, 6), dtype=np.uint64)[:9]
+                columns = sim._philox_rows(first, start, out).T
+                for t, column in enumerate(columns):
+                    raw = np.random.Philox(key=first + t).random_raw(
+                        start + 9)[start:]
+                    assert np.array_equal(column, (raw >> 11).view(np.int64))
         with pytest.raises(ValueError, match="2\\*\\*128"):
-            sim._philox_rows(2**128 - 3, 6, 9)
+            sim._philox_rows(2**128 - 3, 0, np.empty((9, 6), np.uint64))
+
+    def test_tiles_concatenate_to_the_streams(self):
+        # each tile overwrites the one buffer, so copy them as they come
+        for first in (0, 2**64 - 3):
+            tiles = [tile.copy() for tile in sim._philox_tiles(first, 5, 23, 6)]
+            assert [len(tile) for tile in tiles] == [6, 6, 6, 5]
+            assert np.array_equal(np.vstack(tiles), sim._philox_rows(
+                first, 0, np.empty((23, 5), dtype=np.uint64)))
 
     def test_lower_side_counts_small_means(self):
         model = two_state(0.3, 0.3)
@@ -137,18 +164,62 @@ class TestEmpiricalTail:
             empirical_tail(model, 10, math.nan, "upper", 10)
 
     def test_chunking_does_not_change_results(self, monkeypatch):
-        import chainbounds.sim as sim_module
         model = two_state(0.3, 0.3)
-        baseline = empirical_tail(model, 9, 0.6, "upper", 100, seed=6)
-        # 7 trials of n + 1 = 10 draws and the walk's per-trial vectors
-        monkeypatch.setattr(sim_module, "CHUNK_VALUES",
-                            7 * (10 + sim_module.WALK_VALUES))
-        rechunked = empirical_tail(model, 9, 0.6, "upper", 100, seed=6)
-        assert rechunked.hits == baseline.hits
-        # one trial's draws alone exceed the budget: one trial per chunk
-        monkeypatch.setattr(sim_module, "CHUNK_VALUES", 5)
-        single = empirical_tail(model, 9, 0.6, "upper", 100, seed=6)
-        assert single.hits == baseline.hits
+        n, trials = 9, 100
+        assert sim._tiling(n + 1, trials) == (trials, n + 1)
+        baseline = empirical_tail(model, n, 0.6, "upper", trials, seed=6)
+        assert baseline.hits == 35           # recorded before tiling
+        walk = sim.WALK_VALUES
+        for budget, steps, tiling in (
+                # 7 whole trials of n + 1 = 10 draws per chunk
+                (7 * (10 + walk), 10, (7, 10)),
+                # 7 trials per chunk in tiles of 3 draws: tiles start
+                # inside a trial and inside Philox's blocks of 4 words
+                (7 * (3 + walk), 3, (7, 3)),
+                # a tile alone exceeds the budget: one trial per chunk
+                (1, 3, (1, 3))):
+            monkeypatch.setattr(sim, "DRAW_VALUES", budget)
+            monkeypatch.setattr(sim, "TILE_STEPS", steps)
+            assert sim._tiling(n + 1, trials) == tiling
+            est = empirical_tail(model, n, 0.6, "upper", trials, seed=6)
+            assert est.hits == baseline.hits
+
+    # (states, n, side, trials, seed, hits), recorded before tiling
+    PINNED = ((2, 50, "upper", 3000, 11, 1416),
+              (10, 200, "lower", 600, 5, 307),
+              (50, 120, "upper", 400, 2**64 - 200, 196),
+              (10, 2500, "lower", 40, 7, 16),
+              (2, 1030, "upper", 9, 3, 4))
+
+    @pytest.mark.parametrize("budget", [None, 2**13])
+    def test_seeded_hits_are_pinned(self, monkeypatch, budget):
+        # at 2**13 the last two shapes cut each trial into tiles of
+        # TILE_STEPS draws and every shape takes several chunks
+        if budget is not None:
+            monkeypatch.setattr(sim, "DRAW_VALUES", budget)
+            assert sim._tiling(2501, 40) == (7, sim.TILE_STEPS)
+        for states, n, side, trials, seed, hits in self.PINNED:
+            model = random_positive_model(np.random.default_rng(states + n),
+                                          states)
+            mu = float(np.linalg.matrix_power(model.P, 256)[0] @ model.f)
+            est = empirical_tail(model, n, mu, side, trials, seed)
+            assert est.hits == hits
+
+    def test_peak_memory_does_not_grow_with_n(self, monkeypatch):
+        # draws are made a tile at a time into one buffer, so the peak is
+        # set by DRAW_VALUES, not by trials x (n + 1)
+        monkeypatch.setattr(sim, "DRAW_VALUES", 2**14)
+        model = two_state(0.3, 0.3)
+        empirical_tail(model, 5, 0.5, "upper", 15)   # builds the tables
+        for n in (2000, 20000):
+            assert sim._tiling(n + 1, 15) == (15, 1085)
+            tracemalloc.start()
+            try:
+                empirical_tail(model, n, 0.5, "upper", 15, seed=1)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 2 * 8 * sim.DRAW_VALUES
 
 
 UNIT = 2**53
@@ -175,6 +246,12 @@ def chain_of_rows(rows, q=None):
     return MarkovModel(tuple(map(str, range(s))), rows, f, q)
 
 
+def path_of(model, draws):
+    """``sim._path`` over one tile holding the integer draws."""
+    draws = np.asarray(draws)
+    return sim._path(model, len(draws), (draws.reshape(-1, 1),))
+
+
 def boundary_draws(rows):
     """Integer draws on, just below and just above every boundary
     m = ceil(c * 2**53) of the rows, with both ends of the range."""
@@ -192,7 +269,7 @@ class TestGuideTableSampler:
             model = chain_of_rows(ADVERSARIAL_ROWS, q=row)
             for m in draws:
                 want = inverse_cdf_path(model.P, model.q, [m * 2.0**-53])
-                assert np.array_equal(sim._path(model, np.array([m])), want)
+                assert np.array_equal(path_of(model, [m]), want)
 
     @pytest.mark.parametrize("entries", [None, 9 * 4, 9])
     def test_long_walk_over_boundary_draws(self, monkeypatch, entries):
@@ -205,7 +282,7 @@ class TestGuideTableSampler:
         draws = np.random.default_rng(4).permutation(
             np.tile(boundary_draws(ADVERSARIAL_ROWS), 6))
         want = inverse_cdf_path(model.P, model.q, draws * 2.0**-53)
-        assert np.array_equal(sim._path(model, draws), want)
+        assert np.array_equal(path_of(model, draws), want)
         assert set(want) == set(range(model.n_states))
 
     def test_tables_cover_the_adversarial_cases(self):
@@ -215,24 +292,25 @@ class TestGuideTableSampler:
         # the row of tenths sums to just below 1: the top draw clips to
         # the last state
         assert np.cumsum(ADVERSARIAL_ROWS[4])[-1] < 1.0
-        assert sim._path(chain_of_rows(ADVERSARIAL_ROWS, q=ADVERSARIAL_ROWS[4]),
-                         np.array([UNIT - 1]))[0] == 7
+        assert path_of(chain_of_rows(ADVERSARIAL_ROWS, q=ADVERSARIAL_ROWS[4]),
+                       [UNIT - 1])[0] == 7
 
     def test_dyadic_tie_moves_to_the_next_state(self):
         model = chain_of_rows(ADVERSARIAL_ROWS, q=ADVERSARIAL_ROWS[5])
         for m, state in ((UNIT // 2 - 1, 0), (UNIT // 2, 1),
                          (3 * UNIT // 4 - 1, 1), (3 * UNIT // 4, 2)):
-            assert sim._path(model, np.array([m]))[0] == state
+            assert path_of(model, [m])[0] == state
 
-    def test_block_walk_matches_each_trial(self, monkeypatch):
+    def test_block_walk_matches_each_trial(self):
         model = chain_of_rows(ADVERSARIAL_ROWS)
         rng = np.random.default_rng(8)
         pool = boundary_draws(ADVERSARIAL_ROWS)
         m = rng.choice(pool, size=(9, 40))
-        # a few steps per tile: walks cross tile boundaries mid-trial
-        monkeypatch.setattr(sim, "TILE_VALUES", 9 * 3)
+        # tiles of 7, 13 and 20 steps: walks cross tile boundaries mid-trial
         sp = sim._sampler(model)
-        states = np.array([sp.state[pos] for pos in sim._walk(sp, m)]).T
+        tiles = (m.T[:7], m.T[7:20], m.T[20:])
+        states = np.array([sp.state[pos]
+                           for pos in sim._walk(sp, 9, tiles)]).T
         for trial, draws in zip(states, m):
             want = inverse_cdf_path(model.P, model.q, draws * 2.0**-53)
             assert np.array_equal(trial, want)
