@@ -115,7 +115,9 @@ class TestEmpiricalTail:
     def test_tiles_concatenate_to_the_streams(self):
         # each tile overwrites the one buffer, so copy them as they come
         for first in (0, 2**64 - 3):
-            tiles = [tile.copy() for tile in sim._philox_tiles(first, 5, 23, 6)]
+            buffer = np.empty((6, 5), dtype=np.uint64)
+            tiles = [tile.copy()
+                     for tile in sim._philox_tiles(first, 23, buffer)]
             assert [len(tile) for tile in tiles] == [6, 6, 6, 5]
             assert np.array_equal(np.vstack(tiles), sim._philox_rows(
                 first, 0, np.empty((23, 5), dtype=np.uint64)))
