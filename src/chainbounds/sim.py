@@ -191,8 +191,8 @@ def _exact_integers(u: np.ndarray) -> np.ndarray:
 
 
 def _philox_rows(first: int, start: int, out: np.ndarray) -> np.ndarray:
-    """Fill the (count, rows) uint64 array ``out`` and return it as int64:
-    column i is m with m * 2**-53 the values ``start`` to
+    """Fill the (count, streams) uint64 array ``out`` and return it as
+    int64: column i is m with m * 2**-53 the values ``start`` to
     ``start + count - 1`` of ``Generator(Philox(key=first + i)).random()``.
 
     One Philox serves every column: its documented ``state`` dict is set to
@@ -205,15 +205,15 @@ def _philox_rows(first: int, start: int, out: np.ndarray) -> np.ndarray:
     time it takes on the arrays the getter returns.  Building the Philox
     on the largest key lets numpy range-check the keys.
     """
-    count, rows = out.shape
-    bitgen = np.random.Philox(key=first + rows - 1)
+    count, streams = out.shape
+    bitgen = np.random.Philox(key=first + streams - 1)
     key = [0, 0]
     state = {"bit_generator": "Philox",
              "state": {"counter": [start // 4, 0, 0, 0], "key": key},
              "buffer": [0, 0, 0, 0], "buffer_pos": 4,
              "has_uint32": 0, "uinteger": 0}
     skip = start % 4
-    for i in range(rows):
+    for i in range(streams):
         key[1], key[0] = divmod(first + i, 2**64)
         bitgen.state = state
         if skip:
@@ -240,7 +240,7 @@ def _tiling(steps: int, trials: int) -> tuple[int, int]:
 def _philox_tiles(first: int, steps: int, buffer: np.ndarray):
     """The first ``steps`` draws of the streams first, first + 1, ... as
     ``_philox_rows`` tiles of len(buffer) steps (the last may be shorter),
-    each made into the (width, rows) ``buffer`` just before it is walked.
+    each made into the (width, streams) ``buffer`` just before it is walked.
     """
     for start in range(0, steps, len(buffer)):
         yield _philox_rows(first, start, buffer[:steps - start])
