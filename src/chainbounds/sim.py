@@ -8,9 +8,11 @@ under any chunking or parallel schedule.  Philox is counter-based (Salmon,
 Moraes, Dror and Shaw, "Parallel random numbers: as easy as 1, 2, 3",
 2011): draw k of a stream is addressed by its key and the counter k // 4.
 So a chunk of trials walks its steps a tile at a time, each tile's draws
-made into one reused buffer just before the walk reads them, and peak
-memory is set by DRAW_VALUES (the tile and the walk's per-trial vectors),
-whatever n x trials is.
+made into one reused buffer just before the walk reads them.  A chunk
+holds at most lanes = DRAW_VALUES // (TILE_STEPS + WALK_VALUES) trials
+(2034), so a call holds at most lanes x (width + WALK_VALUES) 8-byte
+values for tiles of width draws (under 1 MB for 51-step trials), never
+more than DRAW_VALUES, whatever n x trials is.
 
 State sampling is inverse-CDF over the stored row order: the next state
 is the number of cumulative row weights at or below the uniform draw u,
@@ -224,17 +226,26 @@ def _philox_rows(first: int, start: int, out: np.ndarray) -> np.ndarray:
 
 def _tiling(steps: int, trials: int) -> tuple[int, int]:
     """(block, width): trials per chunk and draws per tile for ``trials``
-    trials of ``steps`` draws, with block * (width + WALK_VALUES) <=
-    DRAW_VALUES (and block >= 1).
+    trials of ``steps`` draws.
+
+    A chunk holds min(trials, lanes) trials, where lanes =
+    DRAW_VALUES // (TILE_STEPS + WALK_VALUES) (2034) is the chunk a tile
+    of TILE_STEPS draws fills the budget with.  The walk's per-step numpy
+    calls are already spread over that many lanes, so trials of few steps
+    do not fill the budget with more of them: a call holds at most
+    lanes x (width + WALK_VALUES) values (0.94 MB for 51-step trials).
 
     A trial is one tile if it fits in its share of DRAW_VALUES or in
     TILE_STEPS.  A longer one is cut into tiles of at least TILE_STEPS
     draws, since a tile costs each trial about as much as 400 draws
     beyond its own (setting the state, a call and a copy: 1.6 us on a
-    2-core Xeon).
+    2-core Xeon).  Either way block * (width + WALK_VALUES) <= DRAW_VALUES
+    unless lanes is 1, whose chunk of one trial may exceed a budget
+    smaller than one tile.
     """
+    lanes = max(1, DRAW_VALUES // (TILE_STEPS + WALK_VALUES))
     width = min(steps, max(TILE_STEPS, DRAW_VALUES // trials - WALK_VALUES))
-    return min(trials, max(1, DRAW_VALUES // (width + WALK_VALUES))), width
+    return min(trials, lanes), width
 
 
 def _philox_tiles(first: int, steps: int, buffer: np.ndarray):
@@ -244,6 +255,17 @@ def _philox_tiles(first: int, steps: int, buffer: np.ndarray):
     """
     for start in range(0, steps, len(buffer)):
         yield _philox_rows(first, start, buffer[:steps - start])
+
+
+def _philox_seed(seed, trials: int) -> int:
+    """``seed`` as an int, if the keys seed, ..., seed + trials - 1 of its
+    trials are all Philox keys, nonnegative and below 2**128; else
+    DomainError, raised before any draw is made."""
+    seed = _count(seed, 0, "sim: seed must be nonnegative, got {!r}")
+    if seed + trials > 2**128:
+        raise DomainError(f"sim: Philox keys seed + t must be below 2**128, "
+                          f"got seed {seed} with {trials} trial(s)")
+    return seed
 
 
 def _path(model: MarkovModel, steps: int, tiles) -> np.ndarray:
@@ -259,7 +281,8 @@ def _path(model: MarkovModel, steps: int, tiles) -> np.ndarray:
 def sample_trajectory(model: MarkovModel, n: int, rng) -> np.ndarray:
     """Sample X_0, ..., X_n as state indices: X_0 ~ q, X_{k+1} ~ P(X_k, .).
 
-    ``rng`` is a numpy Generator or an integer seed (Philox-keyed).
+    ``rng`` is a numpy Generator or an integer seed in [0, 2**128), the
+    Philox key.
     Identical inputs give identical sequences.  A Generator's doubles must
     be multiples of 2**-53, as every numpy bit generator's are; otherwise
     this raises DomainError rather than sample them inexactly.
@@ -268,7 +291,7 @@ def sample_trajectory(model: MarkovModel, n: int, rng) -> np.ndarray:
     if isinstance(rng, np.random.Generator):
         tiles = (_exact_integers(rng.random(n + 1)).reshape(-1, 1),)
     else:
-        seed = _count(rng, 0, "sim: seed must be nonnegative, got {!r}")
+        seed = _philox_seed(rng, 1)
         width = _tiling(n + 1, 1)[1]
         tiles = _philox_tiles(seed, n + 1, np.empty((width, 1), np.uint64))
     return _path(model, n + 1, tiles)
@@ -379,16 +402,19 @@ def empirical_tail(model: MarkovModel, n: int, mu: float, side: str,
     The event is closed: ties count as hits.  Trials are vectorized in
     chunks but each trial consumes exactly the stream of
     ``sample_trajectory(model, n, seed + t)``, so single trajectories can
-    be replayed.  A chunk's draws are made a tile of steps at a time, so
-    peak memory is set by the DRAW_VALUES budget of 8-byte values (16 MB),
-    which holds a tile and the walk's per-trial vectors, whatever
-    n x trials is.  The interval is an exact Clopper-Pearson 95% interval.
-    A NaN mu, which no mean reaches, raises DomainError.
+    be replayed.  A chunk of at most lanes = 2034 trials makes its draws
+    a tile of steps at a time, so a call holds at most
+    lanes x (width + WALK_VALUES) 8-byte values for tiles of width draws
+    (under 1 MB for 51-step trials), never more than the DRAW_VALUES
+    budget (16 MB), whatever n x trials is.  The interval is an exact
+    Clopper-Pearson 95% interval.  A NaN mu, which no mean reaches, raises
+    DomainError, and so does a seed with a key seed + t of 2**128 or more,
+    before any draw.
     """
     sign = _assumptions._sign(side)
     trials = _count(trials, 1, "sim: trials must be >= 1, got {!r}")
     n = _count(n, 1, "sim: n must be >= 1, got {!r}")
-    seed = _count(seed, 0, "sim: seed must be nonnegative, got {!r}")
+    seed = _philox_seed(seed, trials)
     mu = float(mu)
     if math.isnan(mu):
         raise DomainError("sim: mu must be a number, got nan")

@@ -378,6 +378,11 @@ class TestUsageAndErrors:
          "cli: cannot parse integer grid '1:2:3:4'"),
         (["bound", "--mu", "0.7", "--n", "10", "--interval", "0.9,0.2"],
          "bounds: empty interval [0.9, 0.2]"),
+        # trial t's Philox key is seed + t: 2**128 - 1 serves one trial only
+        (["simulate", "--mu", "0.7", "--n", "10", "--trials", "2",
+          "--seed", str(2**128 - 1)],
+         f"sim: Philox keys seed + t must be below 2**128, got seed "
+         f"{2**128 - 1} with 2 trial(s)"),
     ])
     def test_bad_option_values(self, write_model, capsys, argv, message):
         path = write_model(TWO_STATE_DOC)

@@ -4,6 +4,7 @@ import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -146,7 +147,7 @@ class TestEmpiricalTail:
                 overlaps += 1
         assert overlaps >= 4
 
-    def test_validation(self):
+    def test_validation(self, monkeypatch):
         model = two_state(0.3, 0.3)
         with pytest.raises(DomainError):
             empirical_tail(model, 10, 0.5, "sideways", 10)
@@ -164,6 +165,23 @@ class TestEmpiricalTail:
         # no mean reaches NaN, so it is refused rather than counted as 0 hits
         with pytest.raises(DomainError, match="mu must be a number"):
             empirical_tail(model, 10, math.nan, "upper", 10)
+        # trial t's Philox key is seed + t, below 2**128: the last keys
+        # are taken, and a key beyond them is refused before any draw
+        # (5000 trials take three chunks)
+        empirical_tail(model, 10, 0.5, "upper", 10, seed=2**128 - 10)
+        sample_trajectory(model, 5, 2**128 - 1)
+
+        def no_draws(*args):
+            raise AssertionError("a draw was made")
+
+        monkeypatch.setattr(sim, "_philox_rows", no_draws)
+        for seed, trials in ((2**128, 1), (2**128 - 9, 10),
+                             (2**128 - 4999, 5000), (2**200, 1)):
+            with pytest.raises(DomainError, match="below 2\\*\\*128"):
+                empirical_tail(model, 10, 0.5, "upper", trials, seed=seed)
+        for seed in (2**128, 2**128 + 5):
+            with pytest.raises(DomainError, match="below 2\\*\\*128"):
+                sample_trajectory(model, 5, seed)
 
     def test_chunking_does_not_change_results(self, monkeypatch):
         model = two_state(0.3, 0.3)
@@ -186,12 +204,15 @@ class TestEmpiricalTail:
             est = empirical_tail(model, n, 0.6, "upper", trials, seed=6)
             assert est.hits == baseline.hits
 
-    # (states, n, side, trials, seed, hits), recorded before tiling
+    # (states, n, side, trials, seed, hits), recorded before tiling; the
+    # 5000-trial shape, recorded while it was one chunk, takes three of
+    # lanes = 2034 trials
     PINNED = ((2, 50, "upper", 3000, 11, 1416),
               (10, 200, "lower", 600, 5, 307),
               (50, 120, "upper", 400, 2**64 - 200, 196),
               (10, 2500, "lower", 40, 7, 16),
-              (2, 1030, "upper", 9, 3, 4))
+              (2, 1030, "upper", 9, 3, 4),
+              (10, 50, "upper", 5000, 9, 2433))
 
     @pytest.mark.parametrize("budget", [None, 2**13])
     def test_seeded_hits_are_pinned(self, monkeypatch, budget):
@@ -207,21 +228,46 @@ class TestEmpiricalTail:
             est = empirical_tail(model, n, mu, side, trials, seed)
             assert est.hits == hits
 
+    @staticmethod
+    def traced_peak(model, n, trials):
+        empirical_tail(model, 5, 0.5, "upper", 15)   # builds the tables
+        tracemalloc.start()
+        try:
+            empirical_tail(model, n, 0.5, "upper", trials, seed=1)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
     def test_peak_memory_does_not_grow_with_n(self, monkeypatch):
         # draws are made a tile at a time into one buffer, so the peak is
         # set by DRAW_VALUES, not by trials x (n + 1)
         monkeypatch.setattr(sim, "DRAW_VALUES", 2**14)
         model = two_state(0.3, 0.3)
-        empirical_tail(model, 5, 0.5, "upper", 15)   # builds the tables
         for n in (2000, 20000):
             assert sim._tiling(n + 1, 15) == (15, 1085)
-            tracemalloc.start()
-            try:
-                empirical_tail(model, n, 0.5, "upper", 15, seed=1)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            assert peak < 2 * 8 * sim.DRAW_VALUES
+            assert self.traced_peak(model, n, 15) < 2 * 8 * sim.DRAW_VALUES
+
+    @pytest.mark.parametrize("trials", [5000, 50000])
+    def test_peak_memory_does_not_grow_with_trials(self, trials):
+        # short trials fill a chunk of lanes trials, not the whole budget
+        lanes = sim.DRAW_VALUES // (sim.TILE_STEPS + sim.WALK_VALUES)
+        assert sim._tiling(51, trials) == (lanes, 51)
+        peak = self.traced_peak(two_state(0.3, 0.3), 50, trials)
+        assert peak < 2 * 8 * lanes * (51 + sim.WALK_VALUES)
+
+    @settings(max_examples=300, deadline=None)
+    @given(steps=st.integers(1, 10**7), trials=st.integers(1, 10**7),
+           budget=st.integers(1, 2**24), tile=st.integers(1, 4096))
+    def test_tiling_keeps_its_budget(self, steps, trials, budget, tile):
+        with mock.patch.multiple(sim, DRAW_VALUES=budget, TILE_STEPS=tile):
+            block, width = sim._tiling(steps, trials)
+        lanes = max(1, budget // (tile + sim.WALK_VALUES))
+        assert 1 <= block <= min(trials, lanes)
+        assert 1 <= width <= steps
+        if lanes > 1:
+            assert block * (width + sim.WALK_VALUES) <= budget
+        # a tile that ends inside a trial holds at least TILE_STEPS draws
+        assert width == steps or width >= tile
 
 
 UNIT = 2**53
