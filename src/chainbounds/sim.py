@@ -7,25 +7,38 @@ count is an associative reduction over trials, so results are identical
 under any chunking or parallel schedule.  Philox is counter-based (Salmon,
 Moraes, Dror and Shaw, "Parallel random numbers: as easy as 1, 2, 3",
 2011): draw k of a stream is addressed by its key and the counter k // 4.
-So a chunk of trials walks its steps a tile at a time, each tile's draws
-made into one reused buffer just before the walk reads them.  A chunk
-holds at most lanes = DRAW_VALUES // (TILE_STEPS + WALK_VALUES) trials
-(2034), so a call holds at most lanes x (width + WALK_VALUES) 8-byte
-values for tiles of width draws (under 1 MB for 51-step trials), never
-more than DRAW_VALUES, whatever n x trials is.
+So trials are walked in equal chunks, one lane per trial, and a chunk
+walks its steps a tile at a time: each tile's words are made into one
+reused (lanes, width) buffer just before the walk reads them, each
+trial's ``random_raw(width)`` written into its own contiguous row.  A
+chunk holds at most lanes = DRAW_VALUES // (TILE_STEPS + WALK_VALUES)
+trials (2004), and a call makes ceil(trials / lanes) chunks whose sizes
+differ by one trial at most, so no small remainder chunk pays the full
+per-step cost.  A call holds at most lanes x (width + WALK_VALUES)
+8-byte values for tiles of width draws (1.2 MB for 51-step trials),
+never more than DRAW_VALUES, whatever n x trials is.
 
 State sampling is inverse-CDF over the stored row order: the next state
 is the number of cumulative row weights at or below the uniform draw u,
 clipped to the last state.  Draws are handled as the integers
 m = u * 2**53 (numpy's doubles are multiples of 2**-53, so this is
-exact; Philox draws are read as ``random_raw() >> 11`` directly), and
-each cumulative weight c as ceil(c * 2**53), so ``u >= c`` is the exact
+exact; Philox words w are read as m = w >> 11 directly), and each
+cumulative weight c as ceil(c * 2**53), so ``u >= c`` is the exact
 integer test ``m >= ceil(c * 2**53)``.  A guide table per row (Chen and
-Asau, 1974; Devroye, 1986, sec. III.2.4) maps the top bits of m to the
-first boundary above its bucket, and a fixed number of fix-up steps,
-each skipping a run of zero weights at once, finishes the search: O(1)
-work per draw whatever the number of states, with the same states as a
-full comparison against the row.
+Asau, 1974; Devroye, 1986, sec. III.2.4) splits the draws into buckets
+by the top bits of m.  Each bucket holds extra + 1 outcome slots, where
+extra is the most distinct boundaries inside one bucket of any row: the
+outcome below the first such boundary, below the second, and so on,
+each slot with the boundary that ends it, the outcome's f and where the
+outcome's own row starts.  So a step is one bucket lookup, extra
+threshold tests that move the slot on by one each (the boundaries rise
+within a bucket, so a failed test leaves it in place), one f gather and
+one jump to the next row: O(1) work per draw whatever the number of
+states, with the same states as a full comparison against the row.
+The walk shifts a tile's words to draws GROUP_STEPS = 8 steps at a
+time, in one transposing pass, so each step reads a contiguous vector
+of draws, and one more pass gives them their bucket offsets.  At
+extra = 1 a step is 7 numpy calls, 3 of them gathers.
 
 The interval around a simulated tail is the exact Clopper-Pearson one
 (Clopper and Pearson, 1934): its lower end is the x with
@@ -58,10 +71,12 @@ CONFIDENCE = 0.95
 DRAW_VALUES = 2**21        # 8-byte values held at once: trials per chunk
                            # times (draws per tile + WALK_VALUES)
 TILE_STEPS = 1024          # fewest draws in a tile that ends inside a trial
-WALK_VALUES = 7            # per-trial vectors of a step: shifted draws,
-                           # guide, position, two table gathers, f gather
-                           # and sum
-GUIDE_ENTRIES = 2**22      # guide-table entries per model, at most
+GROUP_STEPS = 8            # steps per transposing pass over a tile
+WALK_VALUES = 22           # per-trial 8-byte values of the walk: a group's
+                           # draws and bucket offsets (2 x GROUP_STEPS),
+                           # two slot vectors, the sum, the comparison, and
+                           # the threshold and f gathers
+GUIDE_ENTRIES = 2**22      # guide buckets per model, at most
 
 __all__ = [
     "TailEstimate",
@@ -115,20 +130,27 @@ _NEVER = np.iinfo(np.int64).max
 
 @dataclass(frozen=True)
 class _Sampler:
-    """Inverse-CDF tables for integer draws m in [0, 2**53).
+    """Outcome tables for integer draws m in [0, 2**53).
 
-    Rows 0..S-1 are the rows of P and row S is the initial law q.  A
-    position is the flat index row * S + j of column j.
+    Rows 0..S-1 are the rows of P and row S is the initial law q.  Each
+    row has B = 2**(53 - shift) guide buckets, and each bucket ``slots``
+    interleaved slots: slot j of bucket b of row r, at index
+    slots * (r * B + b) + j, is the outcome of the bucket's draws at or
+    above its j-th distinct boundary (slot 0: at or above its start).
     """
 
     shift: int             # the guide bucket of draw m is m >> shift
-    lo: np.ndarray         # [row * B + bucket]: first position above the bucket start
-    bound: np.ndarray      # [pos]: ceil(cum * 2**53); _NEVER in the last column
-    skip: np.ndarray       # [pos]: offset to the next position with a larger bound
-    base: np.ndarray       # [pos]: column * B, where the column's guide row starts
-    state: np.ndarray      # [pos]: column
-    first: int             # row S * B, where q's guide row starts
-    extra: int             # fix-up steps: most distinct bounds inside one bucket
+    slots: int             # slots per bucket: most boundaries inside one, + 1
+    thr: np.ndarray        # [slot]: the next boundary inside the bucket, or _NEVER
+    nxt: np.ndarray        # [slot]: slots * B * outcome, where its row starts
+    fv: np.ndarray         # [slot]: f(outcome); 0 in q's row, X_0 adds nothing
+    row: int               # slots * B, the slots of one row
+    first: int             # row * S, where q's row starts
+
+    @property
+    def extra(self) -> int:
+        """Fix-up steps per draw: the most boundaries inside one bucket."""
+        return self.slots - 1
 
 
 def _build_sampler(model: MarkovModel) -> _Sampler:
@@ -143,61 +165,102 @@ def _build_sampler(model: MarkovModel) -> _Sampler:
     # u >= c  <=>  m >= ceil(c * 2**53); the sentinel stops the walk at S-1
     bound = np.ceil(cum * float(_UNIT)).astype(np.int64)
     bound[:, -1] = _NEVER
-    lo = np.empty((S + 1, 1 << bits), dtype=np.int64)
-    skip = np.empty((S + 1, S), dtype=np.int64)
-    columns = np.arange(S, dtype=np.int64)
-    extra = 0
+    # pos: each bucket start's outcome, the number of bounds at or below
+    # it; later: the first column whose bound exceeds a column's bound
+    pos = np.empty((S + 1, 1 << bits), dtype=np.int64)
+    later = np.empty((S + 1, S), dtype=np.int64)
     for r, row in enumerate(bound):
-        lo[r] = np.searchsorted(row, starts, side="right") + r * S
-        skip[r] = np.searchsorted(row, row, side="right") - columns
-        distinct = row[np.r_[True, row[1:] != row[:-1]]]    # row is sorted
-        inside = (np.searchsorted(distinct, ends, side="left")
-                  - np.searchsorted(distinct, starts, side="right"))
-        extra = max(extra, int(inside.max()))
-    state = np.tile(columns, S + 1)
-    return _Sampler(shift=shift, lo=lo.ravel(), bound=bound.ravel(),
-                    skip=skip.ravel(), base=state << bits, state=state,
-                    first=S << bits, extra=extra)
+        pos[r] = np.searchsorted(row, starts, side="right")
+        later[r] = np.searchsorted(row, row, side="right")
+    # slot j holds the outcome past the j-th boundary inside the bucket,
+    # and the boundary after it; walking on stops once none is left
+    outcomes, thresholds = [], []
+    while True:
+        at = np.take_along_axis(bound, pos, axis=1)
+        inside = at < ends
+        outcomes.append(pos)
+        thresholds.append(np.where(inside, at, _NEVER))
+        if not inside.any():
+            break
+        pos = np.where(inside, np.take_along_axis(later, pos, axis=1), pos)
+    slots = len(outcomes)
+    state = np.stack(outcomes, axis=-1)
+    fv = model.f[state]
+    fv[S] = 0.0
+    return _Sampler(shift=shift, slots=slots,
+                    thr=np.stack(thresholds, axis=-1).ravel(),
+                    nxt=(state * (slots << bits)).ravel(), fv=fv.ravel(),
+                    row=slots << bits, first=S * slots << bits)
 
 
 def _sampler(model: MarkovModel) -> _Sampler:
     return memo(model._derived, "sampler", lambda _: _build_sampler(model))
 
 
-def _walk(sp: _Sampler, block: int, tiles):
-    """Yield the positions of X_0, ..., X_n of ``block`` trials whose
-    draws come as ``tiles``: (width, block) int64 arrays of consecutive
-    steps, one column per trial, so each step reads a contiguous row.
+def _walk(sp: _Sampler, lanes: int, tiles, path=None) -> np.ndarray:
+    """Sums f(X_1) + ... + f(X_n) of ``lanes`` trials whose raw 64-bit
+    words come as ``tiles``: (lanes, width) uint64 arrays of consecutive
+    steps, one row per trial.  With ``path``, a (steps, lanes) int64
+    array, X_0, ..., X_n are written to it instead.
+
+    GROUP_STEPS steps at a time, one pass shifts a tile's words to the
+    integer draws m = word >> 11 in step-major order, so each step reads
+    a contiguous row, and one more gives each draw its bucket's offset.
+    A step then adds the offset to the slot G of its row's bucket 0,
+    moves G on by one slot per boundary inside the bucket at or below the
+    draw (``extra`` tests; the thresholds rise within a bucket, so a
+    failed test leaves G in place), adds f of the outcome and moves G to
+    the outcome's row.
     """
-    guide = np.full(block, sp.first, dtype=np.int64)
+    thr, nxt, fv, extra = sp.thr, sp.nxt, sp.fv, sp.extra
+    G = np.full(lanes, sp.first, dtype=np.int64)
+    sums = np.zeros(lanes)
+    passed = np.empty(lanes, dtype=bool)
+    draws = np.empty((GROUP_STEPS, lanes), dtype=np.int64)
+    offsets = np.empty_like(draws)
+    k = 0
     for tile in tiles:
-        for draw in tile:
-            guide += draw >> sp.shift
-            pos = sp.lo.take(guide)
-            for _ in range(sp.extra):
-                np.add(pos, sp.skip.take(pos), out=pos,
-                       where=draw >= sp.bound.take(pos))
-            yield pos
-            guide = sp.base.take(pos)
+        for r in range(0, tile.shape[1], GROUP_STEPS):
+            words = tile[:, r:r + GROUP_STEPS].T
+            group = draws[:len(words)]
+            np.right_shift(words, 11, out=group.view(np.uint64))
+            offset = np.right_shift(group, sp.shift, out=offsets[:len(words)])
+            if extra:
+                offset *= sp.slots
+            for draw, step in zip(group, offset):
+                G += step
+                for _ in range(extra):
+                    G += np.greater_equal(draw, thr.take(G), out=passed)
+                if path is None:
+                    sums += fv.take(G)
+                    G = nxt.take(G)
+                else:
+                    G = path[k] = nxt.take(G)
+                    k += 1
+    if path is not None:
+        np.floor_divide(path, sp.row, out=path)
+    return sums
 
 
-def _exact_integers(u: np.ndarray) -> np.ndarray:
-    """The integers u * 2**53, or DomainError if a draw is not a multiple
-    of 2**-53 in [0, 1)."""
+def _exact_words(u: np.ndarray) -> np.ndarray:
+    """The 64-bit words (u * 2**53) << 11, which the walk reads as the
+    draws u, or DomainError if a draw is not a multiple of 2**-53 in
+    [0, 1)."""
     scaled = u * float(_UNIT)
     m = scaled.astype(np.int64)
     if not (np.array_equal(m, scaled) and np.all((0 <= m) & (m < _UNIT))):
         raise DomainError("sim: generator draws are not multiples of 2**-53 "
                           "in [0, 1); cannot sample them exactly")
-    return m
+    return np.left_shift(m.view(np.uint64), 11, out=m.view(np.uint64))
 
 
 def _philox_rows(first: int, start: int, out: np.ndarray) -> np.ndarray:
-    """Fill the (count, streams) uint64 array ``out`` and return it as
-    int64: column i is m with m * 2**-53 the values ``start`` to
-    ``start + count - 1`` of ``Generator(Philox(key=first + i)).random()``.
+    """Fill the (streams, count) uint64 array ``out`` and return it: row i
+    is the words ``start`` to ``start + count - 1`` of
+    ``Philox(key=first + i).random_raw()``, each row written contiguously.
+    Word w gives the double (w >> 11) * 2**-53 of ``Generator.random()``.
 
-    One Philox serves every column: its documented ``state`` dict is set to
+    One Philox serves every row: its documented ``state`` dict is set to
     key words ((first + i) mod 2**64, (first + i) >> 64), counter words
     (start // 4, 0, 0, 0) and an empty buffer, the state
     ``Philox(key=first + i)`` is in after it has made its first start // 4
@@ -207,7 +270,7 @@ def _philox_rows(first: int, start: int, out: np.ndarray) -> np.ndarray:
     time it takes on the arrays the getter returns.  Building the Philox
     on the largest key lets numpy range-check the keys.
     """
-    count, streams = out.shape
+    streams, count = out.shape
     bitgen = np.random.Philox(key=first + streams - 1)
     key = [0, 0]
     state = {"bit_generator": "Philox",
@@ -220,20 +283,23 @@ def _philox_rows(first: int, start: int, out: np.ndarray) -> np.ndarray:
         bitgen.state = state
         if skip:
             bitgen.random_raw(skip)
-        out[:, i] = bitgen.random_raw(count)
-    return np.right_shift(out, 11, out=out).view(np.int64)
+        out[i] = bitgen.random_raw(count)
+    return out
 
 
 def _tiling(steps: int, trials: int) -> tuple[int, int]:
-    """(block, width): trials per chunk and draws per tile for ``trials``
-    trials of ``steps`` draws.
+    """(block, width): the most trials in a chunk and draws per tile for
+    ``trials`` trials of ``steps`` draws.
 
-    A chunk holds min(trials, lanes) trials, where lanes =
-    DRAW_VALUES // (TILE_STEPS + WALK_VALUES) (2034) is the chunk a tile
-    of TILE_STEPS draws fills the budget with.  The walk's per-step numpy
-    calls are already spread over that many lanes, so trials of few steps
-    do not fill the budget with more of them: a call holds at most
-    lanes x (width + WALK_VALUES) values (0.94 MB for 51-step trials).
+    A chunk holds at most lanes = DRAW_VALUES // (TILE_STEPS + WALK_VALUES)
+    (2004) trials, the chunk a tile of TILE_STEPS draws fills the budget
+    with.  The walk's per-step numpy calls are already spread over that
+    many lanes, so trials of few steps do not fill the budget with more of
+    them: a call holds at most lanes x (width + WALK_VALUES) values
+    (1.2 MB for 51-step trials).  The trials go into the fewest chunks
+    this allows, ceil(trials / lanes), of equal size: block is
+    ceil(trials / chunks), and the chunks hold block or block - 1 trials,
+    so 2000 trials are one chunk and 5000 are three of 1667 or 1666.
 
     A trial is one tile if it fits in its share of DRAW_VALUES or in
     TILE_STEPS.  A longer one is cut into tiles of at least TILE_STEPS
@@ -244,17 +310,19 @@ def _tiling(steps: int, trials: int) -> tuple[int, int]:
     smaller than one tile.
     """
     lanes = max(1, DRAW_VALUES // (TILE_STEPS + WALK_VALUES))
+    chunks = -(-trials // lanes)
     width = min(steps, max(TILE_STEPS, DRAW_VALUES // trials - WALK_VALUES))
-    return min(trials, lanes), width
+    return -(-trials // chunks), width
 
 
 def _philox_tiles(first: int, steps: int, buffer: np.ndarray):
-    """The first ``steps`` draws of the streams first, first + 1, ... as
-    ``_philox_rows`` tiles of len(buffer) steps (the last may be shorter),
-    each made into the (width, streams) ``buffer`` just before it is walked.
+    """The first ``steps`` words of the streams first, first + 1, ... as
+    ``_philox_rows`` tiles of width steps (the last may be shorter), each
+    made into the (streams, width) ``buffer`` just before it is walked.
     """
-    for start in range(0, steps, len(buffer)):
-        yield _philox_rows(first, start, buffer[:steps - start])
+    width = buffer.shape[1]
+    for start in range(0, steps, width):
+        yield _philox_rows(first, start, buffer[:, :steps - start])
 
 
 def _philox_seed(seed, trials: int) -> int:
@@ -269,13 +337,11 @@ def _philox_seed(seed, trials: int) -> int:
 
 
 def _path(model: MarkovModel, steps: int, tiles) -> np.ndarray:
-    """States X_0, ..., X_{steps - 1} of one trial whose draws come as
-    (width, 1) tiles."""
-    sp = _sampler(model)
-    path = np.empty(steps, dtype=np.int64)
-    for k, pos in enumerate(_walk(sp, 1, tiles)):
-        path[k] = pos[0]
-    return sp.state.take(path, out=path)
+    """States X_0, ..., X_{steps - 1} of one trial whose words come as
+    (1, width) tiles: the walk with a single lane."""
+    path = np.empty((steps, 1), dtype=np.int64)
+    _walk(_sampler(model), 1, tiles, path)
+    return path.ravel()
 
 
 def sample_trajectory(model: MarkovModel, n: int, rng) -> np.ndarray:
@@ -289,11 +355,11 @@ def sample_trajectory(model: MarkovModel, n: int, rng) -> np.ndarray:
     """
     n = _count(n, 0, "sim: trajectory length must be >= 0, got {!r}")
     if isinstance(rng, np.random.Generator):
-        tiles = (_exact_integers(rng.random(n + 1)).reshape(-1, 1),)
+        tiles = (_exact_words(rng.random(n + 1)).reshape(1, -1),)
     else:
         seed = _philox_seed(rng, 1)
         width = _tiling(n + 1, 1)[1]
-        tiles = _philox_tiles(seed, n + 1, np.empty((width, 1), np.uint64))
+        tiles = _philox_tiles(seed, n + 1, np.empty((1, width), np.uint64))
     return _path(model, n + 1, tiles)
 
 
@@ -402,11 +468,12 @@ def empirical_tail(model: MarkovModel, n: int, mu: float, side: str,
     The event is closed: ties count as hits.  Trials are vectorized in
     chunks but each trial consumes exactly the stream of
     ``sample_trajectory(model, n, seed + t)``, so single trajectories can
-    be replayed.  A chunk of at most lanes = 2034 trials makes its draws
-    a tile of steps at a time, so a call holds at most
+    be replayed.  The trials are walked in ceil(trials / lanes) equal
+    chunks of at most lanes = 2004 trials, and a chunk makes its draws a
+    tile of steps at a time, so a call holds at most
     lanes x (width + WALK_VALUES) 8-byte values for tiles of width draws
-    (under 1 MB for 51-step trials), never more than the DRAW_VALUES
-    budget (16 MB), whatever n x trials is.  The interval is an exact
+    (1.2 MB for 51-step trials), never more than the DRAW_VALUES budget
+    (16 MB), whatever n x trials is.  The interval is an exact
     Clopper-Pearson 95% interval.  A NaN mu, which no mean reaches, raises
     DomainError, and so does a seed with a key seed + t of 2**128 or more,
     before any draw.
@@ -419,21 +486,19 @@ def empirical_tail(model: MarkovModel, n: int, mu: float, side: str,
     if math.isnan(mu):
         raise DomainError("sim: mu must be a number, got nan")
     sp = _sampler(model)
-    f_at = model.f[sp.state]
-    chunk, width = _tiling(n + 1, trials)
+    block, width = _tiling(n + 1, trials)
+    chunks = -(-trials // block)
     # one buffer serves every chunk: with a fresh one per chunk (the last
     # one smaller), glibc kept about one more buffer of freed memory
     # resident, and simulate_tail peaked at 73 MB instead of 59 MB
-    buffer = np.empty((width, chunk), dtype=np.uint64)
+    buffer = np.empty((block, width), dtype=np.uint64)
     hits = 0
-    for start in range(0, trials, chunk):
-        block = min(chunk, trials - start)
-        walk = _walk(sp, block,
-                     _philox_tiles(seed + start, n + 1, buffer[:, :block]))
-        next(walk)                 # X_0 adds nothing to the sum
-        sums = np.zeros(block)
-        for pos in walk:
-            sums += f_at.take(pos)
+    for i in range(chunks):
+        # equal chunks: their sizes differ by one trial at most
+        start, stop = trials * i // chunks, trials * (i + 1) // chunks
+        lanes = stop - start
+        sums = _walk(sp, lanes,
+                     _philox_tiles(seed + start, n + 1, buffer[:lanes]))
         # negation is exact, so on the lower side this is sums / n <= mu
         hits += int(np.count_nonzero(sign * (sums / n) >= sign * mu))
     low, high = _clopper_pearson(hits, trials, CONFIDENCE)

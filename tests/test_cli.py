@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import chainbounds
 import chainbounds.family as family_module
 from chainbounds import (ModelFormatError, __version__, lambda_n_exact,
                          load_model, two_sided_bound)
@@ -308,6 +313,20 @@ class TestReports:
         assert code == 0
         assert out == ""
         assert "a1 = true" in target.read_text()
+
+    def test_python_dash_m_runs_the_cli(self, write_model, capsys):
+        # ``python -m chainbounds`` gives main's bytes and exit status
+        path = write_model(BIRTH_DEATH_DOC)
+        code, out, _ = run_cli(capsys, "validate", "--model", path)
+        env = dict(os.environ, PYTHONPATH=str(
+            Path(chainbounds.__file__).resolve().parents[1]))
+        for argv, status, stdout in ((["--version"], 0, __version__ + "\n"),
+                                     (["validate", "--model", path], code,
+                                      out)):
+            done = subprocess.run([sys.executable, "-m", "chainbounds",
+                                   *argv], capture_output=True, text=True,
+                                  env=env, timeout=60)
+            assert (done.returncode, done.stdout) == (status, stdout)
 
 
 class TestUsageAndErrors:

@@ -104,24 +104,25 @@ class TestEmpiricalTail:
         for first in (0, 2**64 - 3, 2**128 - 7):
             for start in range(10):
                 # part of a buffer, as a shorter last tile is
-                out = np.empty((12, 6), dtype=np.uint64)[:9]
-                columns = sim._philox_rows(first, start, out).T
-                for t, column in enumerate(columns):
+                out = np.empty((6, 12), dtype=np.uint64)[:, :9]
+                rows = sim._philox_rows(first, start, out)
+                assert rows.shape == (6, 9)
+                for t, row in enumerate(rows):
                     raw = np.random.Philox(key=first + t).random_raw(
                         start + 9)[start:]
-                    assert np.array_equal(column, (raw >> 11).view(np.int64))
+                    assert np.array_equal(row, raw)
         with pytest.raises(ValueError, match="2\\*\\*128"):
-            sim._philox_rows(2**128 - 3, 0, np.empty((9, 6), np.uint64))
+            sim._philox_rows(2**128 - 3, 0, np.empty((6, 9), np.uint64))
 
     def test_tiles_concatenate_to_the_streams(self):
         # each tile overwrites the one buffer, so copy them as they come
         for first in (0, 2**64 - 3):
-            buffer = np.empty((6, 5), dtype=np.uint64)
+            buffer = np.empty((5, 6), dtype=np.uint64)
             tiles = [tile.copy()
                      for tile in sim._philox_tiles(first, 23, buffer)]
-            assert [len(tile) for tile in tiles] == [6, 6, 6, 5]
-            assert np.array_equal(np.vstack(tiles), sim._philox_rows(
-                first, 0, np.empty((23, 5), dtype=np.uint64)))
+            assert [tile.shape for tile in tiles] == [(5, 6)] * 3 + [(5, 5)]
+            assert np.array_equal(np.hstack(tiles), sim._philox_rows(
+                first, 0, np.empty((5, 23), dtype=np.uint64)))
 
     def test_lower_side_counts_small_means(self):
         model = two_state(0.3, 0.3)
@@ -205,8 +206,8 @@ class TestEmpiricalTail:
             assert est.hits == baseline.hits
 
     # (states, n, side, trials, seed, hits), recorded before tiling; the
-    # 5000-trial shape, recorded while it was one chunk, takes three of
-    # lanes = 2034 trials
+    # 5000-trial shape, recorded while it was one chunk, takes three equal
+    # chunks of 1667 or 1666 trials
     PINNED = ((2, 50, "upper", 3000, 11, 1416),
               (10, 200, "lower", 600, 5, 307),
               (50, 120, "upper", 400, 2**64 - 200, 196),
@@ -244,14 +245,17 @@ class TestEmpiricalTail:
         monkeypatch.setattr(sim, "DRAW_VALUES", 2**14)
         model = two_state(0.3, 0.3)
         for n in (2000, 20000):
-            assert sim._tiling(n + 1, 15) == (15, 1085)
+            assert sim._tiling(n + 1, 15) == (15, 1070)
             assert self.traced_peak(model, n, 15) < 2 * 8 * sim.DRAW_VALUES
 
     @pytest.mark.parametrize("trials", [5000, 50000])
     def test_peak_memory_does_not_grow_with_trials(self, trials):
-        # short trials fill a chunk of lanes trials, not the whole budget
+        # short trials fill equal chunks of at most lanes trials (3 and 25
+        # chunks here), not the whole budget
         lanes = sim.DRAW_VALUES // (sim.TILE_STEPS + sim.WALK_VALUES)
-        assert sim._tiling(51, trials) == (lanes, 51)
+        assert lanes == 2004
+        block = {5000: 1667, 50000: 2000}[trials]
+        assert sim._tiling(51, trials) == (block, 51)
         peak = self.traced_peak(two_state(0.3, 0.3), 50, trials)
         assert peak < 2 * 8 * lanes * (51 + sim.WALK_VALUES)
 
@@ -263,6 +267,10 @@ class TestEmpiricalTail:
             block, width = sim._tiling(steps, trials)
         lanes = max(1, budget // (tile + sim.WALK_VALUES))
         assert 1 <= block <= min(trials, lanes)
+        # equal chunks: as few as lanes allows, no two a trial apart or more
+        chunks = -(-trials // lanes)
+        assert -(-trials // block) == chunks
+        assert trials // chunks <= block <= -(-trials // chunks)
         assert 1 <= width <= steps
         if lanes > 1:
             assert block * (width + sim.WALK_VALUES) <= budget
@@ -294,10 +302,14 @@ def chain_of_rows(rows, q=None):
     return MarkovModel(tuple(map(str, range(s))), rows, f, q)
 
 
+def words_of(draws):
+    """The 64-bit words whose top 53 bits are the integer draws."""
+    return np.asarray(draws, dtype=np.uint64) << np.uint64(11)
+
+
 def path_of(model, draws):
     """``sim._path`` over one tile holding the integer draws."""
-    draws = np.asarray(draws)
-    return sim._path(model, len(draws), (draws.reshape(-1, 1),))
+    return sim._path(model, len(draws), (words_of(draws).reshape(1, -1),))
 
 
 def boundary_draws(rows):
@@ -326,7 +338,9 @@ class TestGuideTableSampler:
         if entries is not None:
             monkeypatch.setattr(sim, "GUIDE_ENTRIES", entries)
         model = chain_of_rows(ADVERSARIAL_ROWS)
-        assert len(sim._sampler(model).lo) <= (entries or sim.GUIDE_ENTRIES)
+        sp = sim._sampler(model)
+        assert len(sp.thr) == len(sp.nxt) == len(sp.fv)
+        assert len(sp.thr) <= sp.slots * (entries or sim.GUIDE_ENTRIES)
         draws = np.random.default_rng(4).permutation(
             np.tile(boundary_draws(ADVERSARIAL_ROWS), 6))
         want = inverse_cdf_path(model.P, model.q, draws * 2.0**-53)
@@ -354,14 +368,19 @@ class TestGuideTableSampler:
         rng = np.random.default_rng(8)
         pool = boundary_draws(ADVERSARIAL_ROWS)
         m = rng.choice(pool, size=(9, 40))
-        # tiles of 7, 13 and 20 steps: walks cross tile boundaries mid-trial
+        # tiles of 7, 13 and 20 steps: walks cross tile boundaries and
+        # groups of GROUP_STEPS steps mid-trial
         sp = sim._sampler(model)
-        tiles = (m.T[:7], m.T[7:20], m.T[20:])
-        states = np.array([sp.state[pos]
-                           for pos in sim._walk(sp, 9, tiles)]).T
-        for trial, draws in zip(states, m):
+        words = words_of(m)
+        tiles = (words[:, :7], words[:, 7:20], words[:, 20:])
+        paths = np.empty((40, 9), dtype=np.int64)
+        sim._walk(sp, 9, tiles, paths)
+        sums = sim._walk(sp, 9, tiles)
+        for trial, total, draws in zip(paths.T, sums, m):
             want = inverse_cdf_path(model.P, model.q, draws * 2.0**-53)
             assert np.array_equal(trial, want)
+            # f counts X_1, ..., X_n, not X_0; f is the state's index
+            assert total == want[1:].sum()
 
     @pytest.mark.parametrize("bit_generator", [
         np.random.PCG64, np.random.MT19937, np.random.SFC64,
@@ -392,7 +411,7 @@ class TestGuideTableSampler:
     def test_two_hundred_states_match_the_replay(self):
         model = random_positive_model(np.random.default_rng(13), 200)
         sp = sim._sampler(model)
-        assert len(sp.lo) <= 16 * 200 * 201
+        assert len(sp.thr) <= sp.slots * 16 * 200 * 201
         n, trials, seed = 30, 25, 400
         mu = float(model.f @ model.q)
         for side in ("upper", "lower"):
@@ -437,6 +456,53 @@ class TestGuideTableSampler:
         for n, mu in ((1, 2.5), (7, 2.5), (25, 3.0)):
             est = empirical_tail(model, n, mu, "upper", 60, seed=17)
             assert est.hits == replay_tail_hits(model, n, mu, "upper", 60, 17)
+
+    # a weight is zero, tiny (several boundaries share a guide bucket) or
+    # ordinary; every row keeps at least one ordinary weight
+    WEIGHTS = st.one_of(st.just(0.0), st.floats(1e-13, 1e-9),
+                        st.floats(0.01, 1.0))
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_kernel_matches_the_replay(self, data):
+        states = data.draw(st.integers(2, 6), label="states")
+        rows = np.array([
+            data.draw(st.lists(self.WEIGHTS, min_size=states,
+                               max_size=states).filter(
+                lambda row: max(row) >= 0.01), label=f"row {r}")
+            for r in range(states + 1)])
+        rows /= rows.sum(axis=1, keepdims=True)
+        f = np.array(data.draw(st.lists(st.floats(-2.0, 2.0), min_size=states,
+                                        max_size=states), label="f"))
+        model = MarkovModel(tuple(map(str, range(states))), rows[:-1], f,
+                            rows[-1])
+        n = data.draw(st.integers(1, 40), label="n")
+        trials = data.draw(st.integers(1, 30), label="trials")
+        seed = data.draw(st.integers(0, 2**64), label="seed")
+        mu = data.draw(st.floats(float(f.min()), float(f.max())), label="mu")
+        side = data.draw(st.sampled_from(["upper", "lower"]), label="side")
+        # a capped table (down to one bucket per row), and tiles of 1-12
+        # draws in chunks of 1-5 lanes: walks cross group, tile and chunk
+        # boundaries mid-trial
+        entries = data.draw(st.sampled_from(
+            [sim.GUIDE_ENTRIES, 36, 4 * (states + 1), states + 1]),
+            label="entries")
+        tile = data.draw(st.integers(1, 12), label="tile")
+        lanes = data.draw(st.integers(1, 5), label="lanes")
+        with mock.patch.multiple(
+                sim, GUIDE_ENTRIES=entries, TILE_STEPS=tile,
+                DRAW_VALUES=lanes * (tile + sim.WALK_VALUES)):
+            assert len(sim._sampler(model).thr) <= (
+                sim._sampler(model).slots * entries)
+            est = empirical_tail(model, n, mu, side, trials, seed)
+            path = sample_trajectory(model, n, seed)
+            draws = boundary_draws(rows)
+            boundary_path = path_of(model, draws)
+        assert est.hits == replay_tail_hits(model, n, mu, side, trials, seed)
+        u = np.random.Generator(np.random.Philox(key=seed)).random(n + 1)
+        assert np.array_equal(path, inverse_cdf_path(model.P, model.q, u))
+        assert np.array_equal(boundary_path, inverse_cdf_path(
+            model.P, model.q, draws * 2.0**-53))
 
 
 ALPHA = 1.0 - sim.CONFIDENCE
