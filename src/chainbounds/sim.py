@@ -165,32 +165,42 @@ def _build_sampler(model: MarkovModel) -> _Sampler:
     # u >= c  <=>  m >= ceil(c * 2**53); the sentinel stops the walk at S-1
     bound = np.ceil(cum * float(_UNIT)).astype(np.int64)
     bound[:, -1] = _NEVER
-    # pos: each bucket start's outcome, the number of bounds at or below
-    # it; later: the first column whose bound exceeds a column's bound
-    pos = np.empty((S + 1, 1 << bits), dtype=np.int64)
+    # at_start: each bucket start's outcome, the number of bounds at or
+    # below it; later: the first column whose bound exceeds a column's bound
+    at_start = np.empty((S + 1, 1 << bits), dtype=np.int64)
     later = np.empty((S + 1, S), dtype=np.int64)
     for r, row in enumerate(bound):
-        pos[r] = np.searchsorted(row, starts, side="right")
+        at_start[r] = np.searchsorted(row, starts, side="right")
         later[r] = np.searchsorted(row, row, side="right")
-    # slot j holds the outcome past the j-th boundary inside the bucket,
-    # and the boundary after it; walking on stops once none is left
-    outcomes, thresholds = [], []
-    while True:
-        at = np.take_along_axis(bound, pos, axis=1)
-        inside = at < ends
-        outcomes.append(pos)
-        thresholds.append(np.where(inside, at, _NEVER))
-        if not inside.any():
-            break
-        pos = np.where(inside, np.take_along_axis(later, pos, axis=1), pos)
-    slots = len(outcomes)
-    state = np.stack(outcomes, axis=-1)
-    fv = model.f[state]
+
+    def walk():
+        """Slot by slot: each bucket's outcome past its j-th boundary and
+        the boundary after it, until no bucket has one left."""
+        pos = at_start
+        while True:
+            at = np.take_along_axis(bound, pos, axis=1)
+            inside = at < ends
+            yield pos, np.where(inside, at, _NEVER)
+            if not inside.any():
+                return
+            pos = np.where(inside, np.take_along_axis(later, pos, axis=1),
+                           pos)
+
+    # counted first, so that the tables are filled in place: stacking
+    # per-slot arrays held twice the tables at once, and raised the peak
+    # memory of a 50-state call by about 1 MB
+    slots = sum(1 for _ in walk())
+    thr = np.empty((S + 1, 1 << bits, slots), dtype=np.int64)
+    nxt = np.empty_like(thr)
+    fv = np.empty(thr.shape)
+    for j, (pos, threshold) in enumerate(walk()):
+        thr[..., j] = threshold
+        nxt[..., j] = pos * (slots << bits)
+        fv[..., j] = model.f[pos]
     fv[S] = 0.0
-    return _Sampler(shift=shift, slots=slots,
-                    thr=np.stack(thresholds, axis=-1).ravel(),
-                    nxt=(state * (slots << bits)).ravel(), fv=fv.ravel(),
-                    row=slots << bits, first=S * slots << bits)
+    return _Sampler(shift=shift, slots=slots, thr=thr.ravel(),
+                    nxt=nxt.ravel(), fv=fv.ravel(), row=slots << bits,
+                    first=S * slots << bits)
 
 
 def _sampler(model: MarkovModel) -> _Sampler:

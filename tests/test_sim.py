@@ -188,6 +188,8 @@ class TestEmpiricalTail:
         model = two_state(0.3, 0.3)
         n, trials = 9, 100
         assert sim._tiling(n + 1, trials) == (trials, n + 1)
+        # 2000 trials of 5001 draws stay one chunk, in five tiles
+        assert sim._tiling(5001, 2000) == (2000, 1026)
         baseline = empirical_tail(model, n, 0.6, "upper", trials, seed=6)
         assert baseline.hits == 35           # recorded before tiling
         walk = sim.WALK_VALUES
