@@ -30,11 +30,13 @@ by the top bits of m.  Each bucket holds extra + 1 outcome slots, where
 extra is the most distinct boundaries inside one bucket of any row: the
 outcome below the first such boundary, below the second, and so on,
 each slot with the boundary that ends it, the outcome's f and where the
-outcome's own row starts.  So a step is one bucket lookup, extra
-threshold tests that move the slot on by one each (the boundaries rise
-within a bucket, so a failed test leaves it in place), one f gather and
-one jump to the next row: O(1) work per draw whatever the number of
-states, with the same states as a full comparison against the row.
+outcome's own row starts, and a bucket's slots stored as one block, so
+that a step's lookups share a cache line.  So a step is one bucket
+lookup, extra threshold tests that move the slot on by one each (the
+boundaries rise within a bucket, so a failed test leaves it in place),
+one f gather and one jump to the next row: O(1) work per draw whatever
+the number of states, with the same states as a full comparison against
+the row.
 The walk shifts a tile's words to draws GROUP_STEPS = 8 steps at a
 time, in one transposing pass, so each step reads a contiguous vector
 of draws, and one more pass gives them their bucket offsets.  At
@@ -134,23 +136,41 @@ class _Sampler:
 
     Rows 0..S-1 are the rows of P and row S is the initial law q.  Each
     row has B = 2**(53 - shift) guide buckets, and each bucket ``slots``
-    interleaved slots: slot j of bucket b of row r, at index
-    slots * (r * B + b) + j, is the outcome of the bucket's draws at or
-    above its j-th distinct boundary (slot 0: at or above its start).
+    outcome slots: slot j is the outcome of the bucket's draws at or above
+    its j-th distinct boundary (slot 0: at or above its start).  A bucket
+    is one block of 3 x slots values in ``table``, its slots' thresholds,
+    then their next-row starts, then their f values, so that one step's
+    three lookups share a cache line.  Slot j of bucket b of row r is at
+    G = 3 * slots * (r * B + b) + j, and its three values are ``thr[G]``,
+    ``nxt[G]`` and ``fv[G]``, views of ``table`` at offsets 0, slots and
+    2 * slots.
     """
 
     shift: int             # the guide bucket of draw m is m >> shift
     slots: int             # slots per bucket: most boundaries inside one, + 1
-    thr: np.ndarray        # [slot]: the next boundary inside the bucket, or _NEVER
-    nxt: np.ndarray        # [slot]: slots * B * outcome, where its row starts
-    fv: np.ndarray         # [slot]: f(outcome); 0 in q's row, X_0 adds nothing
-    row: int               # slots * B, the slots of one row
+    table: np.ndarray      # int64 blocks, 3 x slots values per bucket
+    row: int               # 3 * slots * B, the values of one row
     first: int             # row * S, where q's row starts
 
     @property
     def extra(self) -> int:
         """Fix-up steps per draw: the most boundaries inside one bucket."""
         return self.slots - 1
+
+    @property
+    def thr(self) -> np.ndarray:
+        """[G]: the boundary that ends the slot, or _NEVER."""
+        return self.table
+
+    @property
+    def nxt(self) -> np.ndarray:
+        """[G]: where the outcome's row starts, its G at bucket 0."""
+        return self.table[self.slots:]
+
+    @property
+    def fv(self) -> np.ndarray:
+        """[G]: f(outcome); 0 in q's row, since X_0 adds nothing."""
+        return self.table[2 * self.slots:].view(np.float64)
 
 
 def _build_sampler(model: MarkovModel) -> _Sampler:
@@ -190,17 +210,16 @@ def _build_sampler(model: MarkovModel) -> _Sampler:
     # per-slot arrays held twice the tables at once, and raised the peak
     # memory of a 50-state call by about 1 MB
     slots = sum(1 for _ in walk())
-    thr = np.empty((S + 1, 1 << bits, slots), dtype=np.int64)
-    nxt = np.empty_like(thr)
-    fv = np.empty(thr.shape)
+    row = 3 * slots << bits
+    table = np.empty((S + 1, 1 << bits, 3, slots), dtype=np.int64)
+    fv = table[:, :, 2].view(np.float64)
     for j, (pos, threshold) in enumerate(walk()):
-        thr[..., j] = threshold
-        nxt[..., j] = pos * (slots << bits)
+        table[:, :, 0, j] = threshold
+        table[:, :, 1, j] = pos * row
         fv[..., j] = model.f[pos]
     fv[S] = 0.0
-    return _Sampler(shift=shift, slots=slots, thr=thr.ravel(),
-                    nxt=nxt.ravel(), fv=fv.ravel(), row=slots << bits,
-                    first=S * slots << bits)
+    return _Sampler(shift=shift, slots=slots, table=table.ravel(), row=row,
+                    first=S * row)
 
 
 def _sampler(model: MarkovModel) -> _Sampler:
@@ -235,8 +254,7 @@ def _walk(sp: _Sampler, lanes: int, tiles, path=None) -> np.ndarray:
             group = draws[:len(words)]
             np.right_shift(words, 11, out=group.view(np.uint64))
             offset = np.right_shift(group, sp.shift, out=offsets[:len(words)])
-            if extra:
-                offset *= sp.slots
+            offset *= 3 * sp.slots
             for draw, step in zip(group, offset):
                 G += step
                 for _ in range(extra):

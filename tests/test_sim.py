@@ -341,8 +341,7 @@ class TestGuideTableSampler:
             monkeypatch.setattr(sim, "GUIDE_ENTRIES", entries)
         model = chain_of_rows(ADVERSARIAL_ROWS)
         sp = sim._sampler(model)
-        assert len(sp.thr) == len(sp.nxt) == len(sp.fv)
-        assert len(sp.thr) <= sp.slots * (entries or sim.GUIDE_ENTRIES)
+        assert len(sp.table) <= 3 * sp.slots * (entries or sim.GUIDE_ENTRIES)
         draws = np.random.default_rng(4).permutation(
             np.tile(boundary_draws(ADVERSARIAL_ROWS), 6))
         want = inverse_cdf_path(model.P, model.q, draws * 2.0**-53)
@@ -413,7 +412,7 @@ class TestGuideTableSampler:
     def test_two_hundred_states_match_the_replay(self):
         model = random_positive_model(np.random.default_rng(13), 200)
         sp = sim._sampler(model)
-        assert len(sp.thr) <= sp.slots * 16 * 200 * 201
+        assert len(sp.table) <= 3 * sp.slots * 16 * 200 * 201
         n, trials, seed = 30, 25, 400
         mu = float(model.f @ model.q)
         for side in ("upper", "lower"):
@@ -494,8 +493,8 @@ class TestGuideTableSampler:
         with mock.patch.multiple(
                 sim, GUIDE_ENTRIES=entries, TILE_STEPS=tile,
                 DRAW_VALUES=lanes * (tile + sim.WALK_VALUES)):
-            assert len(sim._sampler(model).thr) <= (
-                sim._sampler(model).slots * entries)
+            sp = sim._sampler(model)
+            assert len(sp.table) <= 3 * sp.slots * entries
             est = empirical_tail(model, n, mu, side, trials, seed)
             path = sample_trajectory(model, n, seed)
             draws = boundary_draws(rows)
