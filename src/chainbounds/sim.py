@@ -25,18 +25,18 @@ m = u * 2**53 (numpy's doubles are multiples of 2**-53, so this is
 exact; Philox words w are read as m = w >> 11 directly), and each
 cumulative weight c as ceil(c * 2**53), so ``u >= c`` is the exact
 integer test ``m >= ceil(c * 2**53)``.  A guide table per row (Chen and
-Asau, 1974; Devroye, 1986, sec. III.2.4) splits the draws into buckets
-by the top bits of m.  Each bucket holds extra + 1 outcome slots, where
-extra is the most distinct boundaries inside one bucket of any row: the
-outcome below the first such boundary, below the second, and so on,
-each slot with the boundary that ends it, the outcome's f and where the
-outcome's own row starts, and a bucket's slots stored as one block, so
-that a step's lookups share a cache line.  So a step is one bucket
-lookup, extra threshold tests that move the slot on by one each (the
-boundaries rise within a bucket, so a failed test leaves it in place),
-one f gather and one jump to the next row: O(1) work per draw whatever
-the number of states, with the same states as a full comparison against
-the row.
+Asau, 1974; Devroye, 1986, sec. III.2.4) splits the draws into 8S to
+16S buckets by the top bits of m, fewer where the tables would hold more
+than GUIDE_ENTRIES values.  Each bucket holds extra + 1 outcome slots,
+where extra is the most distinct boundaries inside one bucket of any
+row: the outcome below the first such boundary, below the second, and
+so on, each slot with the boundary that ends it, the outcome's f and
+where the outcome's own row starts, and a bucket's slots stored as one
+block, so that a step's lookups share a cache line.  So a step is one
+bucket lookup, extra threshold tests that move the slot on by one each
+(the boundaries rise within a bucket, so a failed test leaves it in
+place), one f gather and one jump to the next row, with the same states
+as a full comparison against the row.
 The walk shifts a tile's words to draws GROUP_STEPS = 8 steps at a
 time, in one transposing pass, so each step reads a contiguous vector
 of draws, and one more pass gives them their bucket offsets.  At
@@ -78,7 +78,8 @@ WALK_VALUES = 22           # per-trial 8-byte values of the walk: a group's
                            # draws and bucket offsets (2 x GROUP_STEPS),
                            # two slot vectors, the sum, the comparison, and
                            # the threshold and f gathers
-GUIDE_ENTRIES = 2**22      # guide buckets per model, at most
+GUIDE_ENTRIES = 2**22      # 8-byte outcome-table values per model, at
+                           # most, unless one bucket per row needs more
 
 __all__ = [
     "TailEstimate",
@@ -175,48 +176,57 @@ class _Sampler:
 
 def _build_sampler(model: MarkovModel) -> _Sampler:
     S = model.n_states
-    # B = 2**bits buckets per row: 8S to 16S, at most GUIDE_ENTRIES in all
-    bits = max(0, min(math.ceil(math.log2(8 * S)),
-                      (GUIDE_ENTRIES // (S + 1)).bit_length() - 1))
-    shift = 53 - bits
-    starts = np.arange(1 << bits, dtype=np.int64) << shift
-    ends = starts + (1 << shift)
     cum = np.cumsum(np.vstack([model.P, model.q]), axis=1)
     # u >= c  <=>  m >= ceil(c * 2**53); the sentinel stops the walk at S-1
     bound = np.ceil(cum * float(_UNIT)).astype(np.int64)
     bound[:, -1] = _NEVER
-    # at_start: each bucket start's outcome, the number of bounds at or
-    # below it; later: the first column whose bound exceeds a column's bound
-    at_start = np.empty((S + 1, 1 << bits), dtype=np.int64)
+    # each row's distinct boundaries below 2**53 (the rows are sorted),
+    # row-major, so (row, bucket) keys of them come sorted too
+    fresh = np.empty(bound.shape, dtype=bool)
+    fresh[:, 0] = True
+    np.not_equal(bound[:, 1:], bound[:, :-1], out=fresh[:, 1:])
+    fresh &= bound < _UNIT
+    rows, cuts = np.nonzero(fresh)[0], bound[fresh]
+
+    def slots_at(bits: int) -> int:
+        """1 + the most distinct boundaries strictly inside one bucket."""
+        shift = 53 - bits
+        inside = (cuts & ((1 << shift) - 1)) != 0
+        key = (rows[inside] << bits) | (cuts[inside] >> shift)
+        runs = np.flatnonzero(np.diff(key, prepend=-1, append=-1))
+        return 1 + int(np.diff(runs).max(initial=0))
+
+    # B = 2**bits buckets per row: 8S to 16S, fewer while the tables
+    # would exceed GUIDE_ENTRIES values; one bucket per row holds at most
+    # 3 * S * (S + 1), as slots <= S
+    bits = max(0, min(math.ceil(math.log2(8 * S)),
+                      (GUIDE_ENTRIES // (3 * (S + 1))).bit_length() - 1))
+    slots = slots_at(bits)
+    while bits and 3 * slots * (S + 1) << bits > GUIDE_ENTRIES:
+        bits -= 1
+        slots = slots_at(bits)
+    shift = 53 - bits
+    starts = np.arange(1 << bits, dtype=np.int64) << shift
+    ends = starts + (1 << shift)
+    # pos: each bucket start's outcome, the number of bounds at or below
+    # it; later: the first column whose bound exceeds a column's bound
+    pos = np.empty((S + 1, 1 << bits), dtype=np.int64)
     later = np.empty((S + 1, S), dtype=np.int64)
-    for r, row in enumerate(bound):
-        at_start[r] = np.searchsorted(row, starts, side="right")
-        later[r] = np.searchsorted(row, row, side="right")
-
-    def walk():
-        """Slot by slot: each bucket's outcome past its j-th boundary and
-        the boundary after it, until no bucket has one left."""
-        pos = at_start
-        while True:
-            at = np.take_along_axis(bound, pos, axis=1)
-            inside = at < ends
-            yield pos, np.where(inside, at, _NEVER)
-            if not inside.any():
-                return
-            pos = np.where(inside, np.take_along_axis(later, pos, axis=1),
-                           pos)
-
-    # counted first, so that the tables are filled in place: stacking
-    # per-slot arrays held twice the tables at once, and raised the peak
-    # memory of a 50-state call by about 1 MB
-    slots = sum(1 for _ in walk())
+    for r, cut in enumerate(bound):
+        pos[r] = np.searchsorted(cut, starts, side="right")
+        later[r] = np.searchsorted(cut, cut, side="right")
     row = 3 * slots << bits
     table = np.empty((S + 1, 1 << bits, 3, slots), dtype=np.int64)
     fv = table[:, :, 2].view(np.float64)
-    for j, (pos, threshold) in enumerate(walk()):
-        table[:, :, 0, j] = threshold
+    # slot by slot: each bucket's outcome past its j-th boundary and the
+    # boundary after it
+    for j in range(slots):
+        at = np.take_along_axis(bound, pos, axis=1)
+        inside = at < ends
+        table[:, :, 0, j] = np.where(inside, at, _NEVER)
         table[:, :, 1, j] = pos * row
         fv[..., j] = model.f[pos]
+        pos = np.where(inside, np.take_along_axis(later, pos, axis=1), pos)
     fv[S] = 0.0
     return _Sampler(shift=shift, slots=slots, table=table.ravel(), row=row,
                     first=S * row)
@@ -315,9 +325,9 @@ def _philox_rows(first: int, start: int, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _tiling(steps: int, trials: int) -> tuple[int, int]:
-    """(block, width): the most trials in a chunk and draws per tile for
-    ``trials`` trials of ``steps`` draws.
+def _tiling(steps: int, trials: int) -> tuple[int, int, int]:
+    """(chunks, block, width): the number of chunks, the most trials in
+    one and draws per tile for ``trials`` trials of ``steps`` draws.
 
     A chunk holds at most lanes = DRAW_VALUES // (TILE_STEPS + WALK_VALUES)
     (2004) trials, the chunk a tile of TILE_STEPS draws fills the budget
@@ -325,9 +335,10 @@ def _tiling(steps: int, trials: int) -> tuple[int, int]:
     many lanes, so trials of few steps do not fill the budget with more of
     them: a call holds at most lanes x (width + WALK_VALUES) values
     (1.2 MB for 51-step trials).  The trials go into the fewest chunks
-    this allows, ceil(trials / lanes), of equal size: block is
-    ceil(trials / chunks), and the chunks hold block or block - 1 trials,
-    so 2000 trials are one chunk and 5000 are three of 1667 or 1666.
+    this allows, ceil(trials / lanes), of equal size: chunk i holds trials
+    trials * i // chunks up to trials * (i + 1) // chunks, block or
+    block - 1 of them with block = ceil(trials / chunks), so 2000 trials
+    are one chunk and 5000 are three of 1666 or 1667.
 
     A trial is one tile if it fits in its share of DRAW_VALUES or in
     TILE_STEPS.  A longer one is cut into tiles of at least TILE_STEPS
@@ -340,7 +351,7 @@ def _tiling(steps: int, trials: int) -> tuple[int, int]:
     lanes = max(1, DRAW_VALUES // (TILE_STEPS + WALK_VALUES))
     chunks = -(-trials // lanes)
     width = min(steps, max(TILE_STEPS, DRAW_VALUES // trials - WALK_VALUES))
-    return -(-trials // chunks), width
+    return chunks, -(-trials // chunks), width
 
 
 def _philox_tiles(first: int, steps: int, buffer: np.ndarray):
@@ -386,7 +397,7 @@ def sample_trajectory(model: MarkovModel, n: int, rng) -> np.ndarray:
         tiles = (_exact_words(rng.random(n + 1)).reshape(1, -1),)
     else:
         seed = _philox_seed(rng, 1)
-        width = _tiling(n + 1, 1)[1]
+        width = _tiling(n + 1, 1)[2]
         tiles = _philox_tiles(seed, n + 1, np.empty((1, width), np.uint64))
     return _path(model, n + 1, tiles)
 
@@ -514,15 +525,13 @@ def empirical_tail(model: MarkovModel, n: int, mu: float, side: str,
     if math.isnan(mu):
         raise DomainError("sim: mu must be a number, got nan")
     sp = _sampler(model)
-    block, width = _tiling(n + 1, trials)
-    chunks = -(-trials // block)
+    chunks, block, width = _tiling(n + 1, trials)
     # one buffer serves every chunk: with a fresh one per chunk (the last
     # one smaller), glibc kept about one more buffer of freed memory
     # resident, and simulate_tail peaked at 73 MB instead of 59 MB
     buffer = np.empty((block, width), dtype=np.uint64)
     hits = 0
     for i in range(chunks):
-        # equal chunks: their sizes differ by one trial at most
         start, stop = trials * i // chunks, trials * (i + 1) // chunks
         lanes = stop - start
         sums = _walk(sp, lanes,

@@ -187,20 +187,20 @@ class TestEmpiricalTail:
     def test_chunking_does_not_change_results(self, monkeypatch):
         model = two_state(0.3, 0.3)
         n, trials = 9, 100
-        assert sim._tiling(n + 1, trials) == (trials, n + 1)
+        assert sim._tiling(n + 1, trials) == (1, trials, n + 1)
         # 2000 trials of 5001 draws stay one chunk, in five tiles
-        assert sim._tiling(5001, 2000) == (2000, 1026)
+        assert sim._tiling(5001, 2000) == (1, 2000, 1026)
         baseline = empirical_tail(model, n, 0.6, "upper", trials, seed=6)
         assert baseline.hits == 35           # recorded before tiling
         walk = sim.WALK_VALUES
         for budget, steps, tiling in (
-                # 7 whole trials of n + 1 = 10 draws per chunk
-                (7 * (10 + walk), 10, (7, 10)),
-                # 7 trials per chunk in tiles of 3 draws: tiles start
+                # 15 chunks of 6 or 7 whole trials of n + 1 = 10 draws
+                (7 * (10 + walk), 10, (15, 7, 10)),
+                # the same chunks in tiles of 3 draws: tiles start
                 # inside a trial and inside Philox's blocks of 4 words
-                (7 * (3 + walk), 3, (7, 3)),
+                (7 * (3 + walk), 3, (15, 7, 3)),
                 # a tile alone exceeds the budget: one trial per chunk
-                (1, 3, (1, 3))):
+                (1, 3, (100, 1, 3))):
             monkeypatch.setattr(sim, "DRAW_VALUES", budget)
             monkeypatch.setattr(sim, "TILE_STEPS", steps)
             assert sim._tiling(n + 1, trials) == tiling
@@ -223,7 +223,7 @@ class TestEmpiricalTail:
         # TILE_STEPS draws and every shape takes several chunks
         if budget is not None:
             monkeypatch.setattr(sim, "DRAW_VALUES", budget)
-            assert sim._tiling(2501, 40) == (7, sim.TILE_STEPS)
+            assert sim._tiling(2501, 40) == (6, 7, sim.TILE_STEPS)
         for states, n, side, trials, seed, hits in self.PINNED:
             model = random_positive_model(np.random.default_rng(states + n),
                                           states)
@@ -247,7 +247,7 @@ class TestEmpiricalTail:
         monkeypatch.setattr(sim, "DRAW_VALUES", 2**14)
         model = two_state(0.3, 0.3)
         for n in (2000, 20000):
-            assert sim._tiling(n + 1, 15) == (15, 1070)
+            assert sim._tiling(n + 1, 15) == (1, 15, 1070)
             assert self.traced_peak(model, n, 15) < 2 * 8 * sim.DRAW_VALUES
 
     @pytest.mark.parametrize("trials", [5000, 50000])
@@ -256,8 +256,8 @@ class TestEmpiricalTail:
         # chunks here), not the whole budget
         lanes = sim.DRAW_VALUES // (sim.TILE_STEPS + sim.WALK_VALUES)
         assert lanes == 2004
-        block = {5000: 1667, 50000: 2000}[trials]
-        assert sim._tiling(51, trials) == (block, 51)
+        chunks, block = {5000: (3, 1667), 50000: (25, 2000)}[trials]
+        assert sim._tiling(51, trials) == (chunks, block, 51)
         peak = self.traced_peak(two_state(0.3, 0.3), 50, trials)
         assert peak < 2 * 8 * lanes * (51 + sim.WALK_VALUES)
 
@@ -266,13 +266,15 @@ class TestEmpiricalTail:
            budget=st.integers(1, 2**24), tile=st.integers(1, 4096))
     def test_tiling_keeps_its_budget(self, steps, trials, budget, tile):
         with mock.patch.multiple(sim, DRAW_VALUES=budget, TILE_STEPS=tile):
-            block, width = sim._tiling(steps, trials)
+            chunks, block, width = sim._tiling(steps, trials)
         lanes = max(1, budget // (tile + sim.WALK_VALUES))
         assert 1 <= block <= min(trials, lanes)
-        # equal chunks: as few as lanes allows, no two a trial apart or more
-        chunks = -(-trials // lanes)
-        assert -(-trials // block) == chunks
-        assert trials // chunks <= block <= -(-trials // chunks)
+        # equal chunks: as few as lanes allows, no two a trial apart or
+        # more; the last of empirical_tail's split is the largest
+        assert chunks == -(-trials // lanes)
+        assert block == -(-trials // chunks)
+        assert trials - trials * (chunks - 1) // chunks == block
+        assert block - trials // chunks <= 1
         assert 1 <= width <= steps
         if lanes > 1:
             assert block * (width + sim.WALK_VALUES) <= budget
@@ -333,15 +335,20 @@ class TestGuideTableSampler:
                 want = inverse_cdf_path(model.P, model.q, [m * 2.0**-53])
                 assert np.array_equal(path_of(model, [m]), want)
 
-    @pytest.mark.parametrize("entries", [None, 9 * 4, 9])
+    # GUIDE_ENTRIES: 2**bits buckets per row
+    CAPPED_BITS = {None: 6, 3 * 9 * 6 * 4: 2, 3 * 9 * 7 * 2: 1, 9 * 4: 0, 9: 0}
+
+    @pytest.mark.parametrize("entries", list(CAPPED_BITS))
     def test_long_walk_over_boundary_draws(self, monkeypatch, entries):
-        # a capped table has fewer buckets and more fix-up steps; at 9
-        # entries for 8 states and q, one bucket per row
+        # a capped table has fewer buckets and more fix-up steps; at 36 or
+        # 9 values for 8 states and q, one bucket per row, whose table may
+        # exceed the cap but not 3 * S * (S + 1) values
         if entries is not None:
             monkeypatch.setattr(sim, "GUIDE_ENTRIES", entries)
         model = chain_of_rows(ADVERSARIAL_ROWS)
         sp = sim._sampler(model)
-        assert len(sp.table) <= 3 * sp.slots * (entries or sim.GUIDE_ENTRIES)
+        assert sp.shift == 53 - self.CAPPED_BITS[entries]
+        assert len(sp.table) <= max(sim.GUIDE_ENTRIES, 3 * 8 * 9)
         draws = np.random.default_rng(4).permutation(
             np.tile(boundary_draws(ADVERSARIAL_ROWS), 6))
         want = inverse_cdf_path(model.P, model.q, draws * 2.0**-53)
@@ -412,13 +419,28 @@ class TestGuideTableSampler:
     def test_two_hundred_states_match_the_replay(self):
         model = random_positive_model(np.random.default_rng(13), 200)
         sp = sim._sampler(model)
-        assert len(sp.table) <= 3 * sp.slots * 16 * 200 * 201
+        assert len(sp.table) <= sim.GUIDE_ENTRIES
         n, trials, seed = 30, 25, 400
         mu = float(model.f @ model.q)
         for side in ("upper", "lower"):
             est = empirical_tail(model, n, mu, side, trials, seed)
             assert est.hits == replay_tail_hits(model, n, mu, side, trials,
                                                 seed)
+
+    def test_many_tiny_weights_keep_the_table_capped(self):
+        # thirty boundaries share one bucket of a row: the table has fewer
+        # buckets per row, not thirty-one slots in each of 2048
+        model = random_positive_model(np.random.default_rng(13), 200)
+        P = model.P.copy()
+        P[0] = 0.0
+        P[0, 0], P[0, 1:31] = 1.0 - 3e-11, 1e-12
+        model = MarkovModel(model.states, P, model.f, model.q)
+        sp = sim._sampler(model)
+        assert sp.extra >= 30
+        assert len(sp.table) <= sim.GUIDE_ENTRIES
+        mu = float(model.f @ model.q)
+        est = empirical_tail(model, 30, mu, "upper", 25, 400)
+        assert est.hits == replay_tail_hits(model, 30, mu, "upper", 25, 400)
 
     def test_sampling_does_not_import_numpy_ma(self):
         # np.unique imports numpy.ma (about 13 ms); the sampler's rows are
@@ -486,7 +508,7 @@ class TestGuideTableSampler:
         # draws in chunks of 1-5 lanes: walks cross group, tile and chunk
         # boundaries mid-trial
         entries = data.draw(st.sampled_from(
-            [sim.GUIDE_ENTRIES, 36, 4 * (states + 1), states + 1]),
+            [sim.GUIDE_ENTRIES, 36, 24 * (states + 1), states + 1]),
             label="entries")
         tile = data.draw(st.integers(1, 12), label="tile")
         lanes = data.draw(st.integers(1, 5), label="lanes")
@@ -494,7 +516,7 @@ class TestGuideTableSampler:
                 sim, GUIDE_ENTRIES=entries, TILE_STEPS=tile,
                 DRAW_VALUES=lanes * (tile + sim.WALK_VALUES)):
             sp = sim._sampler(model)
-            assert len(sp.table) <= 3 * sp.slots * entries
+            assert len(sp.table) <= max(entries, 3 * states * (states + 1))
             est = empirical_tail(model, n, mu, side, trials, seed)
             path = sample_trajectory(model, n, seed)
             draws = boundary_draws(rows)
