@@ -232,9 +232,7 @@ def _compute_constants(model: MarkovModel, side: str) -> BoundConstants:
         converged=converged,
         tail_guard_passed=tail_ok,
     )
-    # K_t = max v / min v >= 1 and L is a maximum of absolute values, so
-    # only sigma2 can round below 0 (a Lambda'' of -3.5e-18)
-    return BoundConstants(side=side, K=K, L=L, sigma2=max(sigma2, 0.0),
+    return BoundConstants(side=side, K=K, L=L, sigma2=sigma2,
                           rho_inf=rho_inf, grid_summary=summary)
 
 

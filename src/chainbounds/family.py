@@ -164,7 +164,7 @@ class SpectralCurve:
         object.__setattr__(self, "grid", grid)
         if not np.all(np.diff(self.Lambda1) >= -1e-12):
             raise DomainError("family: Lambda' must be nondecreasing in theta")
-        if not np.all(self.Lambda2 >= -1e-10):
+        if not np.all(self.Lambda2 >= 0.0):
             raise DomainError("family: Lambda'' must be nonnegative")
         at0 = np.flatnonzero(grid == 0.0)
         if at0.size and not abs(self.Lambda[at0[0]]) <= 1e-12:
@@ -272,10 +272,9 @@ class TiltedFamily:
         means = np.matmul(pi[:, None, :], self.f[:, None])[:, 0, 0]
         P_theta = _tilted_chains(self.P, D, V, rho)
         fc = self.f - means[:, None]
-        # A = I - P_theta + 1 pi', built in the stack's own memory
-        A = np.subtract(np.eye(self.f.size), P_theta, out=P_theta)
+        A = np.eye(self.f.size) - P_theta
         A += pi[:, None, :]
-        derived = _fundamental(A, pi, fc)
+        derived = _fundamental(A, P_theta, pi, fc)
         return [TiltedPoint(theta=theta, pi_theta=pi[b], Lambda=lam, mean=mean,
                             v=V[b], u=U[b], gap=g, _rho=r, _P=self.P,
                             _d=D[b], _derivatives=derived[b])
@@ -305,8 +304,10 @@ class TiltedFamily:
 
         With fc = f - Lambda' and x = Z fc, w = x - fc (= Z P_theta fc, as
         Z P_theta = Z + 1 pi' - I and pi(fc) = 0) is d log v / d theta up to
-        a constant that cancels from every eigenvector ratio, and Lambda'' =
-        2 pi(fc x) - pi(fc^2); ``lambda_second`` checks it.  A singular
+        a constant that cancels from every eigenvector ratio.  As x solves
+        x - P_theta x = fc, w = P_theta x and Lambda'' is the variance of the
+        martingale increments, sum_x pi(x) sum_y P_theta(x, y) (x(y) - w(x))^2
+        (Meyn and Tweedie, ch. 17); ``lambda_second`` checks it.  A singular
         I - P_theta + 1 pi' (seen on sparse chains once the tilt has
         underflowed part of the chain) raises ``ConvergenceError``.
         """
@@ -360,22 +361,25 @@ class TiltedFamily:
         return values
 
 
-def _fundamental(A: np.ndarray, pi: np.ndarray, fc: np.ndarray) -> list:
-    """(w, Lambda'') of each slice of A = I - P_theta + 1 pi' from x = A^-1 fc
-    (``derivatives``), or None where A is singular.  LAPACK runs once per
-    slice, so an entry does not depend on the rest; numpy fails the whole
-    stack on one singular slice, and then each slice is solved alone."""
+def _fundamental(A: np.ndarray, P_theta: np.ndarray, pi: np.ndarray,
+                 fc: np.ndarray) -> list:
+    """(w, Lambda'') of each slice from A = I - P_theta + 1 pi' and P_theta
+    (``derivatives``), or None where A is singular; once x = A^-1 fc is
+    solved, A holds the squared increments.  LAPACK runs once per slice, so
+    an entry does not depend on the rest; numpy fails the whole stack on
+    one singular slice, and then each slice is solved alone."""
     try:
         x = np.linalg.solve(A, fc[:, :, None])[:, :, 0]
     except np.linalg.LinAlgError:
         if len(A) == 1:
             return [None]
-        return [d for b in range(len(A))
-                for d in _fundamental(*(y[b:b + 1] for y in (A, pi, fc)))]
+        return [d for b in range(len(A)) for d in _fundamental(
+            *(y[b:b + 1] for y in (A, P_theta, pi, fc)))]
     w = x - fc
     w.setflags(write=False)
-    curvature = (2.0 * np.matmul(pi[:, None, :], (fc * x)[:, :, None])
-                 - np.matmul(pi[:, None, :], (fc * fc)[:, :, None]))
+    sq = np.square(np.subtract(x[:, None, :], w[:, :, None], out=A), out=A)
+    sq *= P_theta
+    curvature = np.matmul(pi[:, None, :], sq.sum(axis=2)[:, :, None])
     return list(zip(w, curvature[:, 0, 0].tolist()))
 
 

@@ -84,6 +84,16 @@ def random_irreducible_model(rng: np.random.Generator,
     return MarkovModel(labels, P, f, q)
 
 
+def mixed_draw(k):
+    """Draw k (from 0) of chains with 2-13 states from default_rng(2026):
+    a positive chain for even k, a sparse irreducible one for odd k."""
+    rng = np.random.default_rng(2026)
+    for j in range(k + 1):
+        make = random_irreducible_model if j % 2 else random_positive_model
+        model = make(rng, int(rng.integers(2, 14)))
+    return model
+
+
 @pytest.fixture
 def write_model(tmp_path):
     def _write(text: str, name: str = "model.yaml") -> str:

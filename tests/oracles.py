@@ -2,13 +2,16 @@
 
 Everything here is deliberately computed by a different route than the
 library uses: closed forms, characteristic polynomials, brute-force path
-enumeration, inverse-CDF replays by plain comparison against each row, and
-binomial tails summed in exact rational arithmetic.
+enumeration, inverse-CDF replays by plain comparison against each row,
+binomial tails summed in exact rational arithmetic, and second differences
+of characteristic-polynomial roots in 90-digit decimal arithmetic.
 None of it imports chainbounds.
 """
 
+import decimal
 import itertools
 import math
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -140,6 +143,49 @@ def lambda_second_pair_variance(P, f, theta: float, h: float) -> float:
     weights = pi[:, None] * P_theta
     mean = float((weights * g).sum())
     return float((weights * (g - mean) ** 2).sum())
+
+
+def _decimal_log_rho(P, expo) -> Decimal:
+    """log of the largest root of det(lam I - M), M = P diag(exp(expo)),
+    in the current decimal context: Faddeev-LeVerrier coefficients, then
+    Newton's method from the greatest row sum of M, an upper bound of the
+    root from which every derivative of the polynomial is positive."""
+    d = [e.exp() for e in expo]
+    M = [[Decimal(float(p)) * dy for p, dy in zip(row, d)] for row in P]
+    s = len(M)
+    coeffs = [Decimal(1)]
+    N = [[Decimal(0)] * s for _ in range(s)]
+    for k in range(1, s + 1):
+        N = [[sum(M[i][j] * N[j][c] for j in range(s))
+              + (coeffs[-1] if i == c else 0) for c in range(s)]
+             for i in range(s)]
+        trace = sum(M[i][j] * N[j][i] for i in range(s) for j in range(s))
+        coeffs.append(-trace / k)
+    lam = max(sum(row) for row in M)
+    for _ in range(1000):
+        p, dp = Decimal(0), Decimal(0)
+        for c in coeffs:
+            p, dp = p * lam + c, dp * lam + p
+        step = p / dp
+        lam -= step
+        if abs(step) <= lam.scaleb(-85):
+            return lam.ln()
+    raise ArithmeticError("Newton's method did not converge")
+
+
+def lambda_second_decimal(P, f, theta: float) -> float:
+    """Lambda''(theta) as the central second difference at h = 1e-20 of log
+    rho(P diag(exp(theta f))), each log rho by ``_decimal_log_rho`` at 90
+    digits; the shift m = max theta f is shared by the three tilts, so it
+    cancels from the difference."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 90
+        fs = [Decimal(float(x)) for x in f]
+        t, h = Decimal(float(theta)), Decimal("1e-20")
+        m = max(t * x for x in fs)
+        lo, mid, hi = (_decimal_log_rho(P, [s * x - m for x in fs])
+                       for s in (t - h, t, t + h))
+        return float((hi - 2 * mid + lo) / (h * h))
 
 
 def kl_rate_direct(P, f, theta1: float, theta2: float) -> float:

@@ -14,9 +14,10 @@ from chainbounds import (ConvergenceError, CrossCheckError, DomainError,
                          family_of, kl_rate, level_sets, mean_set,
                          rate_function, spectral_curve, theta_of_mean, tilt,
                          validate)
-from conftest import (iid_model, no_selfloop_top, random_irreducible_model,
-                      random_positive_model, two_cycle, two_state)
-from oracles import (bernoulli_rate, kl_rate_direct,
+from conftest import (iid_model, mixed_draw, no_selfloop_top,
+                      random_irreducible_model, random_positive_model,
+                      two_cycle, two_state)
+from oracles import (bernoulli_rate, kl_rate_direct, lambda_second_decimal,
                      lambda_second_pair_variance, ratio_derivative_fd,
                      simple_cycle_means, two_state_tilted_rho)
 
@@ -173,6 +174,23 @@ class TestDerivatives:
                 want2 = lambda_second_pair_variance(model.P, model.f, theta, h)
                 assert abs(fam.lambda_second(theta) - want2) \
                     <= 1e-7 * abs(want2)
+
+    @pytest.mark.parametrize("k, theta", [
+        (17, 30.0), (17, 56.0), (17, -30.0), (29, -30.0)])
+    def test_far_tilt_second_matches_decimal_referee(self, k, theta):
+        # Lambda'' far below pi(fc^2), where 2 pi(fc x) - pi(fc^2) cancels
+        # (to 0.0 at (17, 30) and 3.5e-18 at (17, 56), where 4e-35 is true)
+        model = mixed_draw(k)
+        ref = lambda_second_decimal(model.P, model.f, theta)
+        value = TiltedFamily(model).derivatives(theta)[1]
+        assert abs(value - ref) <= 1e-12 * ref + 1e-31
+
+    def test_second_is_nonnegative_on_far_tilts(self):
+        thetas = np.linspace(-60.0, 60.0, 121)
+        for k in range(40):
+            fam = TiltedFamily(mixed_draw(k))
+            fam.at_many(thetas)
+            assert all(fam.derivatives(t)[1] >= 0.0 for t in thetas)
 
     def test_cross_check_catches_a_wrong_value(self, monkeypatch):
         model = two_state(0.2, 0.45)
@@ -573,7 +591,7 @@ class TestSpectralCurve:
         model = two_state(0.25, 0.4)
         curve = spectral_curve(model, np.linspace(-4, 4, 41))
         assert np.all(np.diff(curve.Lambda1) >= -1e-12)
-        assert np.all(curve.Lambda2 >= -1e-10)
+        assert np.all(curve.Lambda2 >= 0.0)
         at0 = np.flatnonzero(curve.grid == 0.0)[0]
         assert abs(curve.Lambda[at0]) <= 1e-12
 
@@ -584,14 +602,17 @@ class TestSpectralCurve:
                           Lambda1=np.array([0.0, 0.1]),
                           Lambda2=np.array([0.0, 0.1]))
 
-    @pytest.mark.parametrize("name, index", [
-        ("grid", 1), ("Lambda1", 1), ("Lambda2", 0), ("Lambda", 0)])
-    def test_nan_entry_rejected(self, name, index):
-        # index 0 of Lambda is Lambda(0)
+    @pytest.mark.parametrize("name, index, value", [
+        ("grid", 1, math.nan), ("Lambda1", 1, math.nan),
+        ("Lambda2", 0, math.nan), ("Lambda", 0, math.nan),
+        ("Lambda2", 0, -1e-18)], ids=[
+            "grid-1", "Lambda1-1", "Lambda2-0", "Lambda-0", "Lambda2-negative"])
+    def test_nan_entry_rejected(self, name, index, value):
+        # index 0 of Lambda is Lambda(0); a variance has no negative roundoff
         curve = spectral_curve(two_state(0.25, 0.4), [0.0, 1.0])
         fields = {n: np.array(getattr(curve, n))
                   for n in ("grid", "Lambda", "Lambda1", "Lambda2")}
-        fields[name][index] = math.nan
+        fields[name][index] = value
         with pytest.raises(DomainError):
             SpectralCurve(**fields)
 

@@ -9,7 +9,7 @@ from chainbounds import (AssumptionError, ConvergenceError, MarkovModel,
                          TiltedFamily, constants, limit_matrix,
                          pf_irreducible)
 from chainbounds.perron import pf_stack
-from conftest import (birth_death, iid_model, no_selfloop_top,
+from conftest import (birth_death, iid_model, mixed_draw, no_selfloop_top,
                       random_irreducible_model, random_positive_model,
                       two_cycle, two_state)
 from oracles import (charpoly_spectral_radius, two_cycle_right_eigvec,
@@ -206,16 +206,6 @@ def near_periodic_cycle():
     P = (1 - 1e-3) * np.roll(np.eye(3), 1, axis=1) + 1e-3 / 3
     return MarkovModel(("a", "b", "c"), P, [0.0, 0.5, 1.0],
                        [1 / 3, 1 / 3, 1 / 3])
-
-
-def mixed_draw(k):
-    """Draw k (from 0) of chains with 2-13 states from default_rng(2026):
-    a positive chain for even k, a sparse irreducible one for odd k."""
-    rng = np.random.default_rng(2026)
-    for j in range(k + 1):
-        make = random_irreducible_model if j % 2 else random_positive_model
-        model = make(rng, int(rng.integers(2, 14)))
-    return model
 
 
 def positive_draw(k):
