@@ -9,11 +9,17 @@ objects converge to those of the column-restricted limit matrix.
 K, L and sigma2 are the maxima over every evaluated tilt, the tail guard
 tilts included, so each is at least every value the search computed.
 A round hands all of its new tilts to ``TiltedFamily.lambda_second_many``
-(one stacked Perron solve with the cross-check neighbours, one stacked
-linear solve for the derivatives), then reduces the eigenvector ratios
-of the whole round as one stack.  Constants are memoized on the model
-per side (``model.memo``), and the limit-matrix triple is shared with
-the boundary rate (``family.limit_triple``).
+(one stacked Perron solve, one stacked linear solve for the
+derivatives), then reduces the eigenvector ratios of the whole round as
+one stack.  Lambda'' is checked against the tilted means: after each
+round every interior tilt of the sorted grid centres a Simpson cell
+(``TiltedFamily.cell_splits``), and the midpoints of both halves of a failing
+cell join the next round's stack, or a pass of their own once the
+rounds end, until every cell passes or one fails at the width floor.
+Only the tilts with no narrow cell, theta = 0 and each round's guard
+tilts, solve +- h neighbours in the same stack.  Constants are memoized
+on the model per side (``model.memo``), and the limit-matrix triple is
+shared with the boundary rate (``family.limit_triple``).
 
 The suprema are located with an adaptive grid, not a certified global
 optimizer: start from theta in {0, 0.25, ..., 8}, the grid
@@ -151,20 +157,23 @@ def _compute_constants(model: MarkovModel, side: str) -> BoundConstants:
     K_limit = float(v_inf.max() / v_inf.min())
     rho_inf = limit_triple.rho
 
-    # the evaluated t >= 0 of the half-line, sorted, with K_t, L_t and
-    # sigma2_t at each in the rows of ``values``; the real tilt is sign * t
+    # the evaluated t >= 0 of the half-line, sorted, with K_t, L_t,
+    # sigma2_t and sign * Lambda'(sign * t), which increases in t, at each
+    # in the rows of ``values``; the real tilt is sign * t
     done = np.empty(0)
-    values = np.empty((3, 0))
+    values = np.empty((4, 0))
 
-    def evaluate(ts) -> None:
-        # one round: its new tilts' Lambda'' from one family call, then v
-        # and w from the memo, reduced as a stack
+    def evaluate(ts, lone) -> list:
+        # one round: its new tilts' Lambda'' from one family call, with
+        # +- h neighbours for ``lone``, then v and w from the memo, reduced
+        # as a stack; returns the tilts that split a failing cell
         nonlocal done, values
         known = set(done.tolist())
         ts = np.array([t for t in dict.fromkeys(map(float, ts)) if t not in known])
         thetas = (sign * ts).tolist()
-        s2 = fam.lambda_second_many(thetas)
-        V = np.array([fam.at(theta).v for theta in thetas])
+        s2 = fam.lambda_second_many(thetas, [sign * t for t in lone])
+        points = [fam.at(theta) for theta in thetas]
+        V = np.array([p.v for p in points])
         W = np.array([fam.derivatives(theta)[0] for theta in thetas])
         # division rounds monotonically, so max v / min v is the largest
         # entry of ``ratio``, which L alone needs
@@ -173,14 +182,18 @@ def _compute_constants(model: MarkovModel, side: str) -> BoundConstants:
         slope = W[:, None, :] - W[:, :, None]
         slope *= ratio
         L_t = np.abs(slope, out=slope).max(axis=(1, 2))
+        means = sign * np.array([p.mean for p in points])
         done = np.concatenate((done, ts))
-        values = np.concatenate((values, [K_t, L_t, s2]), axis=1)
+        values = np.concatenate((values, [K_t, L_t, s2, means]), axis=1)
         order = np.argsort(done)
         done, values = done[order], values[:, order]
+        # the guard ``extent`` centres a cell 8-32 wide, checked by +- h
+        return fam.cell_splits(done, values[3], values[2], skip=extent,
+                               sign=sign)
 
     def running_maxima():
-        # the smallest maximizing t of each row; K_limit wins ties
-        i = values.argmax(axis=1)
+        # the smallest maximizing t of K, L and sigma2; K_limit wins ties
+        i = values[:3].argmax(axis=1)
         best = values[np.arange(3), i].tolist()
         args = (sign * done[i]).tolist()
         if not best[0] > K_limit:
@@ -189,7 +202,7 @@ def _compute_constants(model: MarkovModel, side: str) -> BoundConstants:
 
     extent = _family.GRID_EXTENT
     spacing = _family.GRID_SPACING
-    evaluate(_family.half_line_grid())
+    splits = evaluate(_family.half_line_grid(), [0.0])
     best, args = running_maxima()
 
     rounds = 0
@@ -210,7 +223,8 @@ def _compute_constants(model: MarkovModel, side: str) -> BoundConstants:
             for j in range(1, LOCAL_POINTS + 1):
                 ts.extend(t for t in (center - j * spacing, center + j * spacing)
                           if 0.0 <= t <= extent)
-        evaluate(ts + [extent, 2.0 * extent])
+        guards = [extent, 2.0 * extent]
+        splits = evaluate(ts + splits + guards, guards)
         best, args = running_maxima()
         moved = max(
             abs(b - p) / max(abs(p), 1e-30) for b, p in zip(best, prev))
@@ -220,6 +234,9 @@ def _compute_constants(model: MarkovModel, side: str) -> BoundConstants:
         if moved < REFINE_RTOL and tail_ok:
             converged = True
             break
+    while splits:
+        splits = evaluate(splits, [])
+        best, args = running_maxima()
 
     K, L, sigma2 = best
     summary = GridSummary(

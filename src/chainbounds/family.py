@@ -28,11 +28,18 @@ m, for ``sim`` too, and rejects a theta that is not finite or overflows.
 A ``TiltedFamily`` memoizes points by theta, each built with its
 derivatives by one stacked Perron solve and one stacked linear solve per
 batch, bit-identical to a batch of one; the family and each side's
-limit-matrix triple are memoized on the model (``model.memo``).  The
-cross-check neighbours of Lambda'' join their tilts' Perron solve as bare
-Lambda values and are never memoized.  A point keeps read-only views of
-its stack rows and builds ``P_theta`` on first read; all returned values
-are immutable.
+limit-matrix triple are memoized on the model (``model.memo``).  Lambda''
+is checked against the tilted means Lambda', which every solve returns:
+across a cell [t0, t2] of evaluated tilts with centre t1, Lambda' must
+change by the integral of Lambda'', which Simpson's rule takes from the
+three tilts (``TiltedFamily.cell_splits``).  A failing cell is split at
+the midpoints of its halves, the CELL_SPLITS narrowest per pass, and
+checked again; it raises only at a width floor.  A tilt with no cell,
+an end of a grid or a lone tilt, is checked against the quadratic
+difference of Lambda at theta +- h, whose neighbours join its Perron
+solve as bare Lambda values and are never memoized.  A point keeps
+read-only views of its stack rows and builds ``P_theta`` on first read;
+all returned values are immutable.
 
 The limits of Lambda' toward -inf and +inf are the least and greatest
 means of f along a cycle of the graph P > 0 (Friedland 1986); Karp's
@@ -54,7 +61,10 @@ from .model import MarkovModel, level_sets, memo, publish
 
 GRID_SPACING = 0.25        # the initial tilt grid {0, 0.25, ..., 8} of a half-line,
 GRID_EXTENT = 8.0          # shared by the constant search and mean inversion
-CROSS_CHECK_STEP = 5e-4    # step of the mandatory quadratic-difference check
+CROSS_CHECK_STEP = 5e-4    # step of the quadratic-difference check of a lone tilt
+CELL_FLOOR = 1e-6          # width / (1 + |theta|) at which a failing cell raises
+CELL_SPLITS = 16           # failing cells split per pass, the narrowest first
+MEAN_ROUNDING = 4.0        # a solved mean's error in S ulps of max|f| (2.4 seen)
 MEAN_TOL = 1e-10           # on a mean of f over (b - a): degeneracy, rate 0, inversion
 NEWTON_TOL = 1e-12         # on |Lambda' - mu| / (b - a) or step / max(1, |theta|)
 
@@ -215,6 +225,7 @@ class TiltedFamily:
     def __init__(self, model: MarkovModel):
         self.P, self.f = model.P, model.f
         self._points: dict[float, TiltedPoint] = {}
+        self._checked: dict[float, bool] = {}      # tilts that passed +- h
 
     def at(self, theta: float) -> TiltedPoint:
         return memo(self._points, float(theta), self._compute)
@@ -322,22 +333,39 @@ class TiltedFamily:
     def lambda_second(self, theta: float) -> float:
         """Lambda''(theta) by the fundamental matrix (``derivatives``).
 
-        Every value is cross-checked against the quadratic difference
-        (Lambda(theta+h) - 2 Lambda(theta) + Lambda(theta-h)) / h^2 at step
-        h = 5e-4*(1+|theta|) (second differences of an O(1) function below
-        ~1e-3 drown in roundoff at double precision).  Disagreement raises
-        instead of returning silently.
+        A lone tilt has no cell, so its value is cross-checked against the
+        quadratic difference (Lambda(theta+h) - 2 Lambda(theta) +
+        Lambda(theta-h)) / h^2 at step h = 5e-4*(1+|theta|) (second
+        differences of an O(1) function below ~1e-3 drown in roundoff at
+        double precision), once per family.  Disagreement raises instead of
+        returning silently.
         """
         return self.lambda_second_many([theta])[0]
 
-    def lambda_second_many(self, thetas) -> list[float]:
+    def lambda_second_many(self, thetas, lone=None) -> list[float]:
         """``lambda_second`` at each of ``thetas``, in order, from one
-        ``_solve`` of the new tilts and every cross-check neighbour.  The
-        first failure raises, in the order of a loop: the tilt's solve, a
-        singular derivative, then the solves at theta + h and theta - h."""
+        ``_solve`` of the new tilts and the +- h neighbours of the tilts
+        checked alone: those of ``lone`` not yet checked, by default the
+        least and greatest finite tilt (a single tilt is both).
+
+        With ``lone`` None every other tilt is the centre of a Simpson cell
+        of the sorted tilts (``cell_splits``); the tilts that split a failing
+        cell are solved, one stack per pass, and checked with the rest until
+        every cell passes.  They are memoized but not returned.  With
+        ``lone`` given, the caller checks the other tilts by cells, as the
+        constant search does across its rounds.  The first failure raises,
+        in the order of a loop: the tilt's solve, a singular derivative,
+        then the solves at theta + h and theta - h; the cells come last.
+        """
         thetas = [float(t) for t in thetas]
+        cells = lone is None
+        if cells:
+            finite = [t for t in thetas if math.isfinite(t)]
+            lone = [min(finite), max(finite)] if finite else []
+        lone = [t for t in dict.fromkeys(map(float, lone))
+                if t in thetas and t not in self._checked]
         todo = [t for t in dict.fromkeys(thetas) if t not in self._points]
-        near = list(dict.fromkeys(s for t in thetas for s in _stencil(t)[1:]))
+        near = list(dict.fromkeys(s for t in lone for s in _stencil(t)[1:]))
         solved = self._solve(todo, near)
         centres, Lambda = dict(zip(todo, solved)), dict(zip(near, solved[len(todo):]))
         values = []
@@ -345,20 +373,83 @@ class TiltedFamily:
             if theta not in self._points:
                 raise centres[theta]
             value = self.derivatives(theta)[1]
-            h, lo, hi = _stencil(theta)
-            for s in (hi, lo):
-                if isinstance(Lambda[s], Exception):
-                    raise Lambda[s]
-            fd2 = (Lambda[hi] - 2.0 * self._points[theta].Lambda
-                   + Lambda[lo]) / (h * h)
-            tol = max(1e-6, 1e-3 * abs(value))
-            if not abs(value - fd2) <= tol:
-                raise CrossCheckError(
-                    f"family: Lambda'' routes disagree at theta={theta!r}: "
-                    f"fundamental matrix {value!r} vs quadratic difference "
-                    f"{fd2!r} (tolerance {tol:.1e})")
+            if theta in lone and theta not in self._checked:
+                self._check_stencil(theta, value, Lambda)
             values.append(value)
+        grid, splits = [], sorted(set(thetas)) if cells else []
+        while splits:
+            self.at_many(splits)          # a split's failure raises below
+            grid = sorted(grid + splits)
+            splits = self.cell_splits(grid, [self.at(t).mean for t in grid],
+                                      [self.derivatives(t)[1] for t in grid])
         return values
+
+    def _check_stencil(self, theta: float, value: float, Lambda: dict) -> None:
+        """Check ``value`` = Lambda''(theta) against the quadratic difference
+        of Lambda at theta and its neighbours' entries of ``Lambda``, which
+        are floats or the errors their solves raised."""
+        h, lo, hi = _stencil(theta)
+        for s in (hi, lo):
+            if isinstance(Lambda[s], Exception):
+                raise Lambda[s]
+        fd2 = (Lambda[hi] - 2.0 * self._points[theta].Lambda
+               + Lambda[lo]) / (h * h)
+        tol = max(1e-6, 1e-3 * abs(value))
+        if not abs(value - fd2) <= tol:
+            raise CrossCheckError(
+                f"family: Lambda'' routes disagree at theta={theta!r}: "
+                f"fundamental matrix {value!r} vs quadratic difference "
+                f"{fd2!r} (tolerance {tol:.1e})")
+        publish(self._checked, {theta: True})
+
+    def cell_splits(self, t, mean, curvature, skip: float = math.nan,
+                    sign: float = 1.0) -> list[float]:
+        """The tilts that split the failing Simpson cells of the increasing
+        tilts ``t``: the midpoints of both halves of each failing cell.
+
+        Each interior t1, with neighbours t0 < t1 < t2, centres a cell, and
+        the change of ``mean`` (Lambda') over it must equal the integral of
+        ``curvature`` (Lambda''), which Simpson's rule for unequal halves h0,
+        h1 and H = h0 + h1 takes from the three tilts.  The residual over the
+        centre weight H^3 / (6 h0 h1) reads as an error of Lambda''(t1), and
+        the cell fails when it exceeds max(1e-6, 1e-3 Lambda''(t1)) plus the
+        rounding of two means (MEAN_ROUNDING times ``_mean_tol`` at 0 each)
+        over that weight, which matters only in cells far below CELL_FLOOR.
+        A cell that fails at a width H of at most CELL_FLOOR * (1 + |t1|), or
+        whose residual is not a number, raises ``CrossCheckError``; of the
+        others, the CELL_SPLITS narrowest are split.  ``skip`` is a centre
+        checked by +- h instead; ``sign`` maps t to theta = sign * t, for
+        which ``mean`` holds sign * Lambda'.
+        """
+        t, mean, c = (np.asarray(x, dtype=np.float64) for x in (t, mean, curvature))
+        H = t[2:] - t[:-2]
+        a0, a1 = (t[1:-1] - t[:-2]) / H, (t[2:] - t[1:-1]) / H
+        # both sides over the centre weight, in a form that neither
+        # overflows nor forms 0 * inf on the narrowest cells
+        with np.errstate(invalid="ignore", over="ignore"):
+            error = np.abs(6.0 * a0 * a1 * ((mean[2:] - mean[:-2]) / H)
+                           - c[1:-1] - a1 * (2.0 * a0 - a1) * c[:-2]
+                           - a0 * (2.0 * a1 - a0) * c[2:])
+            tol = np.maximum(1e-6, 1e-3 * np.abs(c[1:-1]))
+            rounding = 2.0 * MEAN_ROUNDING * _mean_tol(self.f, 0.0)
+            slack = tol + 6.0 * a0 * a1 * (rounding / H)
+        failing = np.flatnonzero(~(error <= slack) & (t[1:-1] != skip))
+        for i in failing.tolist():
+            t0, t1, t2 = t[i:i + 3].tolist()
+            if H[i] <= CELL_FLOOR * (1.0 + abs(t1)) or not math.isfinite(error[i]):
+                lo, hi = sorted((sign * t0, sign * t2))
+                raise CrossCheckError(
+                    f"family: Lambda'' at theta={sign * t1!r} ({float(c[i + 1])!r}) "
+                    f"is off by {error[i]:.3e} against the change of Lambda' "
+                    f"over [{lo!r}, {hi!r}] (tolerance {tol[i]:.1e})")
+        # a wrong Lambda'' fails every cell at every width, and splitting
+        # them all would double the tilts each pass on the way to the floor
+        narrowest = failing[np.argsort(H[failing], kind="stable")[:CELL_SPLITS]]
+        splits = []
+        for i in sorted(narrowest.tolist()):
+            t0, t1, t2 = t[i:i + 3].tolist()
+            splits += [0.5 * (t0 + t1), 0.5 * (t1 + t2)]
+        return list(dict.fromkeys(splits))
 
 
 def _fundamental(A: np.ndarray, P_theta: np.ndarray, pi: np.ndarray,
@@ -385,7 +476,7 @@ def _fundamental(A: np.ndarray, P_theta: np.ndarray, pi: np.ndarray,
 
 def _stencil(theta: float) -> tuple[float, float, float]:
     """(h, theta - h, theta + h): the step 5e-4*(1+|theta|) of the Lambda''
-    cross-check at theta and the neighbours it solves."""
+    cross-check of a tilt with no cell and the neighbours it solves."""
     h = CROSS_CHECK_STEP * (1.0 + abs(theta))
     return h, theta - h, theta + h
 
@@ -625,7 +716,11 @@ def _attainable(model: MarkovModel) -> tuple[float, float]:
 
 
 def spectral_curve(model: MarkovModel, thetas) -> SpectralCurve:
-    """Evaluate Lambda, Lambda' and Lambda'' over a theta grid."""
+    """Evaluate Lambda, Lambda' and Lambda'' over a theta grid.
+
+    Lambda'' is checked by the cells of the grid and by +- h at its ends
+    (``TiltedFamily.lambda_second_many``); the tilts that split a failing
+    cell are solved and memoized, but the curve holds the grid alone."""
     fam = family_of(model)
     grid = np.asarray(thetas, dtype=np.float64)
     lam2 = fam.lambda_second_many(grid)

@@ -84,6 +84,16 @@ def random_irreducible_model(rng: np.random.Generator,
     return MarkovModel(labels, P, f, q)
 
 
+def spike(eps: float) -> MarkovModel:
+    """Three states whose Perron root crosses over near theta = 9.99 from
+    the weakly coupled block {1, 2} (coupling ``eps``) to state 0; there
+    Lambda'' has a narrow peak (5.16 at eps = 1e-6, 51.6 at eps = 1e-8)."""
+    rest = (1.0 - eps) / 2.0
+    return MarkovModel(("0", "1", "2"),
+                       [[0.05, 0.95, 0.0], [eps, rest, rest], [eps, rest, rest]],
+                       [1.0, 0.7, 0.7], [1 / 3, 1 / 3, 1 / 3])
+
+
 def mixed_draw(k):
     """Draw k (from 0) of chains with 2-13 states from default_rng(2026):
     a positive chain for even k, a sparse irreducible one for odd k."""

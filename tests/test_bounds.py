@@ -4,18 +4,23 @@ import math
 import sys
 import threading
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import chainbounds.family as family_module
 import chainbounds.perron as perron_module
-from chainbounds import (AssumptionError, ChainboundsError, DomainError,
-                         MarkovModel, TiltedFamily, chernoff_bound, constants,
-                         ergodic_gap, family_of, level_sets,
-                         rate_function, tilt, two_sided_bound, validate)
-from conftest import (iid_model, random_irreducible_model,
-                      random_positive_model, two_cycle, two_state)
+from chainbounds import (AssumptionError, ChainboundsError, CrossCheckError,
+                         DomainError, MarkovModel, TiltedFamily,
+                         chernoff_bound, constants, ergodic_gap, family_of,
+                         level_sets, load_model, rate_function, tilt,
+                         two_sided_bound, validate)
+from conftest import (iid_model, mixed_draw, random_irreducible_model,
+                      random_positive_model, spike, two_cycle, two_state)
 from oracles import bernoulli_rate, exact_tail_probability
+
+FIXTURES = Path(__file__).resolve().parents[1] / "bench" / "fixtures"
 
 
 class TestConstants:
@@ -402,3 +407,142 @@ def test_constants_build_one_perron_triple(monkeypatch):
     assert constants(model, "upper").grid_summary.n_points > 1
     assert len(built) == 1
 
+
+
+def count_stacks(monkeypatch) -> list:
+    """Record the member count of every ``perron.pf_stack`` call."""
+    stacks = []
+    pf_stack = perron_module.pf_stack
+    monkeypatch.setattr(perron_module, "pf_stack",
+                        lambda P, D: stacks.append(len(D)) or pf_stack(P, D))
+    return stacks
+
+
+@pytest.mark.parametrize("name, side, points, calls, members", [
+    ("chain2", "upper", 112, 4, 121), ("chain2", "lower", 320, 9, 339),
+    ("chain10", "upper", 116, 4, 125), ("chain10", "lower", 70, 3, 77)])
+def test_constants_perron_work_is_pinned(monkeypatch, name, side, points,
+                                         calls, members):
+    # one stack for the limit matrix and one per round; a member for each
+    # grid point and the limit matrix, and +- h neighbours only for
+    # theta = 0 and each new guard tilt (a neighbour per point gave 337,
+    # 961, 349 and 211 members)
+    stacks = count_stacks(monkeypatch)
+    c = constants(load_model(str(FIXTURES / f"{name}.yaml")), side)
+    assert (c.grid_summary.n_points, len(stacks), sum(stacks)) == (
+        points, calls, members)
+
+
+def test_second_side_reuses_the_checked_zero_tilt(monkeypatch):
+    # theta = 0 and its +- h check are solved by the first side only
+    model = load_model(str(FIXTURES / "chain2.yaml"))
+    constants(model, "upper")
+    stacks = count_stacks(monkeypatch)
+    assert constants(model, "lower").grid_summary.n_points == 320
+    assert sum(stacks) == 339 - 3
+
+
+@pytest.mark.parametrize("eps, argmax", [(1e-6, 9.984375),
+                                         (1e-8, 9.98583984375)])
+def test_narrow_crossing_gets_constants_and_a_bound(eps, argmax):
+    # the +- h check read a false alarm at theta = 10.125 (eps = 1e-6) and
+    # 10.0 (eps = 1e-8), where the peak of Lambda'' is narrower than 9 h;
+    # the cells there split until the peak is resolved
+    model = spike(eps)
+    c = constants(model, "upper")
+    report = chernoff_bound(model, 100, 0.9, "upper")
+    assert c.grid_summary.converged and c.grid_summary.argmax_sigma2 == argmax
+    assert report.chernoff <= report.hoeffding_sigma <= report.hoeffding_range
+    fam = TiltedFamily(model)
+    sweep = np.linspace(9.98, 9.99, 201)
+    fam.at_many(sweep)
+    peak = max(fam.derivatives(t)[1] for t in sweep)
+    assert 0.99 * peak <= c.sigma2 <= peak
+
+
+def bench_positive_chain(seed: int, job: int, S: int) -> MarkovModel:
+    """The bounds_dense benchmark's model of one job (its positive_chain
+    draw from default_rng([seed, job])), with a uniform q."""
+    rng = np.random.default_rng([seed, job])
+    P = 1.0 + 0.5 * rng.random((S, S))
+    P /= P.sum(axis=1, keepdims=True)
+    f = rng.permutation(np.linspace(0.0, 1.0, S))
+    return MarkovModel(tuple(f"s{i}" for i in range(S)), P, f,
+                       np.full(S, 1.0 / S))
+
+
+def mutation_searches():
+    """(model maker, side) of every search of the 2026 set whose side's
+    assumptions hold, and of the benchmark's fixtures and first two
+    bounds_dense jobs."""
+    makers = [lambda k=k: mixed_draw(k) for k in range(40)]
+    makers += [lambda n=n: load_model(str(FIXTURES / f"{n}.yaml"))
+               for n in ("chain2", "chain10")]
+    makers += [lambda: bench_positive_chain(1, 0, 10),
+               lambda: bench_positive_chain(1, 1, 50)]
+    out = []
+    for make in makers:
+        report = validate(make())
+        out += [(make, side) for side, ok in (("upper", report.upper_ok),
+                                              ("lower", report.lower_ok)) if ok]
+    return out
+
+
+def first_round(model, side):
+    """The first round's t >= 0, sign * Lambda' and Lambda'' of a search,
+    from the model's family, unchecked."""
+    sign = 1.0 if side == "upper" else -1.0
+    fam = family_of(model)
+    t = family_module.half_line_grid()
+    fam.at_many(sign * t)
+    means = [sign * fam.at(sign * s).mean for s in t]
+    return fam, t, means, [fam.derivatives(sign * s)[1] for s in t]
+
+
+class TestCellCheck:
+    @pytest.mark.parametrize("scale", [1.0 + 2e-3, 1.0 - 2e-3])
+    def test_one_scaled_value_is_caught(self, scale):
+        searches = mutation_searches()
+        assert len(searches) == 46 + 8
+        for make, side in searches:
+            model = make()
+            fam, t, _, curvature = first_round(model, side)
+            # the first round's cell centre with the largest Lambda''
+            i = 1 + int(np.argmax(curvature[1:-1]))
+            theta = (1.0 if side == "upper" else -1.0) * float(t[i])
+            assert curvature[i] >= 5e-3
+            point = fam.at(theta)
+            fam._points[theta] = dataclasses.replace(
+                point, _derivatives=(point._derivatives[0],
+                                     scale * curvature[i]))
+            with pytest.raises(CrossCheckError,
+                               match=rf"theta={theta!r} .* is off by"):
+                constants(model, side)
+
+    @pytest.mark.parametrize("increments", [
+        lambda x, w: x[None, :] + w[:, None],      # the wrong sign
+        lambda x, w: x[None, :] + 0.0 * w[:, None],  # w replaced by 0
+    ], ids=["wrong-sign", "w-zero"])
+    def test_wrong_variance_formulas_are_caught(self, monkeypatch, increments):
+        # Lambda'' = sum_x pi(x) sum_y P_theta(x, y) (x(y) - w(x))^2, with
+        # the increments mutated: the mutant fails cells of the first round
+        # that pass on clean values (a clean round may split a cell that the
+        # next round's local points resolve anyway), and the search raises
+        fundamental = family_module._fundamental
+
+        def mutant(A, P_theta, pi, fc):
+            return [None if d is None else (d[0], float(
+                        pi[b] @ (P_theta[b] * increments(d[0] + fc[b], d[0]) ** 2
+                                 ).sum(axis=1)))
+                    for b, d in enumerate(fundamental(A, P_theta, pi, fc))]
+
+        for make, side in mutation_searches():
+            fam, t, means, curvature = first_round(make(), side)
+            clean = fam.cell_splits(t, means, curvature)
+            monkeypatch.setattr(family_module, "_fundamental", mutant)
+            model = make()
+            fam, t, means, curvature = first_round(model, side)
+            assert not set(fam.cell_splits(t, means, curvature)) <= set(clean)
+            with pytest.raises(CrossCheckError):
+                constants(model, side)
+            monkeypatch.setattr(family_module, "_fundamental", fundamental)

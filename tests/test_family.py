@@ -193,14 +193,19 @@ class TestDerivatives:
             assert all(fam.derivatives(t)[1] >= 0.0 for t in thetas)
 
     def test_cross_check_catches_a_wrong_value(self, monkeypatch):
+        # 0.7 centres the cell [0.5, 0.9] of the grid and is checked by the
+        # means; alone, it is checked by +- h
         model = two_state(0.2, 0.45)
         fam = family_of(model)
-        w, value = fam.derivatives(0.7)
         point = fam.at(0.7)
+        w, value = point._derivatives
         for bad in (1.01 * value, math.nan):
             wrong = dataclasses.replace(point, _derivatives=(w, bad))
             monkeypatch.setitem(fam._points, 0.7, wrong)
-            with pytest.raises(CrossCheckError):
+            with pytest.raises(CrossCheckError, match="is off by"):
+                spectral_curve(model, [0.5, 0.7, 0.9])
+            with pytest.raises(CrossCheckError,
+                               match="routes disagree at theta=0.7"):
                 fam.lambda_second(0.7)
 
     def test_extreme_sparse_tilt_keeps_lambda_second_finite(self):
@@ -642,9 +647,12 @@ def chains(draw):
 def theta_sets(draw):
     base = draw(st.lists(st.floats(-200.0, 200.0), min_size=1, max_size=6))
     thetas = [0.0] + base + draw(st.lists(st.sampled_from(base), max_size=3))
-    # the cross-check neighbours of a few of them, as the constant search asks
-    for theta in draw(st.lists(st.sampled_from(base), max_size=3)):
-        thetas += family_module._stencil(theta)[1:]
+    # the tilts that split a few cells, as a failing cell asks: the
+    # midpoints of both halves of a cell [t0, t2] with centre t1
+    for cell in draw(st.lists(st.lists(st.sampled_from(base), min_size=3,
+                                       max_size=3), max_size=2)):
+        t0, t1, t2 = sorted(cell)
+        thetas += [0.5 * (t0 + t1), 0.5 * (t1 + t2)]
     return draw(st.permutations(thetas))
 
 
@@ -723,6 +731,20 @@ class TestStackedPoints:
         fresh = MarkovModel(model.states, model.P, model.f, model.q)
         spectral_curve(fresh, grid)
         assert set(family_of(fresh)._points) == set(grid.tolist())
+        # on a coarse grid cells split: the memo gains the split tilts,
+        # each the midpoint of two memoized tilts, but no neighbour of an end
+        coarse = MarkovModel(model.states, model.P, model.f, model.q)
+        grid = np.linspace(-40.0, 40.0, 33).tolist()
+        curve = spectral_curve(coarse, grid)
+        assert curve.grid.tolist() == grid
+        solved = set(family_of(coarse)._points)
+        splits = solved - set(grid)
+        assert splits and set(grid) <= solved
+        assert all(any(0.5 * (a + b) == m for a in solved for b in solved)
+                   for m in splits)
+        ends = {s for t in (grid[0], grid[-1])
+                for s in family_module._stencil(t)[1:]}
+        assert not ends & solved
         points = list(fam._points.values())
         assert not any("P_theta" in p.__dict__ for p in points)
         # built on read, with the bytes of the product-first formula
