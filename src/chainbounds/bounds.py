@@ -16,10 +16,11 @@ round every interior tilt of the sorted grid centres a Simpson cell
 (``TiltedFamily.cell_splits``), and the midpoints of both halves of a failing
 cell join the next round's stack, or a pass of their own once the
 rounds end, until every cell passes or one fails at the width floor.
-Only the tilts with no narrow cell, theta = 0 and each round's guard
-tilts, solve +- h neighbours in the same stack.  Constants are memoized
-on the model per side (``model.memo``), and the limit-matrix triple is
-shared with the boundary rate (``family.limit_triple``).
+The tilts with no narrow cell, theta = 0 and each round's guard tilts,
+are checked by a cell of their own, whose ends join the same stack.
+Constants are memoized on the model per side (``model.memo``), and the
+limit-matrix triple is shared with the boundary rate
+(``family.limit_triple``).
 
 The suprema are located with an adaptive grid, not a certified global
 optimizer: start from theta in {0, 0.25, ..., 8}, the grid
@@ -164,8 +165,8 @@ def _compute_constants(model: MarkovModel, side: str) -> BoundConstants:
     values = np.empty((4, 0))
 
     def evaluate(ts, lone) -> list:
-        # one round: its new tilts' Lambda'' from one family call, with
-        # +- h neighbours for ``lone``, then v and w from the memo, reduced
+        # one round: its new tilts' Lambda'' from one family call, with a
+        # cell of their own for ``lone``, then v and w from the memo, reduced
         # as a stack; returns the tilts that split a failing cell
         nonlocal done, values
         known = set(done.tolist())
@@ -187,7 +188,7 @@ def _compute_constants(model: MarkovModel, side: str) -> BoundConstants:
         values = np.concatenate((values, [K_t, L_t, s2, means]), axis=1)
         order = np.argsort(done)
         done, values = done[order], values[:, order]
-        # the guard ``extent`` centres a cell 8-32 wide, checked by +- h
+        # the guard ``extent`` centres a cell 8-32 wide: its own cell checks it
         return fam.cell_splits(done, values[3], values[2], skip=extent,
                                sign=sign)
 

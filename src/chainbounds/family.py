@@ -34,12 +34,12 @@ across a cell [t0, t2] of evaluated tilts with centre t1, Lambda' must
 change by the integral of Lambda'', which Simpson's rule takes from the
 three tilts (``TiltedFamily.cell_splits``).  A failing cell is split at
 the midpoints of its halves, the CELL_SPLITS narrowest per pass, and
-checked again; it raises only at a width floor.  A tilt with no cell,
-an end of a grid or a lone tilt, is checked against the quadratic
-difference of Lambda at theta +- h, whose neighbours join its Perron
-solve as bare Lambda values and are never memoized.  A point keeps
-read-only views of its stack rows and builds ``P_theta`` on first read;
-all returned values are immutable.
+checked again; it raises only at a width floor.  A tilt that no caller
+checks by cells gets a cell [theta - h, theta + h] of its own, a quarter
+of the floor width, so a failing one raises at once; its two ends join
+the tilt's Perron solve as bare tilted means and are never memoized.  A
+point keeps read-only views of its stack rows and builds ``P_theta`` on
+first read; all returned values are immutable.
 
 The limits of Lambda' toward -inf and +inf are the least and greatest
 means of f along a cycle of the graph P > 0 (Friedland 1986); Karp's
@@ -61,7 +61,6 @@ from .model import MarkovModel, level_sets, memo, publish
 
 GRID_SPACING = 0.25        # the initial tilt grid {0, 0.25, ..., 8} of a half-line,
 GRID_EXTENT = 8.0          # shared by the constant search and mean inversion
-CROSS_CHECK_STEP = 5e-4    # step of the quadratic-difference check of a lone tilt
 CELL_FLOOR = 1e-6          # width / (1 + |theta|) at which a failing cell raises
 CELL_SPLITS = 16           # failing cells split per pass, the narrowest first
 MEAN_ROUNDING = 4.0        # a solved mean's error in S ulps of max|f| (2.4 seen)
@@ -225,7 +224,9 @@ class TiltedFamily:
     def __init__(self, model: MarkovModel):
         self.P, self.f = model.P, model.f
         self._points: dict[float, TiltedPoint] = {}
-        self._checked: dict[float, bool] = {}      # tilts that passed +- h
+        self._checked: dict[float, bool] = {}      # tilts whose own cell passed
+        # the rounding of two solved means, which a cell's slack allows
+        self._rounding = 2.0 * MEAN_ROUNDING * _mean_tol(self.f, 0.0)
 
     def at(self, theta: float) -> TiltedPoint:
         return memo(self._points, float(theta), self._compute)
@@ -249,23 +250,26 @@ class TiltedFamily:
         if todo:
             self._solve(todo)
 
-    def _solve(self, thetas: list, neighbours: list = ()) -> list:
-        """The published point of each of ``thetas``, then the bare Lambda
-        of each of ``neighbours``, or the error its tilt or solve raised;
+    def _solve(self, thetas: list, ends: list = ()) -> list:
+        """The published point of each of ``thetas``, then the bare tilted
+        mean of each of ``ends``, or the error its tilt or solve raised;
         one ``perron.pf_stack`` for all, entries bit-identical to solo."""
-        tilts = np.array([*thetas, *neighbours], dtype=np.float64)
+        tilts = np.array([*thetas, *ends], dtype=np.float64)
         D, m, out = _weights(self.f, tilts)
         rows = [i for i, error in enumerate(out) if error is None]
         rho, U, V, gap, errors = _perron.pf_stack(self.P, D[rows])
+        pi = U * V
+        means = np.matmul(pi[:, None, :], self.f[:, None])[:, 0, 0]
         for k, i in enumerate(rows):           # i is the tilt of member k
-            out[i] = (m[i].item() + math.log(rho[k]) if errors[k] is None
-                      else errors[k])
+            out[i] = errors[k] or means[k].item()
         built = [k for k, i in enumerate(rows)
                  if i < len(thetas) and errors[k] is None]
         if built:
             at = [rows[k] for k in built]
-            points = self._assemble(tilts[at], D[at], [out[i] for i in at],
-                                    rho[built], U[built], V[built], gap[built])
+            Lambda = [m[i].item() + math.log(rho[k]) for k, i in zip(built, at)]
+            points = self._assemble(tilts[at], D[at], Lambda, rho[built],
+                                    U[built], V[built], pi[built],
+                                    means[built], gap[built])
             publish(self._points, {p.theta: p for p in points})
             for i, point in zip(at, points):
                 out[i] = point
@@ -273,14 +277,13 @@ class TiltedFamily:
 
     def _assemble(self, thetas: np.ndarray, D: np.ndarray, Lambda: list,
                   rho: np.ndarray, U: np.ndarray, V: np.ndarray,
+                  pi: np.ndarray, means: np.ndarray,
                   gap: np.ndarray) -> list[TiltedPoint]:
         """Points from the weight rows of P, their Lambda and their rows of
-        ``perron.pf_stack``, with the derivatives of all from one stacked
-        linear solve (``_fundamental``)."""
-        pi = U * V
+        ``perron.pf_stack``, stationary laws and means, with the derivatives
+        of all from one stacked linear solve (``_fundamental``)."""
         for x in (D, U, V, pi):
             x.setflags(write=False)
-        means = np.matmul(pi[:, None, :], self.f[:, None])[:, 0, 0]
         P_theta = _tilted_chains(self.P, D, V, rho)
         fc = self.f - means[:, None]
         A = np.eye(self.f.size) - P_theta
@@ -333,74 +336,51 @@ class TiltedFamily:
     def lambda_second(self, theta: float) -> float:
         """Lambda''(theta) by the fundamental matrix (``derivatives``).
 
-        A lone tilt has no cell, so its value is cross-checked against the
-        quadratic difference (Lambda(theta+h) - 2 Lambda(theta) +
-        Lambda(theta-h)) / h^2 at step h = 5e-4*(1+|theta|) (second
-        differences of an O(1) function below ~1e-3 drown in roundoff at
-        double precision), once per family.  Disagreement raises instead of
-        returning silently.
+        A lone tilt is checked, once per family, by a cell of its own: the
+        change of the tilted mean Lambda' across [theta - h, theta + h],
+        h = CELL_FLOOR * (1 + |theta|) / 8, must equal the integral of
+        Lambda'', which Simpson's rule takes with Lambda''(theta) at all
+        three tilts (its values at the ends differ by about h^2 Lambda''''
+        / 2).  The cell is narrower than the floor of ``cell_splits``, so a
+        failing one raises instead of returning silently.
         """
         return self.lambda_second_many([theta])[0]
 
     def lambda_second_many(self, thetas, lone=None) -> list[float]:
         """``lambda_second`` at each of ``thetas``, in order, from one
-        ``_solve`` of the new tilts and the +- h neighbours of the tilts
-        checked alone: those of ``lone`` not yet checked, by default the
-        least and greatest finite tilt (a single tilt is both).
+        ``_solve`` of the new tilts and the ends of the own cells of the
+        tilts checked alone: those of ``lone`` not yet checked, by default
+        every tilt, so a batch equals its solo calls.
 
-        With ``lone`` None every other tilt is the centre of a Simpson cell
-        of the sorted tilts (``cell_splits``); the tilts that split a failing
-        cell are solved, one stack per pass, and checked with the rest until
-        every cell passes.  They are memoized but not returned.  With
-        ``lone`` given, the caller checks the other tilts by cells, as the
-        constant search does across its rounds.  The first failure raises,
-        in the order of a loop: the tilt's solve, a singular derivative,
-        then the solves at theta + h and theta - h; the cells come last.
+        With ``lone`` given, the caller checks the other tilts by cells, as
+        the constant search does across its rounds.  The first failure
+        raises, in the order of a loop: the tilt's solve, a singular
+        derivative, the solves at theta + h and theta - h, then its cell.
         """
         thetas = [float(t) for t in thetas]
-        cells = lone is None
-        if cells:
-            finite = [t for t in thetas if math.isfinite(t)]
-            lone = [min(finite), max(finite)] if finite else []
-        lone = [t for t in dict.fromkeys(map(float, lone))
-                if t in thetas and t not in self._checked]
+        given = set(thetas)
+        lone = {t: _ends(t) for t in (thetas if lone is None else map(float, lone))
+                if t in given and t not in self._checked}
         todo = [t for t in dict.fromkeys(thetas) if t not in self._points]
-        near = list(dict.fromkeys(s for t in lone for s in _stencil(t)[1:]))
-        solved = self._solve(todo, near)
-        centres, Lambda = dict(zip(todo, solved)), dict(zip(near, solved[len(todo):]))
+        ends = list(dict.fromkeys(s for cell in lone.values() for s in cell))
+        solved = self._solve(todo, ends)
+        centres, mean = dict(zip(todo, solved)), dict(zip(ends, solved[len(todo):]))
         values = []
         for theta in thetas:
             if theta not in self._points:
                 raise centres[theta]
             value = self.derivatives(theta)[1]
-            if theta in lone and theta not in self._checked:
-                self._check_stencil(theta, value, Lambda)
+            if theta in lone:
+                lo, hi = lone.pop(theta)
+                for s in (hi, lo):
+                    if isinstance(mean[s], Exception):
+                        raise mean[s]
+                centre = self._points[theta].mean
+                self.cell_splits([lo, theta, hi], [mean[lo], centre, mean[hi]],
+                                 [value] * 3)
+                publish(self._checked, {theta: True})
             values.append(value)
-        grid, splits = [], sorted(set(thetas)) if cells else []
-        while splits:
-            self.at_many(splits)          # a split's failure raises below
-            grid = sorted(grid + splits)
-            splits = self.cell_splits(grid, [self.at(t).mean for t in grid],
-                                      [self.derivatives(t)[1] for t in grid])
         return values
-
-    def _check_stencil(self, theta: float, value: float, Lambda: dict) -> None:
-        """Check ``value`` = Lambda''(theta) against the quadratic difference
-        of Lambda at theta and its neighbours' entries of ``Lambda``, which
-        are floats or the errors their solves raised."""
-        h, lo, hi = _stencil(theta)
-        for s in (hi, lo):
-            if isinstance(Lambda[s], Exception):
-                raise Lambda[s]
-        fd2 = (Lambda[hi] - 2.0 * self._points[theta].Lambda
-               + Lambda[lo]) / (h * h)
-        tol = max(1e-6, 1e-3 * abs(value))
-        if not abs(value - fd2) <= tol:
-            raise CrossCheckError(
-                f"family: Lambda'' routes disagree at theta={theta!r}: "
-                f"fundamental matrix {value!r} vs quadratic difference "
-                f"{fd2!r} (tolerance {tol:.1e})")
-        publish(self._checked, {theta: True})
 
     def cell_splits(self, t, mean, curvature, skip: float = math.nan,
                     sign: float = 1.0) -> list[float]:
@@ -418,8 +398,8 @@ class TiltedFamily:
         A cell that fails at a width H of at most CELL_FLOOR * (1 + |t1|), or
         whose residual is not a number, raises ``CrossCheckError``; of the
         others, the CELL_SPLITS narrowest are split.  ``skip`` is a centre
-        checked by +- h instead; ``sign`` maps t to theta = sign * t, for
-        which ``mean`` holds sign * Lambda'.
+        that the caller checks by a cell of its own; ``sign`` maps t to
+        theta = sign * t, for which ``mean`` holds sign * Lambda'.
         """
         t, mean, c = (np.asarray(x, dtype=np.float64) for x in (t, mean, curvature))
         H = t[2:] - t[:-2]
@@ -431,8 +411,7 @@ class TiltedFamily:
                            - c[1:-1] - a1 * (2.0 * a0 - a1) * c[:-2]
                            - a0 * (2.0 * a1 - a0) * c[2:])
             tol = np.maximum(1e-6, 1e-3 * np.abs(c[1:-1]))
-            rounding = 2.0 * MEAN_ROUNDING * _mean_tol(self.f, 0.0)
-            slack = tol + 6.0 * a0 * a1 * (rounding / H)
+            slack = tol + 6.0 * a0 * a1 * (self._rounding / H)
         failing = np.flatnonzero(~(error <= slack) & (t[1:-1] != skip))
         for i in failing.tolist():
             t0, t1, t2 = t[i:i + 3].tolist()
@@ -474,11 +453,11 @@ def _fundamental(A: np.ndarray, P_theta: np.ndarray, pi: np.ndarray,
     return list(zip(w, curvature[:, 0, 0].tolist()))
 
 
-def _stencil(theta: float) -> tuple[float, float, float]:
-    """(h, theta - h, theta + h): the step 5e-4*(1+|theta|) of the Lambda''
-    cross-check of a tilt with no cell and the neighbours it solves."""
-    h = CROSS_CHECK_STEP * (1.0 + abs(theta))
-    return h, theta - h, theta + h
+def _ends(theta: float) -> tuple[float, float]:
+    """(theta - h, theta + h), h = CELL_FLOOR * (1 + |theta|) / 8: the ends
+    of the cell of a tilt checked alone, a quarter of the floor width."""
+    h = CELL_FLOOR * (1.0 + abs(theta)) / 8.0
+    return theta - h, theta + h
 
 
 def _cycle_means(P: np.ndarray, f: np.ndarray) -> tuple[float, float]:
@@ -718,9 +697,9 @@ def _attainable(model: MarkovModel) -> tuple[float, float]:
 def spectral_curve(model: MarkovModel, thetas) -> SpectralCurve:
     """Evaluate Lambda, Lambda' and Lambda'' over a theta grid.
 
-    Lambda'' is checked by the cells of the grid and by +- h at its ends
-    (``TiltedFamily.lambda_second_many``); the tilts that split a failing
-    cell are solved and memoized, but the curve holds the grid alone."""
+    Each Lambda'' is checked by a cell of its own
+    (``TiltedFamily.lambda_second_many``), whose ends are never memoized,
+    so the family memoizes the grid alone."""
     fam = family_of(model)
     grid = np.asarray(thetas, dtype=np.float64)
     lam2 = fam.lambda_second_many(grid)

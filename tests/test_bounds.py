@@ -424,9 +424,9 @@ def count_stacks(monkeypatch) -> list:
 def test_constants_perron_work_is_pinned(monkeypatch, name, side, points,
                                          calls, members):
     # one stack for the limit matrix and one per round; a member for each
-    # grid point and the limit matrix, and +- h neighbours only for
-    # theta = 0 and each new guard tilt (a neighbour per point gave 337,
-    # 961, 349 and 211 members)
+    # grid point and the limit matrix, and the two ends of an own cell only
+    # for theta = 0 and each new guard tilt (a neighbour pair per point gave
+    # 337, 961, 349 and 211 members)
     stacks = count_stacks(monkeypatch)
     c = constants(load_model(str(FIXTURES / f"{name}.yaml")), side)
     assert (c.grid_summary.n_points, len(stacks), sum(stacks)) == (
@@ -434,7 +434,7 @@ def test_constants_perron_work_is_pinned(monkeypatch, name, side, points,
 
 
 def test_second_side_reuses_the_checked_zero_tilt(monkeypatch):
-    # theta = 0 and its +- h check are solved by the first side only
+    # theta = 0 and the ends of its own cell are solved by the first side only
     model = load_model(str(FIXTURES / "chain2.yaml"))
     constants(model, "upper")
     stacks = count_stacks(monkeypatch)
@@ -445,9 +445,10 @@ def test_second_side_reuses_the_checked_zero_tilt(monkeypatch):
 @pytest.mark.parametrize("eps, argmax", [(1e-6, 9.984375),
                                          (1e-8, 9.98583984375)])
 def test_narrow_crossing_gets_constants_and_a_bound(eps, argmax):
-    # the +- h check read a false alarm at theta = 10.125 (eps = 1e-6) and
-    # 10.0 (eps = 1e-8), where the peak of Lambda'' is narrower than 9 h;
-    # the cells there split until the peak is resolved
+    # a quadratic difference of Lambda at step h = 5e-4 (1 + |theta|) read
+    # a false alarm at theta = 10.125 (eps = 1e-6) and 10.0 (eps = 1e-8),
+    # where the peak of Lambda'' is narrower than 9 h; the cells there
+    # split until the peak is resolved
     model = spike(eps)
     c = constants(model, "upper")
     report = chernoff_bound(model, 100, 0.9, "upper")
@@ -499,6 +500,12 @@ def first_round(model, side):
     return fam, t, means, [fam.derivatives(sign * s)[1] for s in t]
 
 
+# theta = 0 and the first guard tilt of the searches on both fixtures
+LONE_TILTS = [(name, side, sign * t) for name in ("chain2", "chain10")
+              for side, sign in (("upper", 1.0), ("lower", -1.0))
+              for t in (0.0, 16.0)]
+
+
 class TestCellCheck:
     @pytest.mark.parametrize("scale", [1.0 + 2e-3, 1.0 - 2e-3])
     def test_one_scaled_value_is_caught(self, scale):
@@ -546,3 +553,42 @@ class TestCellCheck:
             with pytest.raises(CrossCheckError):
                 constants(model, side)
             monkeypatch.setattr(family_module, "_fundamental", fundamental)
+
+    @pytest.mark.parametrize("name, side, theta, scale", [
+        (name, side, theta, scale) for name, side, theta in LONE_TILTS
+        for scale in (1.0 + 2e-3, 1.0 - 2e-3, math.nan)
+        # Lambda''(+-16) of chain2 is below 4e-8, and 2e-3 of it is far
+        # below the 1e-6 floor of the tolerance: only NaN is caught there
+        if math.isnan(scale) or name == "chain10" or theta == 0.0])
+    def test_a_wrong_lone_tilt_is_caught(self, name, side, theta, scale):
+        # theta = 0 and the guard tilts centre no cell of the grid: each is
+        # checked by a cell of its own
+        model = load_model(str(FIXTURES / f"{name}.yaml"))
+        fam = family_of(model)
+        point = fam.at(theta)
+        w, value = point._derivatives
+        fam._points[theta] = dataclasses.replace(
+            point, _derivatives=(w, scale * value))
+        with pytest.raises(CrossCheckError,
+                           match=rf"theta={theta!r} \(.*\) is off by"):
+            constants(model, side)
+
+
+@pytest.mark.parametrize("alpha", [300.0, 1000.0])
+def test_scaled_f_keeps_its_constants(alpha):
+    # the constants of alpha f are K, alpha L and alpha^2 sigma2: only the
+    # search grid, in units of theta, is not scale-free
+    searches = 0
+    for k in range(40):
+        model = mixed_draw(k)
+        scaled = MarkovModel(model.states, model.P, alpha * model.f, model.q)
+        report = validate(model)
+        for side, ok in (("upper", report.upper_ok), ("lower", report.lower_ok)):
+            if not ok:
+                continue
+            searches += 1
+            c, cs = constants(model, side), constants(scaled, side)
+            assert abs(cs.K - c.K) <= 1e-12 * c.K
+            assert cs.L / alpha >= 0.98 * c.L
+            assert cs.sigma2 / alpha ** 2 >= 0.98 * c.sigma2
+    assert searches == 46

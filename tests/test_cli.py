@@ -445,6 +445,19 @@ class TestUsageAndErrors:
         assert code == 2
         assert "perron" in err
 
+    def test_spectrum_checks_each_tilt_alone(self, write_model, capsys):
+        # a check of the cells between 0, 1 and 35 split toward theta =
+        # 34.0951 and raised there, though each tilt passes its own cell
+        model = random_irreducible_model(np.random.default_rng(991), 11)
+        path = write_model(json.dumps({"states": list(model.states),
+                                       "P": model.P.tolist(),
+                                       "f": model.f.tolist()}))
+        code, out, _ = run_cli(capsys, "spectrum", "--model", path,
+                               "--theta=0,1,35", "--format", "machine")
+        assert code == 0
+        assert [row["theta"] for row in json.loads(out)["spectrum"]] == [
+            0.0, 1.0, 35.0]
+
     @pytest.mark.parametrize("seed, theta", [(31, "163"), (1, "-163")])
     def test_singular_fundamental_matrix_exits_two(self, write_model, capsys,
                                                    monkeypatch, seed, theta):

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import chainbounds.family as family_module
@@ -193,8 +193,8 @@ class TestDerivatives:
             assert all(fam.derivatives(t)[1] >= 0.0 for t in thetas)
 
     def test_cross_check_catches_a_wrong_value(self, monkeypatch):
-        # 0.7 centres the cell [0.5, 0.9] of the grid and is checked by the
-        # means; alone, it is checked by +- h
+        # 0.7 is checked by a cell of its own, in a grid or alone: the
+        # change of the means across 0.7 +- 2.125e-7
         model = two_state(0.2, 0.45)
         fam = family_of(model)
         point = fam.at(0.7)
@@ -202,10 +202,11 @@ class TestDerivatives:
         for bad in (1.01 * value, math.nan):
             wrong = dataclasses.replace(point, _derivatives=(w, bad))
             monkeypatch.setitem(fam._points, 0.7, wrong)
-            with pytest.raises(CrossCheckError, match="is off by"):
+            with pytest.raises(CrossCheckError,
+                               match=r"theta=0\.7 .* is off by"):
                 spectral_curve(model, [0.5, 0.7, 0.9])
             with pytest.raises(CrossCheckError,
-                               match="routes disagree at theta=0.7"):
+                               match=r"theta=0\.7 .* is off by"):
                 fam.lambda_second(0.7)
 
     def test_extreme_sparse_tilt_keeps_lambda_second_finite(self):
@@ -693,6 +694,12 @@ class TestStackedPoints:
     @settings(max_examples=40, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
     @given(model=chains(), thetas=theta_sets())
+    # a batch that checked the cells between its tilts raised at theta =
+    # 34.0951 and 26.2876, a tilt it split toward, where solo calls return
+    @example(model=random_irreducible_model(np.random.default_rng(991), 11),
+             thetas=[0.0, 1.0, 35.0])
+    @example(model=random_irreducible_model(np.random.default_rng(100), 12),
+             thetas=[0.0, 0.0, 0.0, 0.0, 27.0, 0.0, 13.5])
     def test_lambda_second_many_equals_solo_values(self, model, thetas):
         assert (curvature_outcome(TiltedFamily(model).lambda_second_many,
                                   thetas)
@@ -731,20 +738,17 @@ class TestStackedPoints:
         fresh = MarkovModel(model.states, model.P, model.f, model.q)
         spectral_curve(fresh, grid)
         assert set(family_of(fresh)._points) == set(grid.tolist())
-        # on a coarse grid cells split: the memo gains the split tilts,
-        # each the midpoint of two memoized tilts, but no neighbour of an end
+        # on a coarse grid too, whose cells between tilts 2.5 apart would
+        # not pass: each tilt is checked by a cell of its own, whose ends
+        # are solved but never memoized
         coarse = MarkovModel(model.states, model.P, model.f, model.q)
         grid = np.linspace(-40.0, 40.0, 33).tolist()
         curve = spectral_curve(coarse, grid)
         assert curve.grid.tolist() == grid
-        solved = set(family_of(coarse)._points)
-        splits = solved - set(grid)
-        assert splits and set(grid) <= solved
-        assert all(any(0.5 * (a + b) == m for a in solved for b in solved)
-                   for m in splits)
-        ends = {s for t in (grid[0], grid[-1])
-                for s in family_module._stencil(t)[1:]}
-        assert not ends & solved
+        assert set(family_of(coarse)._points) == set(grid)
+        assert set(family_of(coarse)._checked) == set(grid)
+        ends = {s for t in grid for s in family_module._ends(t)}
+        assert not ends & set(family_of(coarse)._points)
         points = list(fam._points.values())
         assert not any("P_theta" in p.__dict__ for p in points)
         # built on read, with the bytes of the product-first formula
