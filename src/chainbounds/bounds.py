@@ -12,11 +12,12 @@ A round hands all of its new tilts to ``TiltedFamily.lambda_second_many``
 (one stacked Perron solve, one stacked linear solve for the
 derivatives), then reduces the eigenvector ratios of the whole round as
 one stack.  Lambda'' is checked against the tilted means: after each
-round every interior tilt of the sorted grid centres a Simpson cell
-(``TiltedFamily.cell_splits``), and the midpoints of both halves of a failing
-cell join the next round's stack, or a pass of their own once the
-rounds end, until every cell passes or one fails at the width floor.
-The tilts with no narrow cell, theta = 0 and each round's guard tilts,
+round the tilts sign * t up to the extent are the grid of
+``TiltedFamily.cell_splits``, whose interior tilts centre Simpson cells,
+and the midpoints of both halves of a failing cell join the next round's
+stack, or a pass of their own once the rounds end, until every cell
+passes or one fails at the width floor.  The tilts that centre no cell,
+theta = 0, the extent that ends the grid and the lookahead 2 * extent,
 are checked by a cell of their own, whose ends join the same stack.
 Constants are memoized on the model per side (``model.memo``), and the
 limit-matrix triple is shared with the boundary rate
@@ -111,6 +112,14 @@ class BoundReport:
     further relaxes sigma2 to the range proxy ((b-a+2KL)/2)^2.  Each
     relaxation is provably weaker, so the three are ordered.  Raw values
     are kept inspectable (they may exceed 1); ``clipped`` caps them at 1.
+
+    The values also hold uniformly in time: each is Markov's inequality at
+    time n for the nonnegative martingale exp(theta S_k - k Lambda(theta))
+    v_theta(X_k), whose supremum over all k Ville's inequality bounds at
+    the same price.  So ``chernoff`` also bounds the chance that theta_mu
+    S_k - k Lambda(theta_mu) ever reaches n rate, which contains S_n >=
+    n mu, and each Hoeffding value the crossing of its own line (Howard,
+    Ramdas, McAuliffe and Sekhon, Probab. Surveys 17, 2020).
     """
 
     n: int
@@ -159,8 +168,8 @@ def _compute_constants(model: MarkovModel, side: str) -> BoundConstants:
     rho_inf = limit_triple.rho
 
     # the evaluated t >= 0 of the half-line, sorted, with K_t, L_t,
-    # sigma2_t and sign * Lambda'(sign * t), which increases in t, at each
-    # in the rows of ``values``; the real tilt is sign * t
+    # sigma2_t and Lambda'(sign * t) at each in the rows of ``values``; the
+    # real tilt is sign * t
     done = np.empty(0)
     values = np.empty((4, 0))
 
@@ -183,14 +192,16 @@ def _compute_constants(model: MarkovModel, side: str) -> BoundConstants:
         slope = W[:, None, :] - W[:, :, None]
         slope *= ratio
         L_t = np.abs(slope, out=slope).max(axis=(1, 2))
-        means = sign * np.array([p.mean for p in points])
+        means = [p.mean for p in points]
         done = np.concatenate((done, ts))
         values = np.concatenate((values, [K_t, L_t, s2, means]), axis=1)
         order = np.argsort(done)
         done, values = done[order], values[:, order]
-        # the guard ``extent`` centres a cell 8-32 wide: its own cell checks it
-        return fam.cell_splits(done, values[3], values[2], skip=extent,
-                               sign=sign)
+        # the lookahead 2 * extent is left out, so ``extent``, checked by a
+        # cell of its own, ends the grid instead of centring a wide cell
+        grid = done <= extent
+        return [sign * s for s in fam.cell_splits(
+            sign * done[grid], values[3, grid], values[2, grid])]
 
     def running_maxima():
         # the smallest maximizing t of K, L and sigma2; K_limit wins ties
@@ -268,7 +279,8 @@ def chernoff_bound(model: MarkovModel, n: int, mu: float,
     """Finite-sample tail bound K*exp(-n*Lambda*(mu)) for the given side.
 
     The report also carries both Hoeffding relaxations so the ordering
-    invariant is visible at every call site.
+    invariant is visible at every call site; all three hold at every time
+    k at once, as line crossings (``BoundReport``).
     """
     n = _count(n, 1, "bounds: n must be at least 1, got {!r}")
     consts = constants(model, side)

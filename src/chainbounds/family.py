@@ -382,27 +382,27 @@ class TiltedFamily:
             values.append(value)
         return values
 
-    def cell_splits(self, t, mean, curvature, skip: float = math.nan,
-                    sign: float = 1.0) -> list[float]:
-        """The tilts that split the failing Simpson cells of the increasing
-        tilts ``t``: the midpoints of both halves of each failing cell.
+    def cell_splits(self, t, mean, curvature) -> list[float]:
+        """The tilts that split the failing Simpson cells of the tilts ``t``,
+        increasing or decreasing: the midpoints of both halves of each.
 
-        Each interior t1, with neighbours t0 < t1 < t2, centres a cell, and
-        the change of ``mean`` (Lambda') over it must equal the integral of
-        ``curvature`` (Lambda''), which Simpson's rule for unequal halves h0,
-        h1 and H = h0 + h1 takes from the three tilts.  The residual over the
-        centre weight H^3 / (6 h0 h1) reads as an error of Lambda''(t1), and
-        the cell fails when it exceeds max(1e-6, 1e-3 Lambda''(t1)) plus the
-        rounding of two means (MEAN_ROUNDING times ``_mean_tol`` at 0 each)
-        over that weight, which matters only in cells far below CELL_FLOOR.
-        A cell that fails at a width H of at most CELL_FLOOR * (1 + |t1|), or
-        whose residual is not a number, raises ``CrossCheckError``; of the
-        others, the CELL_SPLITS narrowest are split.  ``skip`` is a centre
-        that the caller checks by a cell of its own; ``sign`` maps t to
-        theta = sign * t, for which ``mean`` holds sign * Lambda'.
+        Each interior t1, between t0 and t2, centres a cell of halves h0, h1
+        and width H = |t2 - t0|, and the change of ``mean`` (Lambda') over it
+        must equal the integral of ``curvature`` (Lambda''), which Simpson's
+        rule for unequal halves takes from the three tilts; the signs of a
+        decreasing grid cancel in its weights and slope.  The residual over
+        the centre weight H^3 / (6 h0 h1) reads as an error of Lambda''(t1),
+        and the cell fails when it exceeds max(1e-6, 1e-3 Lambda''(t1)) plus
+        the rounding of two means (MEAN_ROUNDING times ``_mean_tol`` at 0
+        each) over that weight: at theta = 0, in an own cell a quarter of
+        CELL_FLOOR wide, about 10% (S = 10) to 400% (S = 400) of the 1e-6
+        floor for max|f| = 1.  A cell that fails at a width of at most
+        CELL_FLOOR * (1 + |t1|), or whose residual is not a number, raises
+        ``CrossCheckError``; of the others, the CELL_SPLITS narrowest split.
         """
         t, mean, c = (np.asarray(x, dtype=np.float64) for x in (t, mean, curvature))
         H = t[2:] - t[:-2]
+        width = np.abs(H)
         a0, a1 = (t[1:-1] - t[:-2]) / H, (t[2:] - t[1:-1]) / H
         # both sides over the centre weight, in a form that neither
         # overflows nor forms 0 * inf on the narrowest cells
@@ -411,19 +411,19 @@ class TiltedFamily:
                            - c[1:-1] - a1 * (2.0 * a0 - a1) * c[:-2]
                            - a0 * (2.0 * a1 - a0) * c[2:])
             tol = np.maximum(1e-6, 1e-3 * np.abs(c[1:-1]))
-            slack = tol + 6.0 * a0 * a1 * (self._rounding / H)
-        failing = np.flatnonzero(~(error <= slack) & (t[1:-1] != skip))
+            slack = tol + 6.0 * a0 * a1 * (self._rounding / width)
+        failing = np.flatnonzero(~(error <= slack))
         for i in failing.tolist():
             t0, t1, t2 = t[i:i + 3].tolist()
-            if H[i] <= CELL_FLOOR * (1.0 + abs(t1)) or not math.isfinite(error[i]):
-                lo, hi = sorted((sign * t0, sign * t2))
+            if width[i] <= CELL_FLOOR * (1.0 + abs(t1)) or not math.isfinite(error[i]):
+                lo, hi = sorted((t0, t2))
                 raise CrossCheckError(
-                    f"family: Lambda'' at theta={sign * t1!r} ({float(c[i + 1])!r}) "
+                    f"family: Lambda'' at theta={t1!r} ({float(c[i + 1])!r}) "
                     f"is off by {error[i]:.3e} against the change of Lambda' "
                     f"over [{lo!r}, {hi!r}] (tolerance {tol[i]:.1e})")
         # a wrong Lambda'' fails every cell at every width, and splitting
         # them all would double the tilts each pass on the way to the floor
-        narrowest = failing[np.argsort(H[failing], kind="stable")[:CELL_SPLITS]]
+        narrowest = failing[np.argsort(width[failing], kind="stable")[:CELL_SPLITS]]
         splits = []
         for i in sorted(narrowest.tolist()):
             t0, t1, t2 = t[i:i + 3].tolist()
@@ -699,9 +699,12 @@ def spectral_curve(model: MarkovModel, thetas) -> SpectralCurve:
 
     Each Lambda'' is checked by a cell of its own
     (``TiltedFamily.lambda_second_many``), whose ends are never memoized,
-    so the family memoizes the grid alone."""
+    so the family memoizes the grid alone.  A finite grid that does not
+    increase strictly is rejected before any solve."""
     fam = family_of(model)
     grid = np.asarray(thetas, dtype=np.float64)
+    if np.isfinite(grid).all() and not (np.diff(grid) > 0.0).all():
+        raise DomainError("family: theta grid must be strictly increasing")
     lam2 = fam.lambda_second_many(grid)
     points = [fam.at(t) for t in grid]
     return SpectralCurve(grid=grid, Lambda=[p.Lambda for p in points],

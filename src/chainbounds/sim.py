@@ -27,20 +27,20 @@ cumulative weight c as ceil(c * 2**53), so ``u >= c`` is the exact
 integer test ``m >= ceil(c * 2**53)``.  A guide table per row (Chen and
 Asau, 1974; Devroye, 1986, sec. III.2.4) splits the draws into 8S to
 16S buckets by the top bits of m, fewer where the tables would hold more
-than GUIDE_ENTRIES values.  Each bucket holds extra + 1 outcome slots,
-where extra is the most distinct boundaries inside one bucket of any
+than GUIDE_ENTRIES values.  Each bucket holds ``slots`` outcome slots,
+one more than the most distinct boundaries inside one bucket of any
 row: the outcome below the first such boundary, below the second, and
 so on, each slot with the boundary that ends it, the outcome's f and
 where the outcome's own row starts, and a bucket's slots stored as one
 block, so that a step's lookups share a cache line.  So a step is one
-bucket lookup, extra threshold tests that move the slot on by one each
+bucket lookup, slots - 1 threshold tests that move the slot on by one each
 (the boundaries rise within a bucket, so a failed test leaves it in
 place), one f gather and one jump to the next row, with the same states
 as a full comparison against the row.
 The walk shifts a tile's words to draws GROUP_STEPS = 8 steps at a
 time, in one transposing pass, so each step reads a contiguous vector
 of draws, and one more pass gives them their bucket offsets.  At
-extra = 1 a step is 7 numpy calls, 3 of them gathers.
+slots = 2 a step is 7 numpy calls, 3 of them gathers.
 
 The interval around a simulated tail is the exact Clopper-Pearson one
 (Clopper and Pearson, 1934): its lower end is the x with
@@ -139,12 +139,13 @@ class _Sampler:
     row has B = 2**(53 - shift) guide buckets, and each bucket ``slots``
     outcome slots: slot j is the outcome of the bucket's draws at or above
     its j-th distinct boundary (slot 0: at or above its start).  A bucket
-    is one block of 3 x slots values in ``table``, its slots' thresholds,
-    then their next-row starts, then their f values, so that one step's
-    three lookups share a cache line.  Slot j of bucket b of row r is at
-    G = 3 * slots * (r * B + b) + j, and its three values are ``thr[G]``,
-    ``nxt[G]`` and ``fv[G]``, views of ``table`` at offsets 0, slots and
-    2 * slots.
+    is one block of 3 x slots values in ``table``, so that one step's three
+    lookups share a cache line: its slots' thresholds (the boundary that
+    ends the slot, or _NEVER), their next-row starts (the outcome row's G
+    at bucket 0) and their f values (as int64 bits; 0 in q's row, since
+    X_0 adds nothing).  Slot j of bucket b of row r is at G = 3 * slots *
+    (r * B + b) + j, with its values at ``table[G]``, ``table[G + slots]``
+    and ``table[G + 2 * slots]``.
     """
 
     shift: int             # the guide bucket of draw m is m >> shift
@@ -152,26 +153,6 @@ class _Sampler:
     table: np.ndarray      # int64 blocks, 3 x slots values per bucket
     row: int               # 3 * slots * B, the values of one row
     first: int             # row * S, where q's row starts
-
-    @property
-    def extra(self) -> int:
-        """Fix-up steps per draw: the most boundaries inside one bucket."""
-        return self.slots - 1
-
-    @property
-    def thr(self) -> np.ndarray:
-        """[G]: the boundary that ends the slot, or _NEVER."""
-        return self.table
-
-    @property
-    def nxt(self) -> np.ndarray:
-        """[G]: where the outcome's row starts, its G at bucket 0."""
-        return self.table[self.slots:]
-
-    @property
-    def fv(self) -> np.ndarray:
-        """[G]: f(outcome); 0 in q's row, since X_0 adds nothing."""
-        return self.table[2 * self.slots:].view(np.float64)
 
 
 def _build_sampler(model: MarkovModel) -> _Sampler:
@@ -247,11 +228,14 @@ def _walk(sp: _Sampler, lanes: int, tiles, path=None) -> np.ndarray:
     a contiguous row, and one more gives each draw its bucket's offset.
     A step then adds the offset to the slot G of its row's bucket 0,
     moves G on by one slot per boundary inside the bucket at or below the
-    draw (``extra`` tests; the thresholds rise within a bucket, so a
+    draw (slots - 1 tests; the thresholds rise within a bucket, so a
     failed test leaves G in place), adds f of the outcome and moves G to
-    the outcome's row.
+    the outcome's row.  Slot G's three values are read through views of
+    ``table`` at offsets 0, slots and 2 * slots, and a path's next-row
+    starts, divided by ``row``, are its states.
     """
-    thr, nxt, fv, extra = sp.thr, sp.nxt, sp.fv, sp.extra
+    thr, nxt = sp.table, sp.table[sp.slots:]
+    fv, extra = sp.table[2 * sp.slots:].view(np.float64), sp.slots - 1
     G = np.full(lanes, sp.first, dtype=np.int64)
     sums = np.zeros(lanes)
     passed = np.empty(lanes, dtype=bool)
@@ -278,18 +262,6 @@ def _walk(sp: _Sampler, lanes: int, tiles, path=None) -> np.ndarray:
     if path is not None:
         np.floor_divide(path, sp.row, out=path)
     return sums
-
-
-def _exact_words(u: np.ndarray) -> np.ndarray:
-    """The 64-bit words (u * 2**53) << 11, which the walk reads as the
-    draws u, or DomainError if a draw is not a multiple of 2**-53 in
-    [0, 1)."""
-    scaled = u * float(_UNIT)
-    m = scaled.astype(np.int64)
-    if not (np.array_equal(m, scaled) and np.all((0 <= m) & (m < _UNIT))):
-        raise DomainError("sim: generator draws are not multiples of 2**-53 "
-                          "in [0, 1); cannot sample them exactly")
-    return np.left_shift(m.view(np.uint64), 11, out=m.view(np.uint64))
 
 
 def _philox_rows(first: int, start: int, out: np.ndarray) -> np.ndarray:
@@ -375,31 +347,19 @@ def _philox_seed(seed, trials: int) -> int:
     return seed
 
 
-def _path(model: MarkovModel, steps: int, tiles) -> np.ndarray:
-    """States X_0, ..., X_{steps - 1} of one trial whose words come as
-    (1, width) tiles: the walk with a single lane."""
-    path = np.empty((steps, 1), dtype=np.int64)
-    _walk(_sampler(model), 1, tiles, path)
-    return path.ravel()
-
-
-def sample_trajectory(model: MarkovModel, n: int, rng) -> np.ndarray:
-    """Sample X_0, ..., X_n as state indices: X_0 ~ q, X_{k+1} ~ P(X_k, .).
-
-    ``rng`` is a numpy Generator or an integer seed in [0, 2**128), the
-    Philox key.
-    Identical inputs give identical sequences.  A Generator's doubles must
-    be multiples of 2**-53, as every numpy bit generator's are; otherwise
-    this raises DomainError rather than sample them inexactly.
+def sample_trajectory(model: MarkovModel, n: int, seed: int) -> np.ndarray:
+    """Sample X_0, ..., X_n as state indices: X_0 ~ q, X_{k+1} ~ P(X_k, .),
+    from the stream of the Philox key ``seed``, an integer in [0, 2**128);
+    anything else raises DomainError.  This is the stream of trial 0 of
+    ``empirical_tail(..., seed)``, so identical inputs give identical
+    sequences.
     """
     n = _count(n, 0, "sim: trajectory length must be >= 0, got {!r}")
-    if isinstance(rng, np.random.Generator):
-        tiles = (_exact_words(rng.random(n + 1)).reshape(1, -1),)
-    else:
-        seed = _philox_seed(rng, 1)
-        width = _tiling(n + 1, 1)[2]
-        tiles = _philox_tiles(seed, n + 1, np.empty((1, width), np.uint64))
-    return _path(model, n + 1, tiles)
+    seed = _philox_seed(seed, 1)
+    buffer = np.empty((1, _tiling(n + 1, 1)[2]), dtype=np.uint64)
+    path = np.empty((n + 1, 1), dtype=np.int64)
+    _walk(_sampler(model), 1, _philox_tiles(seed, n + 1, buffer), path)
+    return path.ravel()
 
 
 _LOG_SQRT_2PI = 0.5 * math.log(2 * math.pi)

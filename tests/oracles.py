@@ -2,7 +2,8 @@
 
 Everything here is deliberately computed by a different route than the
 library uses: closed forms, characteristic polynomials, brute-force path
-enumeration, inverse-CDF replays by plain comparison against each row,
+enumeration, a dynamic program over the sums of a lattice observable,
+inverse-CDF replays by plain comparison against each row,
 binomial tails summed in exact rational arithmetic, and second differences
 of characteristic-polynomial roots in 90-digit decimal arithmetic.
 None of it imports chainbounds.
@@ -90,6 +91,66 @@ def exact_tail_probability(model, n: int, mu: float, side: str) -> float:
         if (side == "upper" and mean >= mu) or (side == "lower" and mean <= mu):
             total += prob
     return total
+
+
+def lattice_tail(model, n: int, h: float, k, side: str, theta=0.0,
+                 log: bool = False) -> np.ndarray:
+    """P_q(S_n >= k) (upper) or P_q(S_n <= k) (lower) at each integer of
+    ``k``, or its natural log with ``log``, where S_n is the sum of the
+    integer labels round(h f(X_j)) over j = 1..n, so {S_n >= k} is the
+    closed event {sum f(X_j) / n >= mu} at mu = k / (h n).
+
+    A dynamic program over (state, partial sum) carries the joint law
+    forward one step at a time, every entry a sum of nonnegative products,
+    so it is exact up to a relative rounding of about n S ulps.  Each k
+    has its own run, with the mass at sum s weighted by exp(theta s) for
+    its entry of ``theta`` (a tilt per unit of the labels) and the weight
+    taken out at the end; the law is rescaled by its largest entry every
+    step.  The tail does not depend on theta, but tails far below 1e-308
+    keep their digits only where theta centres the weighted law near k,
+    as the tilt of mean k / (h n) does.  Raises ValueError if h f is not
+    integral."""
+    f = np.asarray(model.f, dtype=np.float64)
+    labels = np.rint(h * f).astype(np.int64)
+    if np.abs(labels - h * f).max() > 1e-9:
+        raise ValueError(f"f is not on the lattice Z / {h}")
+    low = int(labels.min())
+    shift = labels - low                     # S_n - n low sums these
+    k, theta = np.broadcast_arrays(np.asarray(k, dtype=np.int64),
+                                   np.asarray(theta, dtype=np.float64))
+    theta = theta.ravel()
+    # M[t, x, y] = P(x, y) exp(theta_t shift(y)), shifted by its maximum
+    expo = np.multiply.outer(theta, shift)
+    expo -= expo.max(axis=1, keepdims=True)
+    M = np.asarray(model.P, dtype=np.float64)[None] * np.exp(expo)[:, None, :]
+    law = np.repeat(np.asarray(model.q, dtype=np.float64)[None, :, None],
+                    theta.size, axis=0)      # [t, state, sum]
+    log_scale = np.zeros(theta.size)
+    for _ in range(n):
+        moved = np.matmul(M.transpose(0, 2, 1), law)   # into y from sum s
+        law = np.zeros(moved.shape[:2] + (moved.shape[2] + int(shift.max()),))
+        for y, d in enumerate(shift.tolist()):
+            law[:, y, d:d + moved.shape[2]] = moved[:, y]
+        top = law.max(axis=(1, 2))
+        law /= top[:, None, None]
+        log_scale += np.log(top)
+    # log P(S_n = n low + j) = log pmf[t, j] - theta_t j + log_scale[t]
+    # + n max(theta_t shift), up to the shift removed from expo
+    j = np.arange(law.shape[2])
+    with np.errstate(divide="ignore"):
+        terms = (np.log(law.sum(axis=1)) - np.multiply.outer(theta, j)
+                 + (log_scale + n * np.maximum(theta * shift.max(),
+                                               theta * shift.min()))[:, None])
+    out = np.empty(theta.size)
+    for t, first in enumerate((k.ravel() - n * low).tolist()):
+        part = terms[t, max(first, 0):] if side == "upper" \
+            else terms[t, :max(first + 1, 0)]
+        top = part.max(initial=-np.inf)
+        # each tail summed after the shift by its largest term
+        out[t] = top + np.log(np.exp(part - top).sum()) if top > -np.inf \
+            else -np.inf
+    out = out.reshape(k.shape)
+    return out if log else np.exp(out)
 
 
 def exact_scaled_log_mgf(model, theta: float, n: int) -> float:

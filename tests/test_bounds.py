@@ -18,7 +18,7 @@ from chainbounds import (AssumptionError, ChainboundsError, CrossCheckError,
                          two_sided_bound, validate)
 from conftest import (iid_model, mixed_draw, random_irreducible_model,
                       random_positive_model, spike, two_cycle, two_state)
-from oracles import bernoulli_rate, exact_tail_probability
+from oracles import bernoulli_rate, exact_tail_probability, lattice_tail
 
 FIXTURES = Path(__file__).resolve().parents[1] / "bench" / "fixtures"
 
@@ -166,6 +166,87 @@ class TestChernoff:
         with pytest.raises(DomainError, match="n must be at least 1"):
             two_sided_bound(model, math.nan, (0.6, 0.8))
         assert chernoff_bound(model, np.int64(3), 0.7).n == 3
+
+
+def tenths(model):
+    """The model with f rounded to tenths: a lattice chain of span 1/10."""
+    return MarkovModel(model.states, model.P, np.round(model.f, 1), model.q)
+
+
+def lattice_chains():
+    """(name, model, h) of chains whose f lies on the lattice Z / h: both
+    fixtures, positive and sparse irreducible chains with f in tenths, and
+    a near-periodic chain that swaps its two states with probability
+    1 - 1e-3."""
+    chains = [(name, load_model(str(FIXTURES / f"{name}.yaml")), h)
+              for name, h in (("chain2", 1.0), ("chain10", 9.0))]
+    # sparse chains of which a side's assumptions hold: upper, lower,
+    # lower, upper
+    for (seed, S), (sparse, R) in zip(((31, 3), (32, 4), (33, 5), (34, 6)),
+                                      ((31, 3), (35, 3), (44, 4), (35, 6))):
+        chains += [(f"positive{seed}", tenths(random_positive_model(
+                        np.random.default_rng(seed), S)), 10.0),
+                   (f"irreducible{sparse}-{R}", tenths(random_irreducible_model(
+                        np.random.default_rng(sparse), R)), 10.0)]
+    swap = [[1e-3, 1.0 - 1e-3], [1.0 - 1e-3, 1e-3]]
+    chains.append(("near-periodic",
+                   MarkovModel(("0", "1"), swap, [0.0, 1.0], [0.5, 0.5]), 1.0))
+    return chains
+
+
+class TestLatticeTails:
+    """The bounds against the exact tail of a lattice chain, from the
+    dynamic program ``oracles.lattice_tail``, at n far beyond enumeration."""
+
+    def test_dynamic_program_equals_enumeration(self):
+        quarters = random_positive_model(np.random.default_rng(35), 3)
+        quarters = MarkovModel(quarters.states, quarters.P,
+                               np.round(4.0 * quarters.f) / 4.0, quarters.q)
+        swap = lattice_chains()[-1][1]
+        for model, h, longest in ((two_state(0.3, 0.4), 1.0, 8),
+                                  (swap, 1.0, 8), (quarters, 4.0, 5)):
+            span = h * float(np.abs(model.f).max())
+            for n in range(1, longest + 1):
+                ks = range(-round(n * span) - 1, round(n * span) + 2)
+                for side in ("upper", "lower"):
+                    # the tilt of a run changes its rounding, not its tail
+                    plain = lattice_tail(model, n, h, list(ks), side)
+                    tilted = lattice_tail(model, n, h, list(ks), side, 0.7)
+                    for k, value, other in zip(ks, plain, tilted):
+                        want = exact_tail_probability(model, n, k / (h * n), side)
+                        assert abs(value - want) <= 1e-13
+                        assert abs(other - want) <= 1e-13
+
+    @pytest.mark.parametrize("name, model, h", lattice_chains(),
+                             ids=[c[0] for c in lattice_chains()])
+    def test_bounds_dominate_the_exact_tail(self, name, model, h):
+        # exact <= chernoff <= hoeffding_sigma <= hoeffding_range at means
+        # k / (h n) on the lattice, a quarter, half and three quarters of
+        # the way from the stationary mean to the side's range end; the
+        # first in log space, as chernoff rounds to 0 below 1e-308
+        report = validate(model)
+        pif = tilt(model, 0.0).mean
+        ls = level_sets(model)
+        sides = [(side, end) for side, end, ok in (
+            ("upper", ls.b, report.upper_ok), ("lower", ls.a, report.lower_ok))
+            if ok]
+        assert sides
+        for side, end in sides:
+            round_in = math.ceil if side == "upper" else math.floor
+            for n in (50, 200, 1000):
+                ks = [round_in(h * n * (pif + fr * (end - pif)))
+                      for fr in (0.25, 0.5, 0.75)]
+                # tilts per label unit that centre each DP run near its k
+                tilts = [rate_function(model, k / (h * n), side).theta_mu / h
+                         for k in ks]
+                exact = lattice_tail(model, n, h, ks, side, tilts, log=True)
+                K = constants(model, side).K
+                for k, log_exact in zip(ks, exact.tolist()):
+                    bound = chernoff_bound(model, n, k / (h * n), side)
+                    assert -math.inf < log_exact <= math.log(K) - n * bound.rate
+                    assert math.exp(log_exact) <= bound.chernoff
+                    assert bound.chernoff <= bound.hoeffding_sigma
+                    assert bound.hoeffding_sigma <= bound.hoeffding_range
 
 
 class TestHoeffding:
@@ -490,14 +571,13 @@ def mutation_searches():
 
 
 def first_round(model, side):
-    """The first round's t >= 0, sign * Lambda' and Lambda'' of a search,
-    from the model's family, unchecked."""
-    sign = 1.0 if side == "upper" else -1.0
+    """The first round's tilts, Lambda' and Lambda'' of a search, from the
+    model's family, unchecked."""
     fam = family_of(model)
-    t = family_module.half_line_grid()
-    fam.at_many(sign * t)
-    means = [sign * fam.at(sign * s).mean for s in t]
-    return fam, t, means, [fam.derivatives(sign * s)[1] for s in t]
+    t = (1.0 if side == "upper" else -1.0) * family_module.half_line_grid()
+    fam.at_many(t)
+    return (fam, t, [fam.at(s).mean for s in t],
+            [fam.derivatives(s)[1] for s in t])
 
 
 # theta = 0 and the first guard tilt of the searches on both fixtures
@@ -516,7 +596,7 @@ class TestCellCheck:
             fam, t, _, curvature = first_round(model, side)
             # the first round's cell centre with the largest Lambda''
             i = 1 + int(np.argmax(curvature[1:-1]))
-            theta = (1.0 if side == "upper" else -1.0) * float(t[i])
+            theta = float(t[i])
             assert curvature[i] >= 5e-3
             point = fam.at(theta)
             fam._points[theta] = dataclasses.replace(
@@ -553,6 +633,32 @@ class TestCellCheck:
             with pytest.raises(CrossCheckError):
                 constants(model, side)
             monkeypatch.setattr(family_module, "_fundamental", fundamental)
+
+    def test_a_mirrored_grid_gives_the_mirrored_splits(self):
+        # theta -> -theta with Lambda' -> -Lambda' mirrors every cell: the
+        # splits are negated, and a cell at the width floor raises on both
+        fam = family_of(spike(1e-6))
+
+        def inputs(t):
+            fam.at_many(t)
+            return (np.array([fam.at(s).mean for s in t]),
+                    np.array([fam.derivatives(s)[1] for s in t]))
+
+        t = np.array([9.5, 9.75, 10.0, 10.25, 10.5])
+        means, curvature = inputs(t)
+        splits = fam.cell_splits(t, means, curvature)
+        assert splits == [9.625, 9.875, 10.125, 10.375]
+        assert fam.cell_splits(-t, -means, curvature) == [-s for s in splits]
+        # the same grid in decreasing order
+        assert fam.cell_splits(t[::-1], means[::-1], curvature[::-1]) \
+            == splits[::-1]
+
+        t = 10.0 + np.array([-2e-6, 0.0, 2e-6])
+        means, curvature = inputs(t)
+        for sign in (1.0, -1.0):
+            with pytest.raises(CrossCheckError,
+                               match=rf"theta={sign * 10.0!r} .* is off by"):
+                fam.cell_splits(sign * t, sign * means, 1.01 * curvature)
 
     @pytest.mark.parametrize("name, side, theta, scale", [
         (name, side, theta, scale) for name, side, theta in LONE_TILTS

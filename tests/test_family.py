@@ -601,6 +601,16 @@ class TestSpectralCurve:
         at0 = np.flatnonzero(curve.grid == 0.0)[0]
         assert abs(curve.Lambda[at0]) <= 1e-12
 
+    def test_unordered_grid_is_refused_before_any_solve(self, monkeypatch):
+        def no_solve(*args):
+            raise AssertionError("a Perron stack was solved")
+
+        monkeypatch.setattr(perron_module, "pf_stack", no_solve)
+        model = two_state(0.25, 0.4)
+        for grid in (np.linspace(4, -4, 81), [0.0, 0.5, 0.5, 1.0]):
+            with pytest.raises(DomainError, match="strictly increasing"):
+                spectral_curve(model, grid)
+
     def test_alignment_required(self):
         with pytest.raises(DomainError):
             SpectralCurve(grid=np.array([0.0, 1.0]),
