@@ -27,10 +27,18 @@ The suprema are located with an adaptive grid, not a certified global
 optimizer: start from theta in {0, 0.25, ..., 8}, the grid
 ``family.half_line_grid`` that mean inversion brackets on too, then each
 round halves the spacing around the current argmaxes and doubles the
-grid extent, stopping once the running maxima move by less than 1e-6
-relative and the sigma2 tail guard passes: each round also evaluates
-the extent and twice the extent, and sigma2 must peak strictly inside
-the extent.  The eigenvector-ratio limit of the limit matrix is always
+grid extent.  After each round a parabola is fitted through every finite
+argmax of K, L and sigma2 and its two neighbours (the first three tilts
+when the argmax is theta = 0, where only a vertex inside the first cell
+counts), and the vertex of a concave fit joins the next round, its
+Lambda'' checked by the grid cells like any other tilt (successive
+parabolic interpolation; Brent, Algorithms for Minimization without
+Derivatives, 1973).  The search stops once the gain each fit predicts
+over its running maximum is below 1e-6 relative, a finite argmax of K,
+whose kinks a parabola does not see, has also moved by less than that,
+and the tail guard passes: each round also evaluates the extent and
+twice the extent, and every finite argmax must lie strictly inside the
+extent.  The eigenvector-ratio limit of the limit matrix is always
 included as a K candidate.  Diagnostics in ``grid_summary`` expose where
 each supremum was attained so results can be audited.
 """
@@ -67,12 +75,14 @@ class GridSummary:
 
     ``theta_max`` is the final grid extent; evaluation reaches
     ``2 * theta_max``, the tail guard's lookahead, and those tilts count
-    in ``n_points`` and the maxima.  ``argmax_K`` is +/-inf when the
+    in ``n_points`` and the maxima.  An argmax may be the vertex of a
+    parabola fit rather than a grid tilt.  ``argmax_K`` is +/-inf when the
     limit-matrix candidate won.  A summary with ``converged`` False means
     the refinement budget ran out and the constants are best-so-far
-    values.  ``tail_guard_passed`` reports the two-point Lambda''
-    lookahead, which is a pragmatic guard rather than a proof that the
-    tail holds no larger value.
+    values.  ``tail_guard_passed`` reports whether every finite argmax of
+    K, L and sigma2 lies strictly inside the extent, with the extent and
+    the lookahead evaluated: a pragmatic guard rather than a proof that
+    the tail holds no larger value.
     """
 
     theta_max: float
@@ -204,18 +214,24 @@ def _compute_constants(model: MarkovModel, side: str) -> BoundConstants:
             sign * done[grid], values[3, grid], values[2, grid])]
 
     def running_maxima():
-        # the smallest maximizing t of K, L and sigma2; K_limit wins ties
+        # the smallest maximizing t of K, L and sigma2, K_limit winning ties;
+        # the vertices of the fits through the finite ones, and the largest
+        # gain they predict
         i = values[:3].argmax(axis=1)
         best = values[np.arange(3), i].tolist()
         args = (sign * done[i]).tolist()
         if not best[0] > K_limit:
             best[0], args[0] = K_limit, math.inf * sign
-        return tuple(best), tuple(args)
+        fits = [_vertex(done, values[row], i[row])
+                for row in range(3) if math.isfinite(args[row])]
+        fits = [fit for fit in fits if fit]
+        return (tuple(best), tuple(args), [vertex for vertex, _ in fits],
+                max((gain for _, gain in fits), default=0.0))
 
     extent = _family.GRID_EXTENT
     spacing = _family.GRID_SPACING
     splits = evaluate(_family.half_line_grid(), [0.0])
-    best, args = running_maxima()
+    best, args, vertices, _ = running_maxima()
 
     rounds = 0
     converged = False
@@ -228,6 +244,7 @@ def _compute_constants(model: MarkovModel, side: str) -> BoundConstants:
         extent *= 2.0
         step = (extent - old_extent) / EXTENSION_POINTS
         ts = [old_extent + k * step for k in range(1, EXTENSION_POINTS + 1)]
+        ts += vertices
         for arg in set(args):
             if not math.isfinite(arg):
                 continue
@@ -237,18 +254,19 @@ def _compute_constants(model: MarkovModel, side: str) -> BoundConstants:
                           if 0.0 <= t <= extent)
         guards = [extent, 2.0 * extent]
         splits = evaluate(ts + splits + guards, guards)
-        best, args = running_maxima()
-        moved = max(
-            abs(b - p) / max(abs(p), 1e-30) for b, p in zip(best, prev))
-        # sigma2 at the guard tilts extent and 2 * extent is inside the
-        # maximum, so the tail guard holds when it peaks before the extent
-        tail_ok = abs(args[2]) < extent
-        if moved < REFINE_RTOL and tail_ok:
+        best, args, vertices, gain = running_maxima()
+        # K_t has kinks where its maximizing pair changes, which a parabola
+        # does not see, so a finite argmax of K must also stop moving
+        moved = abs(best[0] / prev[0] - 1.0) if math.isfinite(args[0]) else 0.0
+        # the guard tilts extent and 2 * extent are inside the maxima, so
+        # the tail guard holds when every finite argmax is before the extent
+        tail_ok = all(abs(arg) < extent for arg in args if math.isfinite(arg))
+        if max(gain, moved) < REFINE_RTOL and tail_ok:
             converged = True
             break
     while splits:
         splits = evaluate(splits, [])
-        best, args = running_maxima()
+        best, args, _, _ = running_maxima()
 
     K, L, sigma2 = best
     summary = GridSummary(
@@ -263,6 +281,29 @@ def _compute_constants(model: MarkovModel, side: str) -> BoundConstants:
     )
     return BoundConstants(side=side, K=K, L=L, sigma2=sigma2,
                           rho_inf=rho_inf, grid_summary=summary)
+
+
+def _vertex(t, y, i):
+    """(vertex, predicted gain) of the parabola through the running
+    maximum ``y[i]`` at ``t[i]`` and its neighbours in the sorted ``t``:
+    the fit's value at its vertex over ``y[i]``, minus 1.  None when the
+    fit is not concave or its vertex is not strictly between the
+    neighbours.  At i = 0, the end t = 0 of the half-line, the fit takes
+    the first three tilts and only a vertex inside the first cell counts.
+    """
+    if i + 1 >= t.size:
+        return None
+    j = max(i - 1, 0)
+    (t0, t1, t2), (y0, y1, y2) = t[j:j + 3].tolist(), y[j:j + 3].tolist()
+    d0, d1 = (y1 - y0) / (t1 - t0), (y2 - y1) / (t2 - t1)
+    a = (d1 - d0) / (t2 - t0)
+    if not a < 0.0:
+        return None
+    vertex = 0.5 * (t0 + t1) - d0 / (2.0 * a)
+    if not t0 < vertex < (t1 if i == 0 else t2):
+        return None
+    peak = y0 + (vertex - t0) * (d0 + a * (vertex - t1))
+    return vertex, peak / y[i] - 1.0
 
 
 def _quadratic_exponent(dev: float, scale: float) -> float:

@@ -699,10 +699,14 @@ def spectral_curve(model: MarkovModel, thetas) -> SpectralCurve:
 
     Each Lambda'' is checked by a cell of its own
     (``TiltedFamily.lambda_second_many``), whose ends are never memoized,
-    so the family memoizes the grid alone.  A finite grid that does not
-    increase strictly is rejected before any solve."""
+    so the family memoizes the grid alone.  A grid that is not
+    one-dimensional, or a finite one that does not increase strictly, is
+    rejected before any solve."""
     fam = family_of(model)
     grid = np.asarray(thetas, dtype=np.float64)
+    if grid.ndim != 1:
+        raise DomainError(
+            f"family: theta grid must be one-dimensional, got shape {grid.shape}")
     if np.isfinite(grid).all() and not (np.diff(grid) > 0.0).all():
         raise DomainError("family: theta grid must be strictly increasing")
     lam2 = fam.lambda_second_many(grid)

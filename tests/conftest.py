@@ -104,6 +104,19 @@ def mixed_draw(k):
     return model
 
 
+def pos01(k):
+    """Draw k (from 0) of positive chains with 2-12 states from
+    default_rng(17): P and f uniform on [0, 1), P normalized by rows, and a
+    uniform q."""
+    rng = np.random.default_rng(17)
+    for _ in range(k + 1):
+        S = int(rng.integers(2, 13))
+        P = rng.random((S, S))
+        P /= P.sum(axis=1, keepdims=True)
+        f = rng.random(S)
+    return MarkovModel(tuple(f"s{i}" for i in range(S)), P, f, np.full(S, 1.0 / S))
+
+
 @pytest.fixture
 def write_model(tmp_path):
     def _write(text: str, name: str = "model.yaml") -> str:

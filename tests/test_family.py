@@ -611,6 +611,18 @@ class TestSpectralCurve:
             with pytest.raises(DomainError, match="strictly increasing"):
                 spectral_curve(model, grid)
 
+    def test_grid_that_is_not_one_dimensional_is_refused(self, monkeypatch):
+        # a scalar raised numpy's ValueError from np.diff, a 2-D grid a
+        # TypeError from the solve
+        def no_solve(*args):
+            raise AssertionError("a Perron stack was solved")
+
+        monkeypatch.setattr(perron_module, "pf_stack", no_solve)
+        model = two_state(0.25, 0.4)
+        for grid in (0.5, [[1.0]], [[0.0, 0.5], [1.0, 1.5]]):
+            with pytest.raises(DomainError, match="one-dimensional"):
+                spectral_curve(model, grid)
+
     def test_alignment_required(self):
         with pytest.raises(DomainError):
             SpectralCurve(grid=np.array([0.0, 1.0]),
