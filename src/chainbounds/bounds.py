@@ -35,12 +35,20 @@ Lambda'' checked by the grid cells like any other tilt (successive
 parabolic interpolation; Brent, Algorithms for Minimization without
 Derivatives, 1973).  The search stops once the gain each fit predicts
 over its running maximum is below 1e-6 relative, a finite argmax of K,
-whose kinks a parabola does not see, has also moved by less than that,
-and the tail guard passes: each round also evaluates the extent and
-twice the extent, and every finite argmax must lie strictly inside the
-extent.  The eigenvector-ratio limit of the limit matrix is always
-included as a K candidate.  Diagnostics in ``grid_summary`` expose where
-each supremum was attained so results can be audited.
+and one of L whose fit spans a change of the pair (x, y) that attains
+L_t, has also moved by less than that (a parabola does not see the kinks
+of a maximum over pairs), and the tail guard passes.  Each round also
+evaluates the extent and twice the extent, the lookahead; the guard
+needs every finite argmax strictly inside the extent, and a settled
+tail: the Perron vector at the lookahead within Hilbert distance 1 of
+the limit's, and no constant rising into the extent or from it to the
+lookahead (K only above its limit), so a peak of L far out in the tail,
+where the tilt has not yet reached the limit matrix, makes the extent
+double on.  The vertices of the last fits are evaluated too, so the
+maxima take the gain the stop predicted.  The eigenvector-ratio limit
+of the limit matrix is always included as a K candidate.  Diagnostics
+in ``grid_summary`` expose where each supremum was attained so results
+can be audited.
 """
 
 import math
@@ -57,6 +65,8 @@ REFINE_ROUNDS = 12
 REFINE_RTOL = 1e-6
 LOCAL_POINTS = 8           # points added on each side of an argmax per round
 EXTENSION_POINTS = 32      # points added per extent doubling
+TAIL_DISTANCE = 1.0        # Hilbert distance from v to v_inf that ends it
+PAIR_TIE = 1e-9            # relative gap under which two pairs tie for L_t
 
 __all__ = [
     "GridSummary",
@@ -80,9 +90,13 @@ class GridSummary:
     limit-matrix candidate won.  A summary with ``converged`` False means
     the refinement budget ran out and the constants are best-so-far
     values.  ``tail_guard_passed`` reports whether every finite argmax of
-    K, L and sigma2 lies strictly inside the extent, with the extent and
-    the lookahead evaluated: a pragmatic guard rather than a proof that
-    the tail holds no larger value.
+    K, L and sigma2 lies strictly inside the extent and the tail had
+    settled at the last round: v at the lookahead within Hilbert distance
+    ``TAIL_DISTANCE`` of v_inf, and none of K (above K_limit), L and
+    sigma2 rising into the extent or on to the lookahead.  It is a
+    pragmatic guard rather than a proof that the tail holds no larger
+    value: a peak of K above K_limit that starts beyond the lookahead
+    goes unseen.
     """
 
     theta_max: float
@@ -190,6 +204,8 @@ def _compute_constants(model: MarkovModel, side: str) -> BoundConstants:
         nonlocal done, values
         known = set(done.tolist())
         ts = np.array([t for t in dict.fromkeys(map(float, ts)) if t not in known])
+        if not ts.size:
+            return []
         thetas = (sign * ts).tolist()
         s2 = fam.lambda_second_many(thetas, [sign * t for t in lone])
         points = [fam.at(theta) for theta in thetas]
@@ -198,10 +214,7 @@ def _compute_constants(model: MarkovModel, side: str) -> BoundConstants:
         # division rounds monotonically, so max v / min v is the largest
         # entry of ``ratio``, which L alone needs
         K_t = V.max(axis=1) / V.min(axis=1)
-        ratio = V[:, None, :] / V[:, :, None]      # [b, x, y] = v(y)/v(x)
-        slope = W[:, None, :] - W[:, :, None]
-        slope *= ratio
-        L_t = np.abs(slope, out=slope).max(axis=(1, 2))
+        L_t = _pair_slopes(V, W).max(axis=1)
         means = [p.mean for p in points]
         done = np.concatenate((done, ts))
         values = np.concatenate((values, [K_t, L_t, s2, means]), axis=1)
@@ -255,15 +268,37 @@ def _compute_constants(model: MarkovModel, side: str) -> BoundConstants:
         guards = [extent, 2.0 * extent]
         splits = evaluate(ts + splits + guards, guards)
         best, args, vertices, gain = running_maxima()
-        # K_t has kinks where its maximizing pair changes, which a parabola
-        # does not see, so a finite argmax of K must also stop moving
-        moved = abs(best[0] / prev[0] - 1.0) if math.isfinite(args[0]) else 0.0
+        # K_t and L_t have kinks where their maximizing pair changes, which
+        # a parabola does not see: a finite argmax of K, and one of L whose
+        # fit spans such a change, must also stop moving
+        moving = [0] if math.isfinite(args[0]) else []
+        j = max(int(np.searchsorted(done, abs(args[1]))) - 1, 0)
+        if _kinked(fam, (sign * done[j:j + 3]).tolist()):
+            moving.append(1)
+        moved = max((1.0 - prev[r] / best[r] for r in moving), default=0.0)
         # the guard tilts extent and 2 * extent are inside the maxima, so
-        # the tail guard holds when every finite argmax is before the extent
-        tail_ok = all(abs(arg) < extent for arg in args if math.isfinite(arg))
+        # the tail guard holds when every finite argmax is before the
+        # extent and the tail has settled: v at the lookahead is within
+        # TAIL_DISTANCE of v_inf, and no constant rises into the extent or
+        # from it to the lookahead (K only above K_limit) by more than
+        # REFINE_RTOL of its maximum
+        e, ahead = np.searchsorted(done, [extent, 2.0 * extent]).tolist()
+        tail = values[:3, [e - 1, e, ahead]]
+        tail[0, :2] = np.maximum(tail[0, :2], K_limit)
+        rise = np.diff(tail, axis=1).max(axis=1)
+        with np.errstate(divide="ignore"):
+            log_ratio = np.log(fam.at(sign * done[ahead]).v / v_inf)
+        tail_ok = (log_ratio.max() - log_ratio.min() <= TAIL_DISTANCE
+                   and bool(np.all(rise <= REFINE_RTOL * np.array(best)))
+                   and all(abs(arg) < extent for arg in args
+                           if math.isfinite(arg)))
         if max(gain, moved) < REFINE_RTOL and tail_ok:
             converged = True
             break
+    # the vertices of the last fits join the split passes, so the maxima
+    # take the gain the stop predicted; one before the extent is inside the
+    # checked grid
+    splits += [t for t in vertices if t < extent]
     while splits:
         splits = evaluate(splits, [])
         best, args, _, _ = running_maxima()
@@ -281,6 +316,27 @@ def _compute_constants(model: MarkovModel, side: str) -> BoundConstants:
     )
     return BoundConstants(side=side, K=K, L=L, sigma2=sigma2,
                           rho_inf=rho_inf, grid_summary=summary)
+
+
+def _pair_slopes(V: np.ndarray, W: np.ndarray) -> np.ndarray:
+    """|w(y) - w(x)| v(y) / v(x) for every pair (x, y), as column x * S + y,
+    from the rows v of ``V`` and w of ``W``: L_t is the largest."""
+    ratio = V[:, None, :] / V[:, :, None]      # [b, x, y] = v(y)/v(x)
+    slope = W[:, None, :] - W[:, :, None]
+    slope *= ratio
+    return np.abs(slope, out=slope).reshape(len(V), -1)
+
+
+def _kinked(fam, thetas) -> bool:
+    """Whether two neighbours of ``thetas`` share no pair that attains
+    L there: then L_t, the upper envelope of the pairs, has a kink between
+    them.  Pairs within PAIR_TIE of the largest tie, as (x, y) and (y, x) do
+    at theta = 0, where v is constant, and two states alike always do."""
+    slopes = _pair_slopes(np.array([fam.at(t).v for t in thetas]),
+                          np.array([fam.derivatives(t)[0] for t in thetas]))
+    ties = [set(np.flatnonzero(row >= (1.0 - PAIR_TIE) * row.max()).tolist())
+            for row in slopes]
+    return any(not a & b for a, b in zip(ties, ties[1:]))
 
 
 def _vertex(t, y, i):

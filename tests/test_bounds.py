@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import chainbounds.bounds as bounds_module
 import chainbounds.family as family_module
 import chainbounds.perron as perron_module
 from chainbounds import (AssumptionError, ChainboundsError, CrossCheckError,
@@ -500,17 +501,17 @@ def count_stacks(monkeypatch) -> list:
 
 
 @pytest.mark.parametrize("name, side, points, calls, members", [
-    ("chain2", "upper", 133, 4, 142), ("chain2", "lower", 119, 4, 128),
-    ("chain10", "upper", 75, 3, 82), ("chain10", "lower", 71, 3, 78)],
+    ("chain2", "upper", 135, 5, 144), ("chain2", "lower", 120, 5, 129),
+    ("chain10", "upper", 77, 4, 84), ("chain10", "lower", 72, 4, 79)],
     ids=["chain2-upper", "chain2-lower", "chain10-upper", "chain10-lower"])
 def test_constants_perron_work_is_pinned(monkeypatch, name, side, points,
                                          calls, members):
-    # one stack for the limit matrix and one per round; a member for each
-    # grid point and the limit matrix, and the two ends of an own cell only
-    # for theta = 0 and each new guard tilt (a neighbour pair per point gave
-    # 337, 961, 349 and 211 members; stopping on movement instead of
-    # predicted gain took 112, 320, 116 and 70 points in 2, 7, 2 and 1
-    # rounds)
+    # one stack for the limit matrix, one per round and one for the
+    # vertices of the last fits; a member for each grid point and the limit
+    # matrix, and the two ends of an own cell only for theta = 0 and each
+    # new guard tilt (a neighbour pair per point gave 337, 961, 349 and 211
+    # members; stopping on movement instead of predicted gain took 112,
+    # 320, 116 and 70 points in 2, 7, 2 and 1 rounds)
     stacks = count_stacks(monkeypatch)
     c = constants(load_model(str(FIXTURES / f"{name}.yaml")), side)
     assert (c.grid_summary.n_points, len(stacks), sum(stacks)) == (
@@ -522,8 +523,8 @@ def test_second_side_reuses_the_checked_zero_tilt(monkeypatch):
     model = load_model(str(FIXTURES / "chain2.yaml"))
     constants(model, "upper")
     stacks = count_stacks(monkeypatch)
-    assert constants(model, "lower").grid_summary.n_points == 119
-    assert sum(stacks) == 128 - 3
+    assert constants(model, "lower").grid_summary.n_points == 120
+    assert sum(stacks) == 129 - 3
 
 
 def swept_peak(model, side, name, lo, hi, points=401, refinements=4):
@@ -592,6 +593,64 @@ def test_L_beyond_the_first_extent_reaches_the_s_grid(k, side, floor):
     # in s = exp(-theta delta) found these values, and a stop on movement
     # read 0.119824, 0.328080 and 0.447194
     assert constants(pos01(k), side).L >= floor
+
+
+@pytest.mark.parametrize("k, side, lo, hi", [
+    (2, "lower", 400.0, 600.0), (33, "upper", 350.0, 450.0),
+    (45, "upper", 30.0, 60.0), (28, "upper", 100.0, 170.0)])
+def test_L_far_in_the_tail_reaches_its_dense_sweep(k, side, lo, hi):
+    # L peaks at theta = -496, 402, 47 and 137, beyond the first lookahead
+    # 32, while v there is still far from v_inf; a tail guard that only
+    # placed the argmaxes inside the extent stopped at 16 and read 0.1357,
+    # 0.2770, 0.1500 and 0.4809 (a stop on movement, which doubled the
+    # extent while other constants moved, read 44.812, 0.8743, 0.1611 and
+    # 0.4809)
+    model = pos01(k)
+    c = constants(model, side)
+    _, sup = swept_peak(model, side, "L", lo, hi)
+    assert c.grid_summary.converged and c.grid_summary.tail_guard_passed
+    assert abs(c.grid_summary.argmax_L) > 32.0
+    assert (1.0 - 1e-6) * sup <= c.L <= sup
+
+
+def test_an_unsettled_tail_is_reported(monkeypatch):
+    # two rounds reach the lookahead 64, where v is still far from v_inf
+    # and L rises towards its peak at theta = -496
+    monkeypatch.setattr(bounds_module, "REFINE_ROUNDS", 2)
+    summary = constants(pos01(2), "lower").grid_summary
+    assert (summary.rounds, summary.theta_max) == (2, 32.0)
+    assert not summary.converged and not summary.tail_guard_passed
+
+
+def test_kinks_of_L_are_told_from_ties():
+    # on this chain L's pair (7, 0) ties (0, 7) at theta = 0, where v is
+    # constant, keeps the maximum to 0.0175, and hands it to (5, 0) there
+    fam = TiltedFamily(bench_positive_chain(1, 240, 10))
+    assert not bounds_module._kinked(fam, [0.0, 0.005, 0.01])
+    assert bounds_module._kinked(fam, [0.005, 0.01, 0.025])
+    # states 1 and 2 of the spike are alike, so their pairs tie
+    assert not bounds_module._kinked(TiltedFamily(spike(1e-4)),
+                                     [10.44, 10.45, 10.46])
+
+
+def test_L_next_to_a_kink_reaches_its_dense_sweep():
+    # L peaks at theta = 0, and its maximizing pair changes at 0.0175,
+    # inside the first cell
+    c = constants(bench_positive_chain(1, 240, 10), "upper")
+    _, sup = swept_peak(bench_positive_chain(1, 240, 10), "upper", "L",
+                        0.0, 0.5)
+    assert c.grid_summary.converged
+    assert (1.0 - 1e-6) * sup <= c.L <= sup
+
+
+def test_a_kinked_L_must_also_stop_moving(monkeypatch):
+    # chain10's upper L moves by more than REFINE_RTOL in the first round,
+    # while every fit already predicts less; read as kinked, L holds the
+    # search for a second round
+    path = str(FIXTURES / "chain10.yaml")
+    assert constants(load_model(path), "upper").grid_summary.rounds == 1
+    monkeypatch.setattr(bounds_module, "_kinked", lambda fam, thetas: True)
+    assert constants(load_model(path), "upper").grid_summary.rounds == 2
 
 
 def bench_positive_chain(seed: int, job: int, S: int) -> MarkovModel:
