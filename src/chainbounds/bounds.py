@@ -24,13 +24,16 @@ limit-matrix triple is shared with the boundary rate
 (``family.limit_triple``).
 
 The suprema are located with an adaptive grid, not a certified global
-optimizer: start from theta in {0, 0.25, ..., 8}, the grid
-``family.half_line_grid`` that mean inversion brackets on too, then each
-round halves the spacing around the current argmaxes and doubles the
-grid extent.  After each round a parabola is fitted through every finite
-argmax of K, L and sigma2 and its two neighbours (the first three tilts
-when the argmax is theta = 0, where only a vertex inside the first cell
-counts), and the vertex of a concave fit joins the next round, its
+optimizer: start from theta in {0, 0.25, ..., 8}
+(``family.half_line_grid``), then each round halves the spacing around
+the current argmaxes and doubles the grid extent E, adding the block
+(E, 2E] (``family.extension_block``).  ``family`` owns this lattice:
+mean inversion brackets on the grid and starts Newton from its tilts and
+a block, so after ``constants`` it finds them memoized.  After each
+round a parabola is fitted through every finite argmax of K, L and
+sigma2 and its two neighbours (the first three tilts when the argmax is
+theta = 0, where only a vertex inside the first cell counts), and the
+vertex of a concave fit joins the next round, its
 Lambda'' checked by the grid cells like any other tilt (successive
 parabolic interpolation; Brent, Algorithms for Minimization without
 Derivatives, 1973).  The search stops once the gain each fit predicts
@@ -64,7 +67,6 @@ from .model import MarkovModel, level_sets, memo
 REFINE_ROUNDS = 12
 REFINE_RTOL = 1e-6
 LOCAL_POINTS = 8           # points added on each side of an argmax per round
-EXTENSION_POINTS = 32      # points added per extent doubling
 TAIL_DISTANCE = 1.0        # Hilbert distance from v to v_inf that ends it
 PAIR_TIE = 1e-9            # relative gap under which two pairs tie for L_t
 
@@ -253,11 +255,8 @@ def _compute_constants(model: MarkovModel, side: str) -> BoundConstants:
         rounds += 1
         prev = best
         spacing /= 2.0
-        old_extent = extent
+        ts = _family.extension_block(extent).tolist() + vertices
         extent *= 2.0
-        step = (extent - old_extent) / EXTENSION_POINTS
-        ts = [old_extent + k * step for k in range(1, EXTENSION_POINTS + 1)]
-        ts += vertices
         for arg in set(args):
             if not math.isfinite(arg):
                 continue

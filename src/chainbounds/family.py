@@ -11,10 +11,13 @@ mu = Lambda'(theta) are dual coordinates.  The convex conjugate Lambda*
 is the large deviations rate used by the tail bounds.  Lambda'' and
 d log v / d theta take one fundamental-matrix solve at a cached point
 (Kemeny and Snell 1960; Meyer 1975), and mean inversion is Newton's
-method with that Lambda'' as slope, bracketed and started on the initial
-tilt grid of a half-line (``half_line_grid``).  This module owns that
-grid, which the constant search of ``bounds`` starts from too, so after
-``bounds.constants`` a mean inversion finds its bracket memoized.
+method with that Lambda'' as slope, bracketed on the initial tilt grid of
+a half-line (``half_line_grid``) and started from a Hermite fit of the
+inverse map through the nearest tilts of the lattice of that grid and
+the blocks (E, 2E] added as the extent E doubles (``extension_block``).
+This module owns the lattice, which the constant search of ``bounds``
+evaluates too, so after ``bounds.constants`` a mean inversion finds its
+bracket and nodes memoized and usually takes one Perron solve.
 
 To avoid overflow all spectral work happens on exp(-m) * P_tilde with
 m = max_y theta*f(y), and m is added back in log space.  That matrix is
@@ -47,6 +50,7 @@ recursion gives them without a Perron solve (``_cycle_means``), for
 degeneracy (they coincide) and ``mean_set``.
 """
 
+import bisect
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -61,6 +65,8 @@ from .model import MarkovModel, level_sets, memo, publish
 
 GRID_SPACING = 0.25        # the initial tilt grid {0, 0.25, ..., 8} of a half-line,
 GRID_EXTENT = 8.0          # shared by the constant search and mean inversion
+EXTENSION_POINTS = 32      # tilts of the block (E, 2E] of each extent doubling
+CURVE_VALUES = 2**16       # tilts times S^2 per stacked solve of spectral_curve
 CELL_FLOOR = 1e-6          # width / (1 + |theta|) at which a failing cell raises
 CELL_SPLITS = 16           # failing cells split per pass, the narrowest first
 MEAN_ROUNDING = 4.0        # a solved mean's error in S ulps of max|f| (2.4 seen)
@@ -75,6 +81,7 @@ __all__ = [
     "TiltedFamily",
     "family_of",
     "half_line_grid",
+    "extension_block",
     "limit_triple",
     "tilt",
     "theta_of_mean",
@@ -488,6 +495,15 @@ def half_line_grid() -> np.ndarray:
     return np.arange(0.0, GRID_EXTENT + GRID_SPACING / 2, GRID_SPACING)
 
 
+def extension_block(extent: float) -> np.ndarray:
+    """The tilts extent + k * extent / EXTENSION_POINTS, k = 1, ...,
+    EXTENSION_POINTS, of the block (extent, 2 * extent] of a half-line:
+    what the constant search adds as its extent doubles from ``extent``,
+    and the interpolation nodes of ``theta_of_mean`` on a bracket
+    [extent, 2 * extent], times the side's sign."""
+    return extent + np.arange(1, EXTENSION_POINTS + 1) * (extent / EXTENSION_POINTS)
+
+
 def family_of(model: MarkovModel) -> TiltedFamily:
     """Memoized family handle for a model instance."""
     return memo(model._derived, "family", lambda _: TiltedFamily(model))
@@ -518,14 +534,20 @@ def theta_of_mean(model: MarkovModel, mu: float) -> float:
     search's initial grid sign * {0, 0.25, ..., 8} (``half_line_grid``),
     memoized after ``bounds.constants`` and otherwise solved as one stack,
     then the tilts sign * 16, 32, ... one at a time.  Newton's method with
-    slope Lambda'' starts at the cubic Hermite interpolant of the inverse
-    map theta(mu) on the bracket, whose slopes are 1 / Lambda'' at the ends
-    (the bracket midpoint if an end has none), and takes the bracket
+    slope Lambda'' starts at the Hermite interpolant of the inverse map
+    theta(mu) through the three nearest tilts of the search's lattice on
+    each side of mu, with slopes 1 / Lambda'' (``_hermite_start``): the
+    grid, and on a bracket [E, 2E] past it also E and the constant
+    search's block (E, 2E] (``extension_block``), solved as one stack
+    unless memoized.  After ``bounds.constants`` every node is memoized,
+    and the start is usually within Newton's tolerance, so an interior
+    inversion takes one solo Perron solve.  Newton takes the bracket
     midpoint whenever a step would leave the bracket.  Stacked and solo
-    points are bit-identical, so the result does not depend on what the
-    family memoized before.  Requires a nondegenerate family and mu
-    strictly inside the attainable mean range (``mean_set``, within
-    [a, b]); any other mu, NaN included, is rejected before any solve.
+    points are bit-identical and the nodes depend on mu alone, so the
+    result does not depend on what the family memoized before.  Requires
+    a nondegenerate family and mu strictly inside the attainable mean
+    range (``mean_set``, within [a, b]); any other mu, NaN included, is
+    rejected before any solve.
     """
     fam = family_of(model)
     if fam.is_degenerate:
@@ -560,8 +582,13 @@ def theta_of_mean(model: MarkovModel, mu: float) -> float:
     else:
         raise DomainError(f"family: no tilt up to {theta!r} reaches mu={mu!r}")
 
+    lattice = grid
+    if abs(theta) > GRID_EXTENT:
+        block = (sign * extension_block(abs(last))).tolist()
+        fam.at_many(block)
+        lattice = grid + [last] + block
     lo, hi = sorted((last, theta))
-    theta = _hermite_start(fam, mu, lo, hi)
+    theta = _hermite_start(fam, mu, lattice)
     if not lo < theta < hi:
         theta = 0.5 * (lo + hi)
     g_t = g(theta)
@@ -594,22 +621,34 @@ def _mean_tol(f: np.ndarray, rel: float) -> float:
                f.size * 2.0 ** -52 * float(np.abs(f).max()))
 
 
-def _hermite_start(fam: TiltedFamily, mu: float, lo: float,
-                   hi: float) -> float:
-    """The cubic Hermite interpolant at mu of the inverse mean map theta(mu)
-    through the memoized bracket ends lo < hi, with slopes 1 / Lambda''
-    from their points; NaN if an end has no derivative."""
-    try:
-        c_lo, c_hi = fam.derivatives(lo)[1], fam.derivatives(hi)[1]
-    except ConvergenceError:
+def _hermite_start(fam: TiltedFamily, mu: float, tilts: list) -> float:
+    """The Hermite interpolant at mu of the inverse mean map theta(mu)
+    through the three memoized ``tilts`` of greatest mean below mu and the
+    three of least mean at or above it, with slopes 1 / Lambda'' from their
+    points, by confluent divided differences on the means, each taken
+    twice; NaN without a node.  A tilt that failed its solve, or whose
+    Lambda'' is unavailable or not positive, is no node, nor is one whose
+    mean repeats a node's."""
+    nodes = {}
+    for t in tilts:
+        point = fam._points.get(t)
+        if point is not None and point._derivatives is not None \
+                and point._derivatives[1] > 0.0:
+            nodes.setdefault(point.mean, (t, 1.0 / point._derivatives[1]))
+    means = sorted(nodes)
+    k = bisect.bisect_left(means, mu)
+    z = [m for m in means[max(k - 3, 0):k + 3] for _ in range(2)]
+    if not z:
         return math.nan
-    if not (c_lo > 0.0 and c_hi > 0.0):
-        return math.nan
-    m_lo = fam.at(lo).mean
-    h = fam.at(hi).mean - m_lo
-    s = (mu - m_lo) / h
-    return ((1.0 + 2.0 * s) * (1.0 - s) ** 2 * lo + s * (1.0 - s) ** 2 * h / c_lo
-            + s * s * (3.0 - 2.0 * s) * hi - s * s * (1.0 - s) * h / c_hi)
+    c = [nodes[m][0] for m in z]
+    for j in range(1, len(z)):
+        for i in range(len(z) - 1, j - 1, -1):
+            c[i] = (nodes[z[i]][1] if z[i] == z[i - j]
+                    else (c[i] - c[i - 1]) / (z[i] - z[i - j]))
+    value = c[-1]
+    for i in range(len(z) - 2, -1, -1):
+        value = value * (mu - z[i]) + c[i]
+    return value
 
 
 def kl_rate(model: MarkovModel, theta1: float, theta2: float) -> float:
@@ -699,9 +738,12 @@ def spectral_curve(model: MarkovModel, thetas) -> SpectralCurve:
 
     Each Lambda'' is checked by a cell of its own
     (``TiltedFamily.lambda_second_many``), whose ends are never memoized,
-    so the family memoizes the grid alone.  A grid that is not
-    one-dimensional, or a finite one that does not increase strictly, is
-    rejected before any solve."""
+    so the family memoizes the grid alone.  The grid is solved in chunks
+    of CURVE_VALUES / S^2 tilts (at least one), so the stacks stay bounded
+    however long the grid; points do not depend on their stack, so the
+    values are those of one stack, and the first failing tilt raises as
+    there.  A grid that is not one-dimensional, or a finite one that does
+    not increase strictly, is rejected before any solve."""
     fam = family_of(model)
     grid = np.asarray(thetas, dtype=np.float64)
     if grid.ndim != 1:
@@ -709,7 +751,9 @@ def spectral_curve(model: MarkovModel, thetas) -> SpectralCurve:
             f"family: theta grid must be one-dimensional, got shape {grid.shape}")
     if np.isfinite(grid).all() and not (np.diff(grid) > 0.0).all():
         raise DomainError("family: theta grid must be strictly increasing")
-    lam2 = fam.lambda_second_many(grid)
+    chunk = max(1, CURVE_VALUES // model.f.size ** 2)
+    lam2 = [value for i in range(0, grid.size, chunk)
+            for value in fam.lambda_second_many(grid[i:i + chunk])]
     points = [fam.at(t) for t in grid]
     return SpectralCurve(grid=grid, Lambda=[p.Lambda for p in points],
                          Lambda1=[p.mean for p in points], Lambda2=lam2)

@@ -516,6 +516,10 @@ def _lambda_n_sweep(model: MarkovModel, theta: float, ns) -> list[float]:
     for k in range(1, max(want, default=0) + 1):
         w = w @ T
         s = float(w.max())
+        if not s > 0.0:
+            raise DomainError(
+                f"sim: theta={float(theta)!r} underflows the weights "
+                "exp(theta*(f - max f)) of every path")
         log_scale += math.log(s)
         w /= s
         if k in want:
@@ -529,7 +533,8 @@ def lambda_n_exact(model: MarkovModel, theta: float, n: int) -> float:
 
     Uses q' M^n 1 for the shifted tilted matrix M, rescaling by the sup
     norm each step and accumulating the scale in log space.  A theta that
-    is not finite, or whose theta*f overflows, raises DomainError.
+    is not finite, or whose theta*f overflows, raises DomainError, and so
+    does one whose weights exp(theta*(f - max f)) underflow on every path.
     """
     n = _count(n, 1, "sim: n must be >= 1, got {!r}")
     return _lambda_n_sweep(model, theta, (n,))[0]

@@ -1,6 +1,7 @@
 import collections
 import dataclasses
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ import chainbounds.family as family_module
 import chainbounds.perron as perron_module
 from chainbounds import (ConvergenceError, CrossCheckError, DomainError,
                          MarkovModel, SpectralCurve, TiltedFamily, constants,
-                         family_of, kl_rate, level_sets, mean_set,
+                         family_of, kl_rate, level_sets, load_model, mean_set,
                          rate_function, spectral_curve, theta_of_mean, tilt,
                          validate)
 from conftest import (iid_model, mixed_draw, no_selfloop_top,
@@ -22,6 +23,7 @@ from oracles import (bernoulli_rate, kl_rate_direct, lambda_second_decimal,
                      simple_cycle_means, two_state_tilted_rho)
 
 THETA_PAIRS = ((0.5, 0.7), (-1.0, 2.0), (1.0, 1.0))
+FIXTURES = Path(__file__).resolve().parents[1] / "bench" / "fixtures"
 
 
 def retilt(model, point):
@@ -299,9 +301,10 @@ class TestMeanInversion:
         with pytest.raises(DomainError, match="degenerate"):
             theta_of_mean(two_cycle(), 0.0)
 
-    def test_independent_of_call_history(self):
-        # the bracket grid is one stack on a fresh model and memo hits
-        # after the constant search; both give the bytes of solo solves
+    def test_independent_of_call_history(self, stack_sizes):
+        # the bracket grid and the interpolation nodes are stacks on a
+        # fresh model and memo hits after the constant search; both give
+        # the bytes of solo solves
         searched = random_positive_model(np.random.default_rng(23), 10)
         constants(searched, "upper")
         constants(searched, "lower")
@@ -309,6 +312,16 @@ class TestMeanInversion:
         for mu in interior + edges:
             fresh = random_positive_model(np.random.default_rng(23), 10)
             assert theta_of_mean(fresh, mu) == theta_of_mean(searched, mu)
+        # chain10's root at mu = 0.95 lies in the block (8, 16], which a
+        # fresh model solves as one stack
+        fresh = load_model(FIXTURES / "chain10.yaml")
+        stack_sizes.clear()
+        theta = theta_of_mean(fresh, 0.95)
+        assert 8.0 < theta < 16.0
+        assert family_module.EXTENSION_POINTS - 1 in stack_sizes
+        searched = load_model(FIXTURES / "chain10.yaml")
+        constants(searched, "upper")
+        assert theta_of_mean(searched, 0.95) == theta
 
     def test_interior_solves_after_the_constant_search(self, stack_sizes):
         model = random_positive_model(np.random.default_rng(23), 10)
@@ -317,7 +330,24 @@ class TestMeanInversion:
         stack_sizes.clear()
         for mu in probe_means(model)[0]:
             theta_of_mean(model, mu)
-        assert stack_sizes.count(1) <= 18
+        assert stack_sizes == [1] * 10
+
+    @pytest.mark.parametrize("S", [10, 50])
+    def test_one_solve_per_interior_mean_on_a_bench_chain(self, S,
+                                                          stack_sizes):
+        # entries within a factor 1.5, as in the benchmark: the Hermite
+        # start through the memoized lattice is within Newton's tolerance
+        rng = np.random.default_rng(1)
+        P = 1.0 + 0.5 * rng.random((S, S))
+        P /= P.sum(axis=1, keepdims=True)
+        f = rng.permutation(np.linspace(0.0, 1.0, S))
+        model = MarkovModel(tuple(map(str, range(S))), P, f, np.full(S, 1 / S))
+        constants(model, "upper")
+        constants(model, "lower")
+        for mu in probe_means(model)[0]:
+            stack_sizes.clear()
+            theta_of_mean(model, mu)
+            assert stack_sizes == [1]
 
     def test_edge_solves_on_a_fresh_model(self, stack_sizes):
         # roots at theta = -226.6 and 53.1: the bracket grows past the grid
@@ -600,6 +630,21 @@ class TestSpectralCurve:
         assert np.all(curve.Lambda2 >= 0.0)
         at0 = np.flatnonzero(curve.grid == 0.0)[0]
         assert abs(curve.Lambda[at0]) <= 1e-12
+
+    def test_a_grid_longer_than_one_chunk_gives_the_solo_bytes(
+            self, monkeypatch, stack_sizes):
+        # three tilts of ten states per chunk: eleven tilts take four
+        # stacks, each with the two ends of its tilts' own cells
+        monkeypatch.setattr(family_module, "CURVE_VALUES", 3 * 10 ** 2)
+        model = random_positive_model(np.random.default_rng(49), 10)
+        grid = np.linspace(-4.0, 4.0, 11)
+        curve = spectral_curve(model, grid)
+        assert stack_sizes == [9, 9, 9, 6]
+        fam = family_of(MarkovModel(model.states, model.P, model.f, model.q))
+        solo = [(fam.lambda_second(t), fam.at(t).Lambda, fam.at(t).mean)
+                for t in grid]
+        for field, column in zip(("Lambda2", "Lambda", "Lambda1"), zip(*solo)):
+            assert getattr(curve, field).tobytes() == np.array(column).tobytes()
 
     def test_unordered_grid_is_refused_before_any_solve(self, monkeypatch):
         def no_solve(*args):

@@ -622,6 +622,16 @@ class TestExactGrowthRate:
         assert lambda_n_exact(two_state(0.3, 0.4), 1e308, 5) == \
             pytest.approx(1e308, rel=1e-15)
 
+    def test_underflowing_weights_raise_a_domain_error(self):
+        # exp(theta (f - max f)) = 0 at the low state, which the top state
+        # must step into, so every 2-step path loses its weight
+        model = MarkovModel(("a", "b"), [[0.5, 0.5], [1.0, 0.0]],
+                            [0.0, 1e6], [0.5, 0.5])
+        assert lambda_n_exact(model, 1.0, 1) == pytest.approx(
+            1e6 + math.log(0.25), rel=1e-15)
+        with pytest.raises(DomainError, match=r"theta=1\.0 underflows"):
+            lambda_n_exact(model, 1.0, 2)
+
     def test_eigenvector_ratio_sandwich(self):
         rng = np.random.default_rng(34)
         for _ in range(5):
