@@ -25,33 +25,33 @@ limit-matrix triple is shared with the boundary rate
 
 The suprema are located with an adaptive grid, not a certified global
 optimizer: start from theta in {0, 0.25, ..., 8}
-(``family.half_line_grid``), then each round halves the spacing around
-the current argmaxes and doubles the grid extent E, adding the block
+(``family.half_line_grid``), then each round bisects the two cells next
+to each finite argmax and doubles the grid extent E, adding the block
 (E, 2E] (``family.extension_block``).  ``family`` owns this lattice:
 mean inversion brackets on the grid and starts Newton from its tilts and
 a block, so after ``constants`` it finds them memoized.  After each
-round a parabola is fitted through every finite argmax of K, L and
-sigma2 and its two neighbours (the first three tilts when the argmax is
+round a parabola is fitted through every local peak of K_t, L_t and
+sigma2_t and its two neighbours (the first three tilts at a peak at
 theta = 0, where only a vertex inside the first cell counts), and the
-vertex of a concave fit joins the next round, its
-Lambda'' checked by the grid cells like any other tilt (successive
-parabolic interpolation; Brent, Algorithms for Minimization without
-Derivatives, 1973).  The search stops once the gain each fit predicts
-over its running maximum is below 1e-6 relative, a finite argmax of K,
-and one of L whose fit spans a change of the pair (x, y) that attains
-L_t, has also moved by less than that (a parabola does not see the kinks
-of a maximum over pairs), and the tail guard passes.  Each round also
-evaluates the extent and twice the extent, the lookahead; the guard
-needs every finite argmax strictly inside the extent, and a settled
-tail: the Perron vector at the lookahead within Hilbert distance 1 of
-the limit's, and no constant rising into the extent or from it to the
-lookahead (K only above its limit), so a peak of L far out in the tail,
-where the tilt has not yet reached the limit matrix, makes the extent
-double on.  The vertices of the last fits are evaluated too, so the
-maxima take the gain the stop predicted.  The eigenvector-ratio limit
-of the limit matrix is always included as a K candidate.  Diagnostics
-in ``grid_summary`` expose where each supremum was attained so results
-can be audited.
+vertex of a concave fit whose predicted value beats the running maximum
+(K_limit when it wins) joins the next round, its Lambda'' checked by the
+grid cells like any other tilt (successive parabolic interpolation;
+Brent, Algorithms for Minimization without Derivatives, 1973).  The
+search stops once every such fit predicts a gain over its running
+maximum below 1e-6 relative, a finite argmax of L whose fit spans a
+change of the pair (x, y) that attains L_t has also moved by less than
+that (a parabola does not see the kinks of a maximum over pairs), and
+the tail guard passes.  Each round also evaluates the extent and twice
+the extent, the lookahead; the guard needs every finite argmax strictly
+inside the extent, and a settled tail: the Perron vector at the
+lookahead within Hilbert distance 1 of the limit's, and no constant
+rising into the extent or from it to the lookahead (K only above its
+limit), so a peak of L far out in the tail, where the tilt has not yet
+reached the limit matrix, makes the extent double on.  The vertices of
+the last fits are evaluated too, so the maxima take the gain the stop
+predicted.  The eigenvector-ratio limit of the limit matrix is always
+included as a K candidate.  Diagnostics in ``grid_summary`` expose where
+each supremum was attained so results can be audited.
 """
 
 import math
@@ -66,7 +66,6 @@ from .model import MarkovModel, level_sets, memo
 
 REFINE_ROUNDS = 12
 REFINE_RTOL = 1e-6
-LOCAL_POINTS = 8           # points added on each side of an argmax per round
 TAIL_DISTANCE = 1.0        # Hilbert distance from v to v_inf that ends it
 PAIR_TIE = 1e-9            # relative gap under which two pairs tie for L_t
 
@@ -230,21 +229,24 @@ def _compute_constants(model: MarkovModel, side: str) -> BoundConstants:
 
     def running_maxima():
         # the smallest maximizing t of K, L and sigma2, K_limit winning ties;
-        # the vertices of the fits through the finite ones, and the largest
-        # gain they predict
+        # the vertices of the fits at every local peak whose predicted value
+        # beats its running maximum, and the largest gain they predict
         i = values[:3].argmax(axis=1)
         best = values[np.arange(3), i].tolist()
         args = (sign * done[i]).tolist()
         if not best[0] > K_limit:
             best[0], args[0] = K_limit, math.inf * sign
-        fits = [_vertex(done, values[row], i[row])
-                for row in range(3) if math.isfinite(args[row])]
-        fits = [fit for fit in fits if fit]
-        return (tuple(best), tuple(args), [vertex for vertex, _ in fits],
-                max((gain for _, gain in fits), default=0.0))
+        vertices, gain = [], 0.0
+        for row, y in enumerate(values[:3]):
+            rim = np.pad(y, 1, constant_values=-math.inf)
+            for j in np.flatnonzero((y >= rim[:-2]) & (y >= rim[2:])).tolist():
+                fit = _vertex(done, y, j)
+                if fit and fit[1] > best[row]:
+                    vertices.append(fit[0])
+                    gain = max(gain, fit[1] / best[row] - 1.0)
+        return tuple(best), tuple(args), vertices, gain
 
     extent = _family.GRID_EXTENT
-    spacing = _family.GRID_SPACING
     splits = evaluate(_family.half_line_grid(), [0.0])
     best, args, vertices, _ = running_maxima()
 
@@ -254,27 +256,23 @@ def _compute_constants(model: MarkovModel, side: str) -> BoundConstants:
     for _ in range(REFINE_ROUNDS):
         rounds += 1
         prev = best
-        spacing /= 2.0
         ts = _family.extension_block(extent).tolist() + vertices
         extent *= 2.0
+        # bisect the two cells next to each finite argmax
         for arg in set(args):
-            if not math.isfinite(arg):
-                continue
-            center = abs(arg)
-            for j in range(1, LOCAL_POINTS + 1):
-                ts.extend(t for t in (center - j * spacing, center + j * spacing)
-                          if 0.0 <= t <= extent)
+            if math.isfinite(arg):
+                j = int(np.searchsorted(done, abs(arg)))
+                cells = done[max(j - 1, 0):j + 2]
+                ts.extend((0.5 * (cells[:-1] + cells[1:])).tolist())
         guards = [extent, 2.0 * extent]
         splits = evaluate(ts + splits + guards, guards)
         best, args, vertices, gain = running_maxima()
-        # K_t and L_t have kinks where their maximizing pair changes, which
-        # a parabola does not see: a finite argmax of K, and one of L whose
-        # fit spans such a change, must also stop moving
-        moving = [0] if math.isfinite(args[0]) else []
+        # L_t has kinks where its maximizing pair changes, which a parabola
+        # does not see: a finite argmax of L whose fit spans such a change
+        # must also stop moving
         j = max(int(np.searchsorted(done, abs(args[1]))) - 1, 0)
-        if _kinked(fam, (sign * done[j:j + 3]).tolist()):
-            moving.append(1)
-        moved = max((1.0 - prev[r] / best[r] for r in moving), default=0.0)
+        moved = (1.0 - prev[1] / best[1]
+                 if _kinked(fam, (sign * done[j:j + 3]).tolist()) else 0.0)
         # the guard tilts extent and 2 * extent are inside the maxima, so
         # the tail guard holds when every finite argmax is before the
         # extent and the tail has settled: v at the lookahead is within
@@ -339,10 +337,9 @@ def _kinked(fam, thetas) -> bool:
 
 
 def _vertex(t, y, i):
-    """(vertex, predicted gain) of the parabola through the running
-    maximum ``y[i]`` at ``t[i]`` and its neighbours in the sorted ``t``:
-    the fit's value at its vertex over ``y[i]``, minus 1.  None when the
-    fit is not concave or its vertex is not strictly between the
+    """(vertex, predicted value) of the parabola through the local peak
+    ``y[i]`` at ``t[i]`` and its neighbours in the sorted ``t``.  None when
+    the fit is not concave or its vertex is not strictly between the
     neighbours.  At i = 0, the end t = 0 of the half-line, the fit takes
     the first three tilts and only a vertex inside the first cell counts.
     """
@@ -357,8 +354,7 @@ def _vertex(t, y, i):
     vertex = 0.5 * (t0 + t1) - d0 / (2.0 * a)
     if not t0 < vertex < (t1 if i == 0 else t2):
         return None
-    peak = y0 + (vertex - t0) * (d0 + a * (vertex - t1))
-    return vertex, peak / y[i] - 1.0
+    return vertex, y0 + (vertex - t0) * (d0 + a * (vertex - t1))
 
 
 def _quadratic_exponent(dev: float, scale: float) -> float:

@@ -117,6 +117,22 @@ def pos01(k):
     return MarkovModel(tuple(f"s{i}" for i in range(S)), P, f, np.full(S, 1.0 / S))
 
 
+def sparse31(k, seed=31):
+    """Draw k (from 0) of sparse chains with 3-12 states from
+    default_rng(seed): a ``random_irreducible_model`` whose columns of the
+    extreme states of f, argmax then argmin, get an edge from every state
+    that had none, of weight uniform on [1e-3, 0.3), rows normalized again.
+    Every state steps into both extreme states, so A1-A4 hold."""
+    rng = np.random.default_rng(seed)
+    for _ in range(k + 1):
+        m = random_irreducible_model(rng, int(rng.integers(3, 13)))
+        P = m.P.copy()
+        for col in (int(np.argmax(m.f)), int(np.argmin(m.f))):
+            P[:, col] += rng.uniform(1e-3, 0.3, len(P)) * (P[:, col] == 0)
+        P /= P.sum(axis=1, keepdims=True)
+    return MarkovModel(m.states, P, m.f, m.q)
+
+
 @pytest.fixture
 def write_model(tmp_path):
     def _write(text: str, name: str = "model.yaml") -> str:

@@ -12,13 +12,14 @@ import pytest
 import chainbounds.bounds as bounds_module
 import chainbounds.family as family_module
 import chainbounds.perron as perron_module
-from chainbounds import (AssumptionError, ChainboundsError, CrossCheckError,
-                         DomainError, MarkovModel, TiltedFamily,
-                         chernoff_bound, constants, ergodic_gap, family_of,
-                         level_sets, load_model, rate_function, tilt,
-                         two_sided_bound, validate)
+from chainbounds import (AssumptionError, ChainboundsError, ConvergenceError,
+                         CrossCheckError, DomainError, MarkovModel,
+                         TiltedFamily, chernoff_bound, constants, ergodic_gap,
+                         family_of, level_sets, load_model, rate_function,
+                         tilt, two_sided_bound, validate)
 from conftest import (iid_model, mixed_draw, pos01, random_irreducible_model,
-                      random_positive_model, spike, two_cycle, two_state)
+                      random_positive_model, sparse31, spike, two_cycle,
+                      two_state)
 from oracles import bernoulli_rate, exact_tail_probability, lattice_tail
 
 FIXTURES = Path(__file__).resolve().parents[1] / "bench" / "fixtures"
@@ -501,8 +502,8 @@ def count_stacks(monkeypatch) -> list:
 
 
 @pytest.mark.parametrize("name, side, points, calls, members", [
-    ("chain2", "upper", 135, 5, 144), ("chain2", "lower", 120, 5, 129),
-    ("chain10", "upper", 77, 4, 84), ("chain10", "lower", 72, 4, 79)],
+    ("chain2", "upper", 113, 5, 122), ("chain2", "lower", 106, 5, 115),
+    ("chain10", "upper", 74, 4, 81), ("chain10", "lower", 69, 4, 76)],
     ids=["chain2-upper", "chain2-lower", "chain10-upper", "chain10-lower"])
 def test_constants_perron_work_is_pinned(monkeypatch, name, side, points,
                                          calls, members):
@@ -523,12 +524,12 @@ def test_second_side_reuses_the_checked_zero_tilt(monkeypatch):
     model = load_model(str(FIXTURES / "chain2.yaml"))
     constants(model, "upper")
     stacks = count_stacks(monkeypatch)
-    assert constants(model, "lower").grid_summary.n_points == 120
-    assert sum(stacks) == 129 - 3
+    assert constants(model, "lower").grid_summary.n_points == 106
+    assert sum(stacks) == 115 - 3
 
 
 def swept_peak(model, side, name, lo, hi, points=401, refinements=4):
-    """(argmax, max) of ``name``'s function of the tilt, "L" or "sigma2",
+    """(argmax, max) of ``name``'s function of the tilt, "K", "L" or "sigma2",
     over the tilts sign * t for ``points`` t evenly spaced on [lo, hi],
     refined ``refinements`` times on the two cells around the sweep's own
     argmax."""
@@ -539,6 +540,8 @@ def swept_peak(model, side, name, lo, hi, points=401, refinements=4):
         v, (w, lam2) = fam.at(theta).v, fam.derivatives(theta)
         if name == "sigma2":
             return lam2
+        if name == "K":
+            return float(v.max() / v.min())
         # max over (x, y) of |w(y) - w(x)| v(y) / v(x)
         ratio = v[None, :] / v[:, None]
         return float(np.max(np.abs(w[None, :] - w[:, None]) * ratio))
@@ -575,10 +578,19 @@ def test_narrow_crossing_gets_constants_and_a_bound(eps):
     (lambda: mixed_draw(4), "upper", "sigma2", 0.0, 2.0),
     (lambda: spike(1e-4), "upper", "sigma2", 9.0, 11.0),
     # L peaks at theta = -73.3, beyond the first extent 16
-    (lambda: pos01(45), "lower", "L", 0.0, 100.0)],
-    ids=["chain4-upper-sigma2", "spike-1e-4-sigma2", "pos01-45-lower-L"])
+    (lambda: pos01(45), "lower", "L", 0.0, 100.0),
+    # K peaks at theta = 17.84, beyond the first extent 16: only the second
+    # round's block (16, 32] reaches it
+    (lambda: bench_positive_chain(1, 348, 10), "upper", "K", 10.0, 30.0),
+    # L has two peaks of nearly equal height: fits through the argmax alone
+    # stayed at the lower one and read 0.0198939 at theta = -0.757, against
+    # 0.0198969 at -1.145
+    (lambda: bench_positive_chain(1, 19, 50), "lower", "L", 0.0, 3.0)],
+    ids=["chain4-upper-sigma2", "spike-1e-4-sigma2", "pos01-45-lower-L",
+         "job348-upper-K", "job19-lower-L"])
 def test_suprema_reach_their_dense_sweep(make, side, name, lo, hi):
-    # a stop on movement read 0.528567, 0.514224 and 2.032075
+    # on the first three cases a stop on movement read 0.528567, 0.514224
+    # and 2.032075
     model = make()
     c = constants(model, side)
     _, sup = swept_peak(model, side, name, lo, hi)
@@ -641,6 +653,19 @@ def test_L_next_to_a_kink_reaches_its_dense_sweep():
                         0.0, 0.5)
     assert c.grid_summary.converged
     assert (1.0 - 1e-6) * sup <= c.L <= sup
+
+
+def test_sparse_searches_return_or_raise_a_typed_error():
+    # sparse31 meets A1-A4 on both sides, yet some far tilts, where the
+    # weights exp(theta (f - max f)) turn subnormal, fail their Perron solve
+    raised = 0
+    for k in range(40):
+        for side in ("upper", "lower"):
+            try:
+                constants(sparse31(k), side)
+            except (ConvergenceError, CrossCheckError):
+                raised += 1
+    assert raised == 5
 
 
 def test_a_kinked_L_must_also_stop_moving(monkeypatch):
@@ -725,7 +750,7 @@ class TestCellCheck:
         # Lambda'' = sum_x pi(x) sum_y P_theta(x, y) (x(y) - w(x))^2, with
         # the increments mutated: the mutant fails cells of the first round
         # that pass on clean values (a clean round may split a cell that the
-        # next round's local points resolve anyway), and the search raises
+        # next round's tilts resolve anyway), and the search raises
         fundamental = family_module._fundamental
 
         def mutant(A, P_theta, pi, fc):
